@@ -10,8 +10,8 @@ Subcommands::
             [--step N] [--format ...]
     rentdiv table [--format ...]
 
-Objective grammar: ``exclude:D,E@R1,R2,R3`` | ``min-pay:D[,E]`` |
-``subsidize:E@R1<=7`` | ``max-util:A``.
+Objective grammar (OBJECTIVE_GRAMMAR): ``exclude:D,E@R1,R2,R3`` |
+``min-pay:D[,E]`` | ``subsidize:E@R1<=7`` | ``max-util:A``.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 search
 budget exceeded.
@@ -33,7 +33,7 @@ from .model import (
     format_exact,
     render_money,
 )
-from .scenarios import BUILTIN_SLUGS
+from .scenarios import BUILTIN_SLUGS, ParseError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -166,13 +166,24 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH if any_mismatch else EXIT_OK
 
 
+OBJECTIVE_GRAMMAR = (
+    "exclude:D,E@R1,R2,R3 | min-pay:D[,E] | subsidize:E@R1<=7 | max-util:A"
+)
+
+
 def _parse_objective(spec: str):
-    try:
-        kind, rest = spec.split(":", 1)
-    except ValueError:
-        raise ValueError(f"objective {spec!r} is missing a ':'")
+    def bad(reason):
+        return ParseError(
+            f"{reason}; expected one of {OBJECTIVE_GRAMMAR}", f"objective {spec!r}"
+        )
+
+    kind, colon, rest = spec.partition(":")
+    if not colon:
+        raise bad("missing ':' after the kind")
     if kind == "exclude":
-        agents_part, rooms_part = rest.split("@", 1)
+        agents_part, at, rooms_part = rest.partition("@")
+        if not at:
+            raise bad("missing '@' before the rooms")
         return manipulation.ExcludeFromRooms(
             agents_part.split(","), rooms_part.split(",")
         )
@@ -182,12 +193,18 @@ def _parse_objective(spec: str):
             return manipulation.MinimizeOwnPayment(agents[0])
         return manipulation.MinimizeCoalitionPayments(agents)
     if kind == "subsidize":
-        agent, rest = rest.split("@", 1)
-        room, cap = rest.split("<=", 1)
-        return manipulation.SubsidizeAgent(agent, room, Fraction(cap))
+        agent, at, rest = rest.partition("@")
+        room, le, cap = rest.partition("<=")
+        if not (at and le):
+            raise bad("missing '@' before the room or '<=' before the cap")
+        try:
+            cap = Fraction(cap)
+        except (ValueError, ZeroDivisionError):
+            raise bad(f"cap {cap!r} is not an exact amount") from None
+        return manipulation.SubsidizeAgent(agent, room, cap)
     if kind == "max-util":
         return manipulation.MaximizeTrueUtility(rest)
-    raise ValueError(f"unknown objective kind {kind!r}")
+    raise bad(f"unknown objective kind {kind!r}")
 
 
 def _parse_contested(spec: str) -> dict:

@@ -2,9 +2,11 @@
 
 Templates construct the three archetypal coordinated misreports (room capture,
 defensive inflation, preference flattening).  The search operations enumerate
-every report row on a value grid and solve the full mechanism for each
-candidate; a fast integer path (verified against the simplex route in the test
-suite) keeps exhaustive enumeration tractable.
+every report row on a value grid, in lexicographic order and in blocks of
+SEARCH_BLOCK rows, and score each block in one array pass of the mechanism on
+integer-scaled values.  The arithmetic is exact: int64 where a bound shows it
+cannot wrap, Python integers otherwise.  The test suite pins this kernel
+against the exact simplex route.
 """
 
 from __future__ import annotations
@@ -392,137 +394,192 @@ def _fill_defensive_rest(row, rest, true_values, remainder):
 # ---------------------------------------------------------------------------
 
 SEARCH_BUDGET = 10**7
+SEARCH_BLOCK = 256  # candidate rows scored per array pass
 _PERM_LIMIT = 9
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _composition_blocks(total: int, parts: int):
+    """All rows of `parts` nonnegative ints summing to `total`, in
+    lexicographic order, as int64 arrays of at most SEARCH_BLOCK rows.
+
+    Rows are unranked, so no array spans the whole grid.  Of the N(s, p) =
+    C(s + p - 1, p - 1) compositions of s into p parts, N(s, p) - N(s - h, p)
+    have a first part below h; so the first part of the row of a given rank
+    is one searchsorted over the column N(., p), and so on part by part.
+    """
+    count = np.array(
+        [[math.comb(s + p - 1, p - 1) for p in range(1, parts + 1)] for s in range(total + 1)],
+        dtype=np.int64,
+    )
+    size = int(count[total, -1])
+    for start in range(0, size, SEARCH_BLOCK):
+        rank = np.arange(start, min(start + SEARCH_BLOCK, size), dtype=np.int64)
+        rest = np.full(len(rank), total, dtype=np.int64)
+        block = np.empty((len(rank), parts), dtype=np.int64)
+        for k in range(parts - 1):
+            col = count[:, parts - k - 1]
+            left = np.searchsorted(col, col[rest] - rank)
+            block[:, k] = rest - left
+            rank -= col[rest] - col[left]
+            rest = left
+        block[:, -1] = rest
+        yield block
 
 
 class _FastMechanism:
-    """Integer-scaled mechanism solver for the search hot loop.
+    """The mechanism on integer-scaled values, batched over the report rows
+    of one searching agent while every other row stays fixed.
 
-    Values are scaled to a common integer grid; the welfare-maximizing
-    assignment comes from vectorized enumeration with the same canonical
-    tie-break as the exact route, and the maximin utilities from longest
-    paths in the envy graph: u_i = (surplus - sum(m))/n + m_i where m_i is
-    the largest envy-chain weight ending at agent i.  The test suite pins
-    this path against the simplex route.
+    Fix the room r the searching agent gets.  Among the assignments that give
+    it r, the searching agent adds the same welfare and the same (value,
+    agent) entry to ``matching.tie_break_key``, so the canonical optimum of
+    that group does not depend on its row.  These n per-room winners are
+    found once; for a block of B rows, welfare is then a (B, n) array, and
+    winners tied on welfare are settled room by room on value*n + agent
+    keys, which order exactly like the (value, agent) pairs.  Maximin utilities
+    come from longest paths in the envy graph whose edge i -> k weighs
+    v_i(room of k) - v_k(room of k): u_i = (surplus - sum(m))/n + m_i, with
+    m_i the heaviest path leaving agent i, computed by a batched
+    Floyd-Warshall over (B, n, n) envy matrices.
+
+    Values and every intermediate stay below 4*n**3 times the scaled rent
+    (rows are nonnegative and sum to it).  When that bound does not fit in
+    int64 the same arrays are built with dtype=object, so arithmetic is
+    exact Python integers and never wraps.
     """
 
-    def __init__(self, instance: Instance, matrix: ValuationMatrix, scale: int):
-        self.instance = instance
-        self.n = instance.n
-        if self.n > _PERM_LIMIT:
-            raise matching.InstanceTooLarge(self.n)
-        self.scale = scale
-        self.rent_scaled = instance.total_rent * scale
-        assert self.rent_scaled.denominator == 1
-        self.rent_int = int(self.rent_scaled)
-        self.base = np.array(
-            [[int(v * scale) for v in row] for row in matrix.values], dtype=np.int64
+    def __init__(self, instance: Instance, matrix: ValuationMatrix, agent: int, scale: int):
+        n = instance.n
+        if n > _PERM_LIMIT:
+            raise matching.InstanceTooLarge(n)
+        self.n = n
+        self.agent = agent
+        rent = instance.total_rent * scale
+        if rent.denominator != 1:
+            raise ValueError(f"scale {scale} does not make the rent integral")
+        self.rent = int(rent)
+        self.dtype = np.int64 if 4 * n**3 * (self.rent + 1) < 2**63 else object
+        base = np.array(
+            [[int(v * scale) for v in row] for row in matrix.values], dtype=self.dtype
         )
-        self.perms = np.array(
-            list(itertools.permutations(range(self.n))), dtype=np.intp
-        )
-        self.ar = np.arange(self.n)
+        others = base.copy()
+        others[agent] = 0
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        ar = np.arange(n)
+        welfare = others[ar, perms].sum(axis=1)
+        rows = others.tolist()
+        winners = []
+        for r in range(n):
+            group = np.flatnonzero(perms[:, agent] == r)
+            tied = group[welfare[group] == welfare[group].max()]
+            winners.append(max(tied, key=lambda t: matching.tie_break_key(perms[t], rows)))
+        # Per room r of the searching agent: its winning assignment, the
+        # others' welfare, tie-break keys, values of the assigned rooms and
+        # the value grid in assigned-room order.
+        self.perm = perms[winners]
+        self.others_welfare = welfare[winners]
+        occupant = np.argsort(self.perm, axis=1)
+        self.keys = base[occupant, ar] * n + occupant
+        self.assigned = base[ar, self.perm]
+        self.grid = base[:, self.perm].transpose(1, 0, 2)
 
-    def scaled_row(self, row) -> np.ndarray:
-        return np.array([int(v * self.scale) for v in row], dtype=np.int64)
+    def solve(self, rows: np.ndarray):
+        """Canonical assignment and maximin utilities for a (B, n) block of
+        scaled report rows of the searching agent.
 
-    def solve(self, mat: np.ndarray):
-        """Returns (perm, utility numerators); utilities are numer/(n*scale)."""
-        n = self.n
-        welfare = mat[self.ar[None, :], self.perms].sum(axis=1)
-        best_w = welfare.max()
-        ties = np.nonzero(welfare == best_w)[0]
-        if len(ties) == 1:
-            k = int(ties[0])
-        else:
-            rows = mat.tolist()
-            k = int(
-                max(ties, key=lambda t: matching.tie_break_key(self.perms[t], rows))
-            )
-        perm = self.perms[k]
-        assigned = mat[self.ar, perm]
-        grid = mat[:, perm]
-        d = grid - assigned[None, :]
-        for kk in range(n):
-            d = np.maximum(d, d[:, kk : kk + 1] + d[kk : kk + 1, :])
-        m = d.max(axis=1)
-        surplus = int(welfare[k]) - self.rent_int
-        shared = surplus - int(m.sum())
+        Returns (perm, assigned, u_num): agent -> room per candidate, each
+        agent's reported value of its room, and utilities as numerators over
+        n*scale.
+        """
+        n, a = self.n, self.agent
+        ar = np.arange(n)
+        block = np.arange(len(rows))
+        welfare = self.others_welfare + rows
+        alive = welfare == welfare.max(axis=1, keepdims=True)
+        tied = np.flatnonzero(alive.sum(axis=1) > 1)
+        if tied.size:
+            keys = np.broadcast_to(self.keys, (tied.size, n, n)).copy()
+            keys[:, ar, ar] = rows[tied] * n + a
+            left = alive[tied]
+            for j in range(n):
+                col = np.where(left, keys[:, :, j], -1)
+                left &= col == col.max(axis=1, keepdims=True)
+            alive[tied] = left
+        room = alive.argmax(axis=1)
+
+        perm = self.perm[room]
+        assigned = self.assigned[room]
+        assigned[:, a] = rows[block, room]
+        grid = self.grid[room]
+        grid[:, a, :] = rows[block[:, None], perm]
+        # Envy weights d[i, k, b]; candidates innermost keep each step contiguous.
+        d = (grid - assigned[:, None, :]).transpose(1, 2, 0).copy()
+        for k in range(n):
+            d = np.maximum(d, d[:, k, None] + d[k])
+        m = d.max(axis=1).T
+        shared = welfare[block, room] - self.rent - m.sum(axis=1)
         # u_i * n * scale = shared + n * m_i
-        u_num = shared + n * m
-        return perm, assigned, u_num
-
-    def payments_num(self, assigned, u_num):
-        """Payment numerators on the same n*scale grid, per agent."""
-        return self.n * assigned - u_num
+        return perm, assigned, shared[:, None] + n * m
 
 
-def _search_iteration(fast, true_int, objective, instance, agent_index, step):
-    """Yield (candidate_key, score) for every composition row of one agent.
-
-    Scores are exact integer tuples where larger is better; candidate_key is
-    the raw composition so ties resolve to the lexicographically smallest row.
-    """
-    n = fast.n
-    nscale = n * fast.scale
-    total_units = instance.total_rent / step
-    mat = fast.base.copy()
-    step_scaled = step * fast.scale
-    assert step_scaled.denominator == 1
-    step_int = int(step_scaled)
-
-    room_index = {r: j for j, r in enumerate(instance.room_ids)}
-    agent_pos = {a: i for i, a in enumerate(instance.agent_ids)}
-
+def _scores(instance, true_rows, objective, perm, pay, nscale):
+    """Exact integer score per candidate, larger is better.  ``pay`` holds
+    payment numerators over ``nscale``; ``true_rows`` is the scaled truth."""
     if isinstance(objective, ExcludeFromRooms):
-        targets = sorted(agent_pos[a] for a in objective.targets)
-        rooms = {room_index[r] for r in objective.rooms}
-    elif isinstance(objective, MinimizeOwnPayment):
-        who = agent_pos[objective.agent]
-    elif isinstance(objective, MinimizeCoalitionPayments):
-        members = sorted(agent_pos[a] for a in objective.coalition)
-    elif isinstance(objective, SubsidizeAgent):
-        ben = agent_pos[objective.beneficiary]
-        ben_room = room_index[objective.room]
-        cap_num = objective.max_price * nscale
-        assert cap_num.denominator == 1
-        cap_num = int(cap_num)
-    elif isinstance(objective, MaximizeTrueUtility):
-        who = agent_pos[objective.agent]
-    else:
-        raise TypeError(f"unknown objective {objective!r}")
+        targets = [instance.agent_index(a) for a in sorted(objective.targets)]
+        rooms = [instance.room_index(r) for r in objective.rooms]
+        return ~np.isin(perm[:, targets], rooms).any(axis=1)
+    if isinstance(objective, MinimizeOwnPayment):
+        return -pay[:, instance.agent_index(objective.agent)]
+    if isinstance(objective, MinimizeCoalitionPayments):
+        members = sorted(instance.agent_index(a) for a in objective.coalition)
+        return -pay[:, members].sum(axis=1)
+    if isinstance(objective, SubsidizeAgent):
+        ben = instance.agent_index(objective.beneficiary)
+        cap = math.floor(objective.max_price * nscale)
+        return (perm[:, ben] == instance.room_index(objective.room)) & (pay[:, ben] <= cap)
+    if isinstance(objective, MaximizeTrueUtility):
+        who = instance.agent_index(objective.agent)
+        return instance.n * true_rows[who][perm[:, who]] - pay[:, who]
+    raise TypeError(f"unknown objective {objective!r}")
 
-    for cand in _compositions(int(total_units), n):
-        mat[agent_index] = np.array(cand, dtype=np.int64) * step_int
-        perm, assigned, u_num = fast.solve(mat)
-        if isinstance(objective, ExcludeFromRooms):
-            ok = all(int(perm[t]) not in rooms for t in targets)
-            score = (1 if ok else 0,)
-        elif isinstance(objective, MinimizeOwnPayment):
-            pay = n * int(assigned[who]) - int(u_num[who])
-            score = (-pay,)
-        elif isinstance(objective, MinimizeCoalitionPayments):
-            pay = sum(n * int(assigned[i]) - int(u_num[i]) for i in members)
-            score = (-pay,)
-        elif isinstance(objective, SubsidizeAgent):
-            pay = n * int(assigned[ben]) - int(u_num[ben])
-            ok = int(perm[ben]) == ben_room and pay <= cap_num
-            score = (1 if ok else 0,)
-        else:  # MaximizeTrueUtility
-            room = int(perm[who])
-            pay = n * int(assigned[who]) - int(u_num[who])
-            score = (n * int(true_int[who][room]) - pay,)
-        yield cand, score
+
+def _score_value(objective, score, nscale):
+    """The objective value a score stands for, as ``objective_value`` gives it."""
+    if isinstance(objective, (ExcludeFromRooms, SubsidizeAgent)):
+        return bool(score)
+    if isinstance(objective, MaximizeTrueUtility):
+        return Fraction(int(score), nscale)
+    return Fraction(-int(score), nscale)
+
+
+def _score_blocks(instance, true_matrix, matrix, agent_index, objective, step, scale):
+    """Yield (units, scores) per block of one agent's candidate rows, in
+    lexicographic order; a row is ``units * step``."""
+    fast = _FastMechanism(instance, matrix, agent_index, scale)
+    n = instance.n
+    step_int = int(step * scale)
+    true_rows = np.array(
+        [[int(v * scale) for v in row] for row in true_matrix.values], dtype=fast.dtype
+    )
+    for units in _composition_blocks(int(instance.total_rent / step), n):
+        perm, assigned, u_num = fast.solve(units.astype(fast.dtype) * step_int)
+        pay = n * assigned - u_num
+        yield units, _scores(instance, true_rows, objective, perm, pay, n * scale)
+
+
+def _best_response(instance, true_matrix, matrix, agent_index, objective, step, scale):
+    """(row, value) of the best report row; ties go to the first row in
+    lexicographic order."""
+    best_units = best_score = None
+    for units, scores in _score_blocks(
+        instance, true_matrix, matrix, agent_index, objective, step, scale
+    ):
+        k = int(np.argmax(scores))
+        if best_score is None or scores[k] > best_score:
+            best_units, best_score = units[k], scores[k]
+    row = tuple(int(u) * step for u in best_units)
+    return row, _score_value(objective, best_score, instance.n * scale)
 
 
 def _prepare_search(instance, true_matrix, step, budget):
@@ -562,22 +619,9 @@ def best_response_search(
     """
     _check_objective(instance, objective)
     step, scale = _prepare_search(instance, true_matrix, step, budget)
-    agent_index = instance.agent_index(agent)
-    fast = _FastMechanism(instance, true_matrix, scale)
-    true_int = [[int(v * scale) for v in row] for row in true_matrix.values]
-
-    best_key = None
-    best_score = None
-    for cand, score in _search_iteration(
-        fast, true_int, objective, instance, agent_index, step
-    ):
-        if best_score is None or score > best_score:
-            best_score = score
-            best_key = cand
-    row = tuple(k * step for k in best_key)
-    reported = true_matrix.replace_row(agent_index, row)
-    outcome = pricing.solve(instance, reported)
-    return row, objective_value(instance, true_matrix, outcome, objective)
+    return _best_response(
+        instance, true_matrix, true_matrix, instance.agent_index(agent), objective, step, scale
+    )
 
 
 def coalition_search(
@@ -600,7 +644,8 @@ def coalition_search(
     members = [a for a in instance.agent_ids if a in set(coalition)]
     if not members:
         raise ValueError("coalition is empty")
-    true_int = [[int(v * scale) for v in row] for row in true_matrix.values]
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
 
     current = true_matrix
     converged = False
@@ -608,21 +653,14 @@ def coalition_search(
         changed = False
         for agent in members:
             agent_index = instance.agent_index(agent)
-            fast = _FastMechanism(instance, current, scale)
-            best_key = None
-            best_score = None
-            for cand, score in _search_iteration(
-                fast, true_int, objective, instance, agent_index, step
-            ):
-                if best_score is None or score > best_score:
-                    best_score = score
-                    best_key = cand
-            row = tuple(k * step for k in best_key)
+            # The value is that of `current` once this row is in place.
+            row, value = _best_response(
+                instance, true_matrix, current, agent_index, objective, step, scale
+            )
             if row != current.row(agent_index):
                 current = current.replace_row(agent_index, row)
                 changed = True
         if not changed:
             converged = True
             break
-    outcome = pricing.solve(instance, current)
-    return current, objective_value(instance, true_matrix, outcome, objective), converged
+    return current, value, converged

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from rentdiv.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
+from rentdiv.cli import (
+    EXIT_BUDGET,
+    EXIT_INVALID,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    OBJECTIVE_GRAMMAR,
+    main,
+)
 from rentdiv.scenarios import builtin_scenario, save_scenario
 
 
@@ -147,6 +154,22 @@ class TestManipulate:
             ]
         )
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "spec,reason",
+        [
+            ("exclude:D", "missing '@' before the rooms"),
+            ("subsidize:A@R1", "missing '@' before the room or '<=' before the cap"),
+            ("subsidize:A@R1<=x", "cap 'x' is not an exact amount"),
+        ],
+    )
+    def test_malformed_objective_quotes_grammar(self, baseline_file, capsys, spec, reason):
+        code = main(
+            ["manipulate", baseline_file, "--coalition", "A", "--objective", spec, "--search"]
+        )
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"objective {spec!r}: {reason}; expected one of {OBJECTIVE_GRAMMAR}" in err
 
     def test_defensive_requires_contested(self, baseline_file):
         code = main(

@@ -1,5 +1,7 @@
 """Misreport templates, deviation scoring and exhaustive best-response search."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 
 from conftest import make_instance, random_rows
 from rentdiv.manipulation import (
+    SEARCH_BLOCK,
     ExcludeFromRooms,
     InfeasibleTemplate,
     MaximizeTrueUtility,
@@ -14,8 +17,11 @@ from rentdiv.manipulation import (
     MinimizeOwnPayment,
     SearchSpaceTooLarge,
     SubsidizeAgent,
-    _compositions,
+    _composition_blocks,
     _FastMechanism,
+    _prepare_search,
+    _score_blocks,
+    _score_value,
     best_response_search,
     coalition_search,
     evaluate_deviation,
@@ -178,27 +184,188 @@ class TestTemplates:
 
 class TestFastMechanism:
     def test_agrees_with_exact_route(self):
+        # One block per instance: the true row and two random rows of one
+        # agent, each pinned against the exact matching and simplex routes.
         import numpy as np
 
         rng = random.Random(1234)
         for _ in range(40):
             n = rng.randint(2, 5)
-            inst, mat = make_instance(random_rows(rng, n))
-            fast = _FastMechanism(inst, mat, scale=1)
-            arr = np.array(
-                [[int(v) for v in row] for row in mat.values], dtype=np.int64
+            rows = random_rows(rng, n)
+            inst, mat = make_instance(rows)
+            agent = rng.randrange(n)
+            block = [rows[agent]] + random_rows(rng, n)[:2]
+            fast = _FastMechanism(inst, mat, agent, scale=1)
+            perm, _, u_num = fast.solve(
+                np.array([[int(v) for v in row] for row in block], dtype=np.int64)
             )
-            perm, assigned, u_num = fast.solve(arr)
-            exact = max_welfare_assignment(inst, mat)
-            assert tuple(int(j) for j in perm) == exact.assignment.to_indices(inst)
-            sol = maximin_prices(inst, mat, exact.assignment)
-            for i, agent in enumerate(inst.agent_ids):
-                assert F(int(u_num[i]), n) == sol.utilities[agent]
+            for b, row in enumerate(block):
+                reported = mat.replace_row(agent, row)
+                exact = max_welfare_assignment(inst, reported)
+                assert tuple(int(j) for j in perm[b]) == exact.assignment.to_indices(inst)
+                sol = maximin_prices(inst, reported, exact.assignment)
+                for i, name in enumerate(inst.agent_ids):
+                    assert F(int(u_num[b][i]), n) == sol.utilities[name]
 
     def test_compositions_lexicographic(self):
-        got = list(_compositions(3, 2))
-        assert got == [(0, 3), (1, 2), (2, 1), (3, 0)]
-        assert len(list(_compositions(4, 3))) == 15
+        def rows(total, parts):
+            return [tuple(r) for b in _composition_blocks(total, parts) for r in b.tolist()]
+
+        assert rows(3, 2) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+        assert len(rows(4, 3)) == 15
+        # 924 rows: several blocks, every one full except the last.
+        brute = [c for c in itertools.product(range(7), repeat=7) if sum(c) == 6]
+        assert len(brute) > 3 * SEARCH_BLOCK
+        assert [len(b) for b in _composition_blocks(6, 7)][:-1] == [SEARCH_BLOCK] * 3
+        assert rows(6, 7) == brute
+
+
+# SHA-256 of each full-grid score vector on the baseline scenario at step 1
+# (candidates in lexicographic order, scores as decimal integers joined by
+# commas), recorded from the per-candidate search the kernel replaced.
+BASELINE_DIGESTS = [
+    (
+        "A",
+        MinimizeOwnPayment("A"),
+        "0969395775b5442cc9f9f0d62bcfb831994dc454314cc061fc619754fac6cca7",
+    ),
+    (
+        "B",
+        MinimizeOwnPayment("B"),
+        "0efb7a40afb1a613d6e5a5e299614d8fffee113421195768d89d0e5ee31c10b7",
+    ),
+    (
+        "C",
+        MinimizeOwnPayment("C"),
+        "76e132ee5a5c8987b547f0f7388aaa971c92428f7e14d98254901e3a9e308de5",
+    ),
+    (
+        "D",
+        MinimizeOwnPayment("D"),
+        "2982253ec8fc7a752e25c36281f196dcae02eb8460b628876eb81e0d3eb09a32",
+    ),
+    (
+        "E",
+        MinimizeOwnPayment("E"),
+        "128e4bb791f9096637a3e3d573e23e81517017cebc86f754ed31f11a58b247ef",
+    ),
+    (
+        "A",
+        ExcludeFromRooms(("A",), ("R5",)),
+        "5c1a86bc9baf0b909f067e89a2b40d3458c29ce3917955713e0b4e86ebd8e2e4",
+    ),
+    (
+        "D",
+        MinimizeCoalitionPayments(("D", "E")),
+        "890c698c80d335e1e94c8c7a1290f89203b4ba30b3a82e6b2cdecf1e0171b50b",
+    ),
+    (
+        "D",
+        SubsidizeAgent("E", "R1", F(8)),
+        "ac086f9e1d81d438c0f8fa0dea65faed81fd37d56f4e455405526237c612381b",
+    ),
+    (
+        "A",
+        MaximizeTrueUtility("A"),
+        "4d4b8bd8745cbf2311b952df6646010a3bbcdbf6814a96e44cddc710bbecb187",
+    ),
+]
+
+
+def _grid_scores(inst, truth, agent, objective, step):
+    """[(units, score)] over the whole grid, and the payment denominator."""
+    step, scale = _prepare_search(inst, truth, step, 10**7)
+    agent_index = inst.agent_index(agent)
+    blocks = _score_blocks(inst, truth, truth, agent_index, objective, step, scale)
+    return [
+        (units, score)
+        for block_units, block_scores in blocks
+        for units, score in zip(block_units.tolist(), block_scores.tolist())
+    ], inst.n * scale
+
+
+class TestSearchKernel:
+    @pytest.mark.parametrize(
+        "agent,objective,digest",
+        BASELINE_DIGESTS,
+        ids=[f"{a}-{type(o).__name__}" for a, o, _ in BASELINE_DIGESTS],
+    )
+    def test_full_grid_digest(self, baseline, agent, objective, digest):
+        inst, truth = baseline
+        scores, _ = _grid_scores(inst, truth, agent, objective, F(1))
+        assert len(scores) == 91390
+        text = ",".join(str(int(s)) for _, s in scores)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_int64_bound_falls_back_to_exact_integers(self):
+        # Scaled intermediates of this instance pass 2**63; int64 arrays
+        # wrapped here and returned payments such as -6446744073709551616/3.
+        r = 4 * 10**18
+        inst, truth = make_instance([(r, 0, 0), (0, r, 0), (0, 0, r)])
+        objective = MinimizeOwnPayment("A")
+        scores, nscale = _grid_scores(inst, truth, "A", objective, F(r, 4))
+        assert len(scores) == 15
+        for units, score in scores:
+            exact = solve(inst, truth.replace_row(0, [u * F(r, 4) for u in units]))
+            assert _score_value(objective, score, nscale) == objective_value(
+                inst, truth, exact, objective
+            )
+
+    def test_seven_agents_across_blocks(self):
+        rng = random.Random(7)
+        inst, truth = make_instance(random_rows(rng, 7, total=6), total=6)
+        objective = MinimizeOwnPayment("C")
+        scores, nscale = _grid_scores(inst, truth, "C", objective, F(1))
+        assert len(scores) == 924
+        ranks = {0, len(scores) - 1}
+        for edge in range(SEARCH_BLOCK, len(scores), SEARCH_BLOCK):
+            ranks |= {edge - 1, edge}
+        for k in sorted(ranks):
+            units, score = scores[k]
+            exact = solve(inst, truth.replace_row(2, units))
+            assert _score_value(objective, score, nscale) == exact.payment_of("C")
+        best_row, value = best_response_search(inst, truth, "C", objective)
+        assert value == solve(inst, truth.replace_row(2, best_row)).payment_of("C")
+
+    @pytest.mark.parametrize(
+        "agent,objective",
+        [(a, MinimizeOwnPayment(a)) for a in "ABCDE"]
+        + [(a, MaximizeTrueUtility(a)) for a in "ABCDE"]
+        + [
+            ("A", ExcludeFromRooms(("A",), ("R5",))),
+            ("D", SubsidizeAgent("E", "R1", F(8))),
+        ],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_value_matches_exact_route(self, baseline, agent, objective):
+        inst, truth = baseline
+        row, value = best_response_search(inst, truth, agent, objective)
+        reported = truth.replace_row(inst.agent_index(agent), row)
+        assert value == objective_value(inst, truth, solve(inst, reported), objective)
+
+    def test_coalition_value_matches_exact_route(self, baseline):
+        inst, truth = baseline
+        objective = MinimizeCoalitionPayments(("D", "E"))
+        reported, value, _ = coalition_search(inst, truth, ("D", "E"), objective)
+        assert value == objective_value(inst, truth, solve(inst, reported), objective)
+
+    def test_fractional_grid_and_cap(self):
+        # scale 2 and a cap that is no multiple of 1/(n*scale).
+        inst, truth = make_instance(
+            [(F(5, 2), F(1, 2), 1), (1, F(5, 2), F(1, 2)), (F(3, 2), F(3, 2), 1)]
+        )
+        for agent, objective in [
+            ("A", MinimizeOwnPayment("A")),
+            ("B", MaximizeTrueUtility("B")),
+            ("C", SubsidizeAgent("C", "R3", F(1, 7))),
+        ]:
+            scores, nscale = _grid_scores(inst, truth, agent, objective, F(1, 2))
+            for units, score in scores:
+                row = [u * F(1, 2) for u in units]
+                exact = solve(inst, truth.replace_row(inst.agent_index(agent), row))
+                assert _score_value(objective, score, nscale) == objective_value(
+                    inst, truth, exact, objective
+                )
 
 
 class TestSearch:
