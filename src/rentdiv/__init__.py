@@ -26,6 +26,7 @@ from .pricing import (
     equal_split_candidate,
     fm_feasible,
     is_envy_free,
+    maximin_level,
     maximin_prices,
     min_utility_feasible,
     simplex_solve,

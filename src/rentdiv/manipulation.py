@@ -439,8 +439,8 @@ class _FastMechanism:
     keys, which order exactly like the (value, agent) pairs.  Maximin utilities
     come from longest paths in the envy graph whose edge i -> k weighs
     v_i(room of k) - v_k(room of k): u_i = (surplus - sum(m))/n + m_i, with
-    m_i the heaviest path leaving agent i, computed by a batched
-    Floyd-Warshall over (B, n, n) envy matrices.
+    m_i the heaviest path leaving agent i, computed by
+    ``pricing.envy_closure`` over a stack of B envy matrices.
 
     Values and every intermediate stay below 4*n**3 times the scaled rent
     (rows are nonnegative and sum to it).  When that bound does not fit in
@@ -514,9 +514,7 @@ class _FastMechanism:
         grid[:, a, :] = rows[block[:, None], perm]
         # Envy weights d[i, k, b]; candidates innermost keep each step contiguous.
         d = (grid - assigned[:, None, :]).transpose(1, 2, 0).copy()
-        for k in range(n):
-            d = np.maximum(d, d[:, k, None] + d[k])
-        m = d.max(axis=1).T
+        m = pricing.envy_closure(d).max(axis=1).T
         shared = welfare[block, room] - self.rent - m.sum(axis=1)
         # u_i * n * scale = shared + n * m_i
         return perm, assigned, shared[:, None] + n * m

@@ -3,9 +3,17 @@
 Given a welfare-maximizing assignment, the envy-free price vectors form a
 polytope: one budget equality plus n*(n-1) envy inequalities.  The price
 vector returned here maximizes the minimum utility and then applies a leximin
-refinement so the result is canonical.  Two fully independent solvers back the
-module: a two-phase simplex with Bland's rule, and a Fourier-Motzkin
-feasibility oracle used to certify optimality.
+refinement so the result is canonical (two-phase simplex with Bland's rule).
+
+The envy graph gives both certificates in closed form.  Its edge i -> k
+weighs v_i(room of k) - v_k(room of k); one exact Floyd-Warshall closure
+(``envy_closure``) yields m_i, the heaviest envy chain leaving agent i.  The
+assignment is welfare-maximizing iff no envy cycle is positive, and the
+largest minimum utility of any envy-free price vector is
+t* = (W - R - sum(m))/n (``maximin_level``).  ``maximin_prices`` checks the
+assignment this way, and ``rentdiv verify`` certifies maximin optimality with
+it.  A Fourier-Motzkin feasibility oracle (``min_utility_feasible``), sharing
+no code with either, is kept as a test-only cross-check.
 """
 
 from __future__ import annotations
@@ -414,6 +422,69 @@ def fm_feasible(constraints, num_vars: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Envy-chain closure
+# ---------------------------------------------------------------------------
+
+
+def envy_closure(d):
+    """Heaviest-walk closure of envy weights d[i, k], by Floyd-Warshall.
+
+    ``d`` is an (n, n) array, or an (n, n, B) stack of B matrices with the
+    stack innermost; any dtype that adds and compares exactly works.  With a
+    zero diagonal, a positive diagonal entry of the result is a positive envy
+    cycle; without one, row i's maximum is m_i, the heaviest chain leaving i.
+    """
+    # numpy is imported on first use: imported ahead of the rest of the
+    # package it raises the process's peak RSS by about 1 MB.
+    import numpy as np
+
+    for k in range(len(d)):
+        d = np.maximum(d, d[:, k, None] + d[k])
+    return d
+
+
+def envy_matrix(instance: Instance, matrix: ValuationMatrix, assignment: Assignment):
+    """d[i, k] = v_i(room of k) - v_k(room of k) as Fractions (dtype=object):
+    the least u_i - u_k that envy-freeness allows."""
+    import numpy as np
+
+    sigma = assignment.to_indices(instance)
+    rows = matrix.values
+    own = [rows[k][sigma[k]] for k in range(instance.n)]
+    return np.array(
+        [[row[sigma[k]] - own[k] for k in range(instance.n)] for row in rows],
+        dtype=object,
+    )
+
+
+def _envy_chains(instance, matrix, assignment, welfare):
+    """m_i per agent; raises NotWelfareMaximizing on a positive envy cycle,
+    since rotating rooms along it would raise welfare by its weight."""
+    closed = envy_closure(envy_matrix(instance, matrix, assignment))
+    if any(closed[i, i] > 0 for i in range(instance.n)):
+        best = matching.max_welfare_assignment(instance, matrix).welfare
+        raise NotWelfareMaximizing(f"assignment welfare {welfare} < optimum {best}")
+    return closed.max(axis=1).tolist()
+
+
+def maximin_level(
+    instance: Instance, matrix: ValuationMatrix, assignment: Assignment
+) -> Fraction:
+    """The largest minimum utility of any envy-free price vector for the
+    assignment: t* = (W - R - sum(m))/n, exact, in O(n^3).
+
+    Every envy-free utility vector u satisfies u_i - min(u) >= m_i, and the
+    budget fixes sum(u) = W - R, so min(u) <= t*; u = m + t* is envy-free and
+    attains it.  Raises NotWelfareMaximizing when no envy-free prices exist.
+    """
+    validate_instance(instance, matrix)
+    sigma = assignment.to_indices(instance)
+    welfare = sum(matrix.value(i, sigma[i]) for i in range(instance.n))
+    chains = _envy_chains(instance, matrix, assignment, welfare)
+    return (welfare - instance.total_rent - sum(chains)) / instance.n
+
+
+# ---------------------------------------------------------------------------
 # Maximin / leximin envy-free prices
 # ---------------------------------------------------------------------------
 
@@ -519,11 +590,7 @@ def maximin_prices(
     n = instance.n
     sigma = assignment.to_indices(instance)
     welfare = sum(matrix.value(i, sigma[i]) for i in range(n))
-    best = matching.max_welfare_assignment(instance, matrix).welfare
-    if welfare != best:
-        raise NotWelfareMaximizing(
-            f"assignment welfare {welfare} < optimum {best}"
-        )
+    _envy_chains(instance, matrix, assignment, welfare)
 
     utilities_vec = None
     if not nonnegative_prices:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from . import matching, pricing
+from . import pricing
 from .model import (
     Assignment,
     Instance,
@@ -273,7 +273,10 @@ def run_scenario(s: Scenario):
 
     Returns (Outcome, DiscrepancyReport | None).  Assignment comparison is up
     to welfare-optimal equivalence, since assignment ties may be broken
-    differently than in external data.
+    differently than in external data.  Both certificates are exact and work
+    at any n: the expected assignment is equivalent iff its welfare is the
+    optimum, and the expected prices are maximin iff they are envy-free and
+    their minimum utility is ``pricing.maximin_level``.
     """
     outcome = pricing.solve(s.instance, s.reported_matrix)
     if s.expected is None:
@@ -284,8 +287,11 @@ def run_scenario(s: Scenario):
         r: outcome.prices.price_of(r) - exp.prices.price_of(r)
         for r in s.instance.room_ids
     }
-    optima = matching.all_optimal_assignments(s.instance, s.reported_matrix)
-    assignment_equivalent = exp.assignment in optima
+    sigma = exp.assignment.to_indices(s.instance)
+    expected_welfare = sum(
+        s.reported_matrix.value(i, sigma[i]) for i in range(s.instance.n)
+    )
+    assignment_equivalent = expected_welfare == outcome.welfare
 
     expected_ef = not pricing.is_envy_free(
         s.instance, s.reported_matrix, exp.assignment, exp.prices
@@ -294,11 +300,10 @@ def run_scenario(s: Scenario):
         s.instance, s.reported_matrix, exp.assignment, exp.prices
     )
     expected_min = min(expected_utilities.values())
-    expected_maximin = expected_ef and not pricing.min_utility_feasible(
-        s.instance,
-        s.reported_matrix,
-        exp.assignment,
-        expected_min + pricing.CERTIFICATE_EPSILON,
+    # Envy-free prices exist only for welfare-maximizing assignments, so
+    # maximin_level meets no positive envy cycle here.
+    expected_maximin = expected_ef and expected_min == pricing.maximin_level(
+        s.instance, s.reported_matrix, exp.assignment
     )
 
     prices_ok = all(abs(d) <= exp.tolerance for d in diffs.values())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rentdiv import matching, pricing
 from rentdiv.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -81,6 +82,25 @@ class TestVerify:
         )
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["verdict"] == "match" if isinstance(doc, list) else doc["verdict"] == "match"
+
+
+class TestVerifyHotPath:
+    def test_oracles_stay_off_the_verify_path(self, monkeypatch, capsys):
+        def oracle(*args, **kwargs):
+            raise AssertionError("a test-only oracle ran inside verify")
+
+        monkeypatch.setattr(pricing, "min_utility_feasible", oracle)
+        monkeypatch.setattr(pricing, "fm_feasible", oracle)
+        monkeypatch.setattr(matching, "all_optimal_assignments", oracle)
+        assert main(["verify", "--all-builtin", "--format", "json"]) == EXIT_MISMATCH
+        doc = json.loads(capsys.readouterr().out)
+        assert [(r["scenario"], r["verdict"], r["expected_is_maximin"]) for r in doc] == [
+            ("baseline", "match", True),
+            ("exclusionary-collusion", "match", True),
+            ("failed-counter-attack", "equivalent-match", True),
+            ("benevolent-collusion", "match", True),
+            ("cost-minimization", "mismatch", False),
+        ]
 
 
 class TestManipulate:

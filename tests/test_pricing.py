@@ -1,12 +1,19 @@
-"""Envy-free maximin pricing: simplex route, Fourier-Motzkin oracle, leximin."""
+"""Envy-free maximin pricing: simplex route, Fourier-Motzkin oracle, leximin,
+envy-chain closure."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import make_instance, random_rows
-from rentdiv.matching import all_optimal_assignments, max_welfare_assignment
+from rentdiv.matching import (
+    all_optimal_assignments,
+    brute_force_assignment,
+    max_welfare_assignment,
+)
 from rentdiv.model import Assignment, PriceVector, parse_money
 from rentdiv.pricing import (
     CERTIFICATE_EPSILON,
@@ -18,9 +25,12 @@ from rentdiv.pricing import (
     TooManyVariables,
     _leximin_utilities,
     ef_constraint_system,
+    envy_closure,
+    envy_matrix,
     equal_split_candidate,
     fm_feasible,
     is_envy_free,
+    maximin_level,
     maximin_prices,
     min_utility_feasible,
     simplex_solve,
@@ -201,6 +211,13 @@ class TestMaximin:
         with pytest.raises(NotWelfareMaximizing):
             maximin_prices(inst, mat, bad)
 
+    def test_suboptimal_message_names_the_optimum(self, baseline):
+        inst, mat = baseline
+        bad = Assignment({"A": "R1", "B": "R2", "C": "R3", "D": "R4", "E": "R5"})
+        best = max_welfare_assignment(inst, mat).welfare
+        with pytest.raises(NotWelfareMaximizing, match=f"< optimum {best}$"):
+            maximin_prices(inst, mat, bad)
+
     def test_prices_identical_across_tied_optima(self, baseline):
         inst, mat = baseline
         optima = all_optimal_assignments(inst, mat)
@@ -279,3 +296,79 @@ class TestCertificates:
             out = solve(inst, mat)
             share = (out.welfare - inst.total_rent) / inst.n
             assert out.min_utility <= share
+
+
+class TestEnvyClosure:
+    """The envy-chain closure against the LP route, the FM oracle and brute
+    force.  Small rents make value ties, and so tied optima, common."""
+
+    def test_level_equals_solver_min_utility(self):
+        rng = random.Random(8191)
+        for n in (2, 3, 4, 5, 6, 7):
+            for _ in range({6: 12, 7: 3}.get(n, 25)):
+                inst, mat = make_instance(random_rows(rng, n, total=2 * n))
+                out = solve(inst, mat)
+                assert maximin_level(inst, mat, out.assignment) == out.min_utility
+
+    def test_level_same_on_every_optimal_assignment(self):
+        rng = random.Random(524287)
+        tied = 0
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(25):
+                inst, mat = make_instance(random_rows(rng, n, total=n + 1))
+                optima = all_optimal_assignments(inst, mat)
+                tied += len(optima) > 1
+                assert len({maximin_level(inst, mat, sigma) for sigma in optima}) == 1
+        assert tied > 25
+
+    def test_level_certified_by_fourier_motzkin(self):
+        rng = random.Random(127)
+        for _ in range(10):
+            inst, mat = make_instance(random_rows(rng, 4, total=8))
+            sigma = max_welfare_assignment(inst, mat).assignment
+            level = maximin_level(inst, mat, sigma)
+            assert min_utility_feasible(inst, mat, sigma, level)
+            assert not min_utility_feasible(
+                inst, mat, sigma, level + CERTIFICATE_EPSILON
+            )
+
+    def test_no_positive_cycle_iff_welfare_maximizing(self):
+        rng = random.Random(65537)
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(80):
+                inst, mat = make_instance(random_rows(rng, n, total=n + 2))
+                perm = list(range(n))
+                rng.shuffle(perm)
+                sigma = Assignment.from_indices(inst, perm)
+                closed = envy_closure(envy_matrix(inst, mat, sigma))
+                no_positive = all(closed[i, i] <= 0 for i in range(n))
+                welfare = sum(mat.value(i, perm[i]) for i in range(n))
+                optimal = welfare == brute_force_assignment(inst, mat).welfare
+                assert no_positive == optimal
+                if not optimal:
+                    with pytest.raises(NotWelfareMaximizing):
+                        maximin_level(inst, mat, sigma)
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = random.Random(3)
+        n, b = 5, 7
+        stack = np.array(
+            [[[rng.randint(-9, 2) for _ in range(b)] for _ in range(n)] for _ in range(n)]
+        )
+        stack[np.arange(n), np.arange(n)] = 0
+        closed = envy_closure(stack)
+        for k in range(b):
+            assert (closed[:, :, k] == envy_closure(stack[:, :, k])).all()
+
+    def test_closure_is_longest_path(self):
+        # Brute-force heaviest simple chains on a graph with no positive cycle.
+        inst, mat = make_instance([(24, 12, 0), (20, 10, 6), (4, 8, 24)])
+        sigma = max_welfare_assignment(inst, mat).assignment
+        d = envy_matrix(inst, mat, sigma)
+        closed = envy_closure(d)
+        for i, j in itertools.permutations(range(3), 2):
+            (k,) = {0, 1, 2} - {i, j}
+            assert closed[i, j] == max(d[i, j], d[i, k] + d[k, j])
+        assert [closed[i, i] for i in range(3)] == [0, 0, 0]
+        assert closed.max(axis=1).tolist() == [F(2), F(0), F(0)]
+        assert maximin_level(inst, mat, sigma) == F(20, 3)

@@ -1,11 +1,15 @@
 """Scenario fixtures: JSON round-trip, validation and verdicts."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from rentdiv.model import parse_money
+from conftest import make_instance
+from rentdiv import pricing
+from rentdiv.cli import EXIT_MISMATCH, EXIT_OK, main
+from rentdiv.model import Assignment, compute_utilities, format_exact, parse_money
 from rentdiv.scenarios import (
     BUILTIN_SLUGS,
     ParseError,
@@ -168,3 +172,88 @@ class TestVerdicts:
         outcome, report = run_scenario(sc)
         assert report is None
         assert outcome.prices.total() == sc.instance.total_rent
+
+
+def _scenario_doc(inst, mat, assignment, prices, name):
+    """A scenario document whose expected block is the given outcome."""
+    return {
+        "name": name,
+        "total_rent": format_exact(inst.total_rent),
+        "rooms": list(inst.room_ids),
+        "agents": [
+            {"id": a, "reported_values": [format_exact(v) for v in mat.row(i)]}
+            for i, a in enumerate(inst.agent_ids)
+        ],
+        "expected": {
+            "assignment": dict(assignment.mapping),
+            "prices": {r: format_exact(p) for r, p in prices.items()},
+        },
+    }
+
+
+def _uncontested_rows(rng, n, total):
+    """Agent i values room owners[i] at 60-80% of the rent, and spreads the
+    rest over the other rooms, so the welfare optimum is unique and plain."""
+    owners = list(range(n))
+    rng.shuffle(owners)
+    rows = []
+    for i in range(n):
+        own = rng.randint(6 * total // 10, 8 * total // 10)
+        cuts = sorted(rng.randint(0, total - own) for _ in range(n - 2))
+        rest = [b - a for a, b in zip([0] + cuts, cuts + [total - own])]
+        rest.insert(owners[i], own)
+        rows.append(rest)
+    return rows
+
+
+class TestExactCertificates:
+    @pytest.mark.parametrize("n", [7, 10])
+    def test_verify_beyond_the_enumeration_limits(self, n, tmp_path, capsys):
+        # Past 6 agents the Fourier-Motzkin probe refused, past 9 the
+        # enumeration of optima did; the closure certificate has no limit.
+        inst, mat = make_instance(_uncontested_rows(random.Random(n), n, 100 * n))
+        out = pricing.solve(inst, mat)
+        doc = _scenario_doc(inst, mat, out.assignment, out.prices.prices, f"Solved {n}")
+        path = tmp_path / "solved.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--format", "json"]) == EXIT_OK
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "match"
+        assert report["assignment_equivalent"] is True
+        assert report["expected_is_envy_free"] is True
+        assert report["expected_is_maximin"] is True
+
+    def test_just_below_the_optimum_is_not_maximin(self, tmp_path, capsys):
+        # The maximin prices with 1/2000 moved from R1 to R2 stay envy-free,
+        # and their minimum utility sits within 1/1000 of the optimum 20/3.
+        inst, mat = make_instance([(24, 12, 0), (20, 10, 6), (4, 8, 24)])
+        out = pricing.solve(inst, mat)
+        level = pricing.maximin_level(inst, mat, out.assignment)
+        assert level == out.min_utility == F(20, 3)
+        prices = dict(out.prices.prices)
+        prices["R1"] -= F(1, 2000)
+        prices["R2"] += F(1, 2000)
+        doc = _scenario_doc(inst, mat, out.assignment, prices, "Nearly maximin")
+        sc = scenario_from_dict(doc)
+        utilities = compute_utilities(inst, mat, sc.expected.assignment, sc.expected.prices)
+        assert level - pricing.CERTIFICATE_EPSILON < min(utilities.values()) < level
+
+        _, report = run_scenario(sc)
+        assert report.expected_is_envy_free
+        assert not report.expected_is_maximin
+        assert report.verdict == "mismatch"
+
+        path = tmp_path / "nearly.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == EXIT_MISMATCH
+        assert "envy-free: yes; maximin-optimal: no" in capsys.readouterr().out
+
+    def test_non_optimal_expected_assignment_is_not_equivalent(self):
+        inst, mat = make_instance([(24, 12, 0), (20, 10, 6), (4, 8, 24)])
+        swapped = Assignment({"A": "R2", "B": "R1", "C": "R3"})
+        doc = _scenario_doc(inst, mat, swapped, {r: F(12) for r in inst.room_ids}, "x")
+        _, report = run_scenario(scenario_from_dict(doc))
+        assert not report.assignment_equivalent
+        assert not report.expected_is_envy_free
+        assert not report.expected_is_maximin
+        assert report.verdict == "mismatch"
