@@ -23,7 +23,6 @@ from .matching import (
 )
 from .pricing import (
     MaximinSolution,
-    equal_split_candidate,
     fm_feasible,
     is_envy_free,
     maximin_level,

@@ -207,12 +207,49 @@ def _parse_objective(spec: str):
     raise bad(f"unknown objective kind {kind!r}")
 
 
-def _parse_contested(spec: str) -> dict:
+CONTESTED_GRAMMAR = "D:R1+R2[,E:R3+R4], two distinct rooms per coalition member"
+TARGET_ROOMS_GRAMMAR = "D:R4[,E:R5], one room per coalition member"
+STEP_GRAMMAR = "a positive exact amount such as 1, 0.5 or 1/4"
+
+
+def _parse_member_rooms(flag, spec, grammar, instance, coalition, width) -> dict:
+    """{member: tuple of `width` rooms} from ``agent:room[+room]`` entries,
+    one for each coalition member."""
+
+    def bad(reason):
+        return ParseError(f"{reason}; expected {grammar}", f"{flag} {spec!r}")
+
     out = {}
     for part in spec.split(","):
-        agent, rooms = part.split(":", 1)
-        out[agent] = tuple(rooms.split("+"))
+        agent, colon, rooms = part.partition(":")
+        agent = agent.strip()
+        rooms = tuple(r.strip() for r in rooms.split("+"))
+        if not colon:
+            raise bad(f"missing ':' after the agent in {part!r}")
+        if agent not in coalition:
+            raise bad(f"{agent!r} is not a --coalition member")
+        if agent in out:
+            raise bad(f"{agent!r} appears twice")
+        unknown = [r for r in rooms if r not in instance.room_ids]
+        if unknown:
+            raise bad(f"unknown room {unknown[0]!r}")
+        if len(set(rooms)) != width:
+            raise bad(f"{agent!r} needs {width} distinct room(s), not {'+'.join(rooms)!r}")
+        out[agent] = rooms
+    missing = [a for a in coalition if a not in out]
+    if missing:
+        raise bad(f"no entry for coalition member {missing[0]!r}")
     return out
+
+
+def _parse_step(spec: str) -> Fraction:
+    try:
+        step = Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        step = None
+    if step is None or step <= 0:
+        raise ParseError(f"not {STEP_GRAMMAR}", f"--step {spec!r}")
+    return step
 
 
 def _deviation_json(instance, report, reported_matrix) -> dict:
@@ -272,7 +309,7 @@ def cmd_manipulate(args) -> int:
         _err(str(exc))
         return EXIT_INVALID
 
-    step = Fraction(args.step)
+    step = _parse_step(args.step)
     if args.template:
         if not coalition:
             _err("--template needs --coalition")
@@ -293,10 +330,15 @@ def cmd_manipulate(args) -> int:
             )
         elif args.template == "flatten":
             if args.target_rooms:
-                own = {}
-                for part in args.target_rooms.split(","):
-                    agent, _, room = part.partition(":")
-                    own[agent.strip()] = room.strip()
+                own = _parse_member_rooms(
+                    "--target-rooms",
+                    args.target_rooms,
+                    TARGET_ROOMS_GRAMMAR,
+                    instance,
+                    coalition,
+                    1,
+                )
+                own = {a: rooms[0] for a, rooms in own.items()}
             else:
                 honest = pricing.solve(instance, true_matrix)
                 own = {a: honest.assignment.room_of(a) for a in coalition}
@@ -307,7 +349,9 @@ def cmd_manipulate(args) -> int:
             if not args.contested:
                 _err("the defensive template needs --contested D:R1+R2,...")
                 return EXIT_INVALID
-            contested = _parse_contested(args.contested)
+            contested = _parse_member_rooms(
+                "--contested", args.contested, CONTESTED_GRAMMAR, instance, coalition, 2
+            )
             reported = manipulation.template_defensive(
                 instance, true_matrix, coalition, contested
             )

@@ -11,7 +11,6 @@ against the exact simplex route.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,13 +20,11 @@ import numpy as np
 
 from . import matching, pricing
 from .model import (
-    Assignment,
     Instance,
     Outcome,
-    PriceVector,
     RentDivisionError,
     ValuationMatrix,
-    build_outcome,
+    compute_utilities,
     to_rational,
     validate_instance,
 )
@@ -192,8 +189,12 @@ def evaluate_deviation(
         a: manipulated.payment_of(a) - honest.payment_of(a)
         for a in instance.agent_ids
     }
-    true_honest = _true_utilities(instance, true_matrix, honest)
-    true_manip = _true_utilities(instance, true_matrix, manipulated)
+    true_honest = compute_utilities(
+        instance, true_matrix, honest.assignment, honest.prices
+    )
+    true_manip = compute_utilities(
+        instance, true_matrix, manipulated.assignment, manipulated.prices
+    )
     true_utility_delta = {
         a: true_manip[a] - true_honest[a] for a in instance.agent_ids
     }
@@ -217,15 +218,6 @@ def evaluate_deviation(
         ),
         objective_value=objective_value(instance, true_matrix, manipulated, objective),
     )
-
-
-def _true_utilities(instance, true_matrix, outcome):
-    out = {}
-    for i, a in enumerate(instance.agent_ids):
-        room = outcome.assignment.room_of(a)
-        j = instance.room_index(room)
-        out[a] = true_matrix.value(i, j) - outcome.prices.price_of(room)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +387,6 @@ def _fill_defensive_rest(row, rest, true_values, remainder):
 
 SEARCH_BUDGET = 10**7
 SEARCH_BLOCK = 256  # candidate rows scored per array pass
-_PERM_LIMIT = 9
 
 
 def _composition_blocks(total: int, parts: int):
@@ -432,14 +423,15 @@ class _FastMechanism:
 
     Fix the room r the searching agent gets.  Among the assignments that give
     it r, the searching agent adds the same welfare and the same (value,
-    agent) entry to ``matching.tie_break_key``, so the canonical optimum of
-    that group does not depend on its row.  These n per-room winners are
-    found once; for a block of B rows, welfare is then a (B, n) array, and
-    winners tied on welfare are settled room by room on value*n + agent
-    keys, which order exactly like the (value, agent) pairs.  Maximin utilities
-    come from longest paths in the envy graph whose edge i -> k weighs
-    v_i(room of k) - v_k(room of k): u_i = (surplus - sum(m))/n + m_i, with
-    m_i the heaviest path leaving agent i, computed by
+    agent) entry at room r to the canonical tie-break, so the canonical
+    optimum of that group is the canonical optimum of the others on the
+    other rooms (``matching.canonical_optimum``), whatever its row.  These n
+    per-room winners are found once; for a block of B rows, welfare is then
+    a (B, n) array, and winners tied on welfare are settled room by room on
+    value*n + agent keys, which order exactly like the (value, agent) pairs.
+    Maximin utilities come from longest paths in the envy graph whose edge
+    i -> k weighs v_i(room of k) - v_k(room of k): u_i = (surplus -
+    sum(m))/n + m_i, with m_i the heaviest path leaving agent i, computed by
     ``pricing.envy_closure`` over a stack of B envy matrices.
 
     Values and every intermediate stay below 4*n**3 times the scaled rent
@@ -450,8 +442,6 @@ class _FastMechanism:
 
     def __init__(self, instance: Instance, matrix: ValuationMatrix, agent: int, scale: int):
         n = instance.n
-        if n > _PERM_LIMIT:
-            raise matching.InstanceTooLarge(n)
         self.n = n
         self.agent = agent
         rent = instance.total_rent * scale
@@ -462,22 +452,21 @@ class _FastMechanism:
         base = np.array(
             [[int(v * scale) for v in row] for row in matrix.values], dtype=self.dtype
         )
-        others = base.copy()
-        others[agent] = 0
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-        ar = np.arange(n)
-        welfare = others[ar, perms].sum(axis=1)
-        rows = others.tolist()
-        winners = []
+        rows = base.tolist()
+        others = [k for k in range(n) if k != agent]
+        self.perm = np.empty((n, n), dtype=np.intp)
+        welfare = []
         for r in range(n):
-            group = np.flatnonzero(perms[:, agent] == r)
-            tied = group[welfare[group] == welfare[group].max()]
-            winners.append(max(tied, key=lambda t: matching.tie_break_key(perms[t], rows)))
-        # Per room r of the searching agent: its winning assignment, the
-        # others' welfare, tie-break keys, values of the assigned rooms and
-        # the value grid in assigned-room order.
-        self.perm = perms[winners]
-        self.others_welfare = welfare[winners]
+            rooms = [j for j in range(n) if j != r]
+            sub, w = matching.canonical_optimum([[rows[k][j] for j in rooms] for k in others])
+            self.perm[r, agent] = r
+            self.perm[r, others] = [rooms[j] for j in sub]
+            welfare.append(w)
+        # Per room r of the searching agent: its winning assignment (above),
+        # the others' welfare, tie-break keys, values of the assigned rooms
+        # and the value grid in assigned-room order.
+        self.others_welfare = np.array(welfare, dtype=self.dtype)
+        ar = np.arange(n)
         occupant = np.argsort(self.perm, axis=1)
         self.keys = base[occupant, ar] * n + occupant
         self.assigned = base[ar, self.perm]

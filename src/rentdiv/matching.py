@@ -50,8 +50,9 @@ def tie_break_key(perm, rows) -> tuple:
     return tuple((rows[inv[j]][j], inv[j]) for j in range(n))
 
 
-def _hungarian_value(values: list) -> Fraction:
-    """Maximum-weight perfect matching value of a square rational matrix.
+def _hungarian_value(values):
+    """Maximum-weight perfect matching value of a square matrix of exact
+    numbers (ints or Fractions).
 
     Classic potentials/shortest-augmenting-path formulation on the min-cost
     matrix C - v (shifted so all costs are nonnegative).
@@ -61,8 +62,8 @@ def _hungarian_value(values: list) -> Fraction:
     cost = [[shift - v for v in row] for row in values]
 
     INF = float("inf")
-    u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (n + 1)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     p = [0] * (n + 1)  # p[j] = row matched to column j (1-based, 0 = free)
     way = [0] * (n + 1)
     for i in range(1, n + 1):
@@ -97,16 +98,14 @@ def _hungarian_value(values: list) -> Fraction:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    total = Fraction(0)
-    for j in range(1, n + 1):
-        total += values[p[j] - 1][j - 1]
-    return total
+    return sum(values[p[j] - 1][j - 1] for j in range(1, n + 1))
 
 
-def max_welfare_assignment(
-    instance: Instance, matrix: ValuationMatrix
-) -> WelfareResult:
-    """Welfare-maximizing assignment under the canonical tie-break.
+def canonical_optimum(rows) -> tuple:
+    """(perm, welfare) of the canonical welfare optimum of a square matrix of
+    exact numbers (ints or Fractions); ``perm`` maps agent -> room.  No
+    validation: rows need not sum to anything, and an empty matrix gives
+    ((), 0).
 
     The optimum value comes from the Hungarian method; the canonical
     representative is then pinned down room by room.  Each room (in index
@@ -115,14 +114,14 @@ def max_welfare_assignment(
     against the Hungarian value of the residual subproblem), the one with the
     highest value for the room, later roster position breaking exact ties.
     """
-    validate_instance(instance, matrix)
-    n = instance.n
-    rows = [list(r) for r in matrix.values]
+    n = len(rows)
+    if n == 0:
+        return (), 0
     best = _hungarian_value(rows)
 
     perm: list[int | None] = [None] * n
     free_agents = list(range(n))
-    fixed = Fraction(0)
+    fixed = 0
     for j in range(n):
         claimant = None
         for i in free_agents:
@@ -137,7 +136,7 @@ def max_welfare_assignment(
                 sub = [[rows[k][r] for r in rest_rooms] for k in rest_agents]
                 rest = _hungarian_value(sub)
             else:
-                rest = Fraction(0)
+                rest = 0
             if fixed + rows[i][j] + rest == best:
                 claimant = i
         if claimant is None:  # pragma: no cover - some agent must take room j
@@ -145,6 +144,16 @@ def max_welfare_assignment(
         perm[claimant] = j
         fixed += rows[claimant][j]
         free_agents.remove(claimant)
+    return tuple(perm), best
+
+
+def max_welfare_assignment(
+    instance: Instance, matrix: ValuationMatrix
+) -> WelfareResult:
+    """Welfare-maximizing assignment under the canonical tie-break
+    (``canonical_optimum`` on the validated reports)."""
+    validate_instance(instance, matrix)
+    perm, best = canonical_optimum(matrix.values)
     return WelfareResult(Assignment.from_indices(instance, perm), best)
 
 

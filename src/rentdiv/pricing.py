@@ -11,15 +11,16 @@ weighs v_i(room of k) - v_k(room of k); one exact Floyd-Warshall closure
 assignment is welfare-maximizing iff no envy cycle is positive, and the
 largest minimum utility of any envy-free price vector is
 t* = (W - R - sum(m))/n (``maximin_level``).  ``maximin_prices`` checks the
-assignment this way, and ``rentdiv verify`` certifies maximin optimality with
+assignment this way and, when every m_i is 0, returns the equal split of the
+surplus without an LP; ``rentdiv verify`` certifies maximin optimality with
 it.  A Fourier-Motzkin feasibility oracle (``min_utility_feasible``), sharing
 no code with either, is kept as a test-only cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matching
@@ -85,7 +86,6 @@ class SimplexResult:
     status: str  # 'optimal' | 'unbounded' | 'infeasible'
     x: list | None = None
     objective_value: Fraction | None = None
-    tight_rows: list = field(default_factory=list)  # indices of binding rows
 
 
 def _pivot(tableau, basis, row, col):
@@ -257,12 +257,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     value = Fraction(0)
     for c, xv in zip(lp.objective, x):
         value += to_rational(c) * xv
-    tight = []
-    for r, (coeffs, rel, b) in enumerate(lp.rows):
-        lhs = sum(to_rational(c) * xv for c, xv in zip(coeffs, x))
-        if rel == EQ or lhs == to_rational(b):
-            tight.append(r)
-    return SimplexResult(status="optimal", x=x, objective_value=value, tight_rows=tight)
+    return SimplexResult(status="optimal", x=x, objective_value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +281,6 @@ def ef_constraint_system(
     instance: Instance,
     matrix: ValuationMatrix,
     assignment: Assignment,
-    nonnegative_prices: bool = False,
 ) -> EFConstraintSystem:
     n = instance.n
     sigma = assignment.to_indices(instance)
@@ -304,11 +298,6 @@ def ef_constraint_system(
                 (tuple(coeffs), LE, matrix.value(i, si) - matrix.value(i, j))
             )
     cons.append((tuple([Fraction(1)] * n), EQ, instance.total_rent))
-    if nonnegative_prices:
-        for j in range(n):
-            coeffs = [zero] * n
-            coeffs[j] = Fraction(-1)
-            cons.append((tuple(coeffs), LE, zero))
     return EFConstraintSystem(n=n, constraints=tuple(cons))
 
 
@@ -339,24 +328,18 @@ def _fm_normalize(coeffs, rhs):
     """Scale a row by a positive rational so entries are coprime integers."""
     denom = 1
     for c in coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
-    denom = denom * rhs.denominator // _gcd(denom, rhs.denominator)
+        denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    denom = denom * rhs.denominator // math.gcd(denom, rhs.denominator)
     ints = [int(c * denom) for c in coeffs]
     rint = int(rhs * denom)
     g = 0
     for v in ints:
-        g = _gcd(g, abs(v))
-    g = _gcd(g, abs(rint))
+        g = math.gcd(g, abs(v))
+    g = math.gcd(g, abs(rint))
     if g > 1:
         ints = [v // g for v in ints]
         rint //= g
     return tuple(Fraction(v) for v in ints), Fraction(rint)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def fm_feasible(constraints, num_vars: int) -> bool:
@@ -517,26 +500,6 @@ def is_envy_free(
     return violations
 
 
-def equal_split_candidate(
-    instance: Instance, matrix: ValuationMatrix, assignment: Assignment
-):
-    """Prices giving every agent an equal share of the surplus, if envy-free.
-
-    The minimum utility can never exceed (welfare - R)/n, so whenever this
-    vector is envy-free it is the (unique) maximin optimum.
-    """
-    n = instance.n
-    sigma = assignment.to_indices(instance)
-    welfare = sum(matrix.value(i, sigma[i]) for i in range(n))
-    share = (welfare - instance.total_rent) / n
-    plist = [Fraction(0)] * n
-    for i in range(n):
-        plist[sigma[i]] = matrix.value(i, sigma[i]) - share
-    prices = PriceVector.from_list(instance, plist)
-    violations = is_envy_free(instance, matrix, assignment, prices)
-    return None if violations else prices
-
-
 def _maximin_lp(instance, matrix, sigma, floors, objective_agent=None):
     """LP over variables (p_0..p_{n-1}, t): maximize t (or u_a) subject to EF,
     budget balance, and u_i >= floors[i] where given."""
@@ -590,19 +553,15 @@ def maximin_prices(
     n = instance.n
     sigma = assignment.to_indices(instance)
     welfare = sum(matrix.value(i, sigma[i]) for i in range(n))
-    _envy_chains(instance, matrix, assignment, welfare)
-
-    utilities_vec = None
-    if not nonnegative_prices:
-        equal = equal_split_candidate(instance, matrix, assignment)
-        if equal is not None:
-            share = (welfare - instance.total_rent) / n
-            utilities_vec = [share] * n
-
-    if utilities_vec is None:
+    chains = _envy_chains(instance, matrix, assignment, welfare)
+    if nonnegative_prices or any(chains):
         utilities_vec = _leximin_utilities(
             instance, matrix, sigma, nonnegative_prices
         )
+    else:
+        # No envy edge is positive, so the equal split of the surplus is
+        # envy-free; no minimum utility exceeds it, so it is the optimum.
+        utilities_vec = [(welfare - instance.total_rent) / n] * n
 
     plist = [Fraction(0)] * n
     for i in range(n):

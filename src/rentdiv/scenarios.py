@@ -108,12 +108,26 @@ def _money(value, where):
         raise ParseError(f"cannot parse {value!r} as an exact amount: {exc}", where)
 
 
+def _money_list(values, key, where):
+    if not isinstance(values, list):
+        raise ParseError(f"{key} must be a list of decimal strings", where)
+    return [_money(v, where) for v in values]
+
+
+def _text(doc, key, where, default=None):
+    value = doc.get(key, default)
+    if not isinstance(value, str):
+        raise ParseError(f"{key} must be a string", where)
+    return value
+
+
 def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object", where)
     for key in ("name", "total_rent", "rooms", "agents"):
         if key not in doc:
             raise ParseError(f"missing required field {key!r}", where)
+    name = _text(doc, "name", where)
 
     rooms = doc["rooms"]
     if not isinstance(rooms, list) or not all(isinstance(r, str) for r in rooms):
@@ -133,7 +147,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         ctx = f"{where}.agents[{idx}]"
         if not isinstance(entry, dict) or "id" not in entry:
             raise ParseError("each agent needs an 'id'", ctx)
-        aid = entry["id"]
+        aid = _text(entry, "id", ctx)
         if aid in agent_ids:
             raise ParseError(f"duplicate agent label {aid!r}", ctx)
         agent_ids.append(aid)
@@ -143,18 +157,17 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         roles[aid] = role
         if "reported_values" not in entry:
             raise ParseError("missing reported_values", ctx)
-        reported_rows.append([_money(v, ctx) for v in entry["reported_values"]])
+        reported_rows.append(_money_list(entry["reported_values"], "reported_values", ctx))
         if "true_values" in entry:
             any_true = True
-            true_rows.append([_money(v, ctx) for v in entry["true_values"]])
+            true_rows.append(_money_list(entry["true_values"], "true_values", ctx))
         else:
-            true_rows.append([_money(v, ctx) for v in entry["reported_values"]])
+            true_rows.append(reported_rows[-1])
 
+    total_rent = _money(doc["total_rent"], where)
     try:
         instance = Instance(
-            room_ids=tuple(rooms),
-            agent_ids=tuple(agent_ids),
-            total_rent=_money(doc["total_rent"], where),
+            room_ids=tuple(rooms), agent_ids=tuple(agent_ids), total_rent=total_rent
         )
     except RentDivisionError as exc:
         raise ParseError(str(exc), where)
@@ -172,29 +185,37 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         if not isinstance(exp, dict) or "assignment" not in exp or "prices" not in exp:
             raise ParseError("expected block needs assignment and prices", ctx)
         mapping = exp["assignment"]
-        if set(mapping) != set(agent_ids) or set(mapping.values()) != set(rooms):
+        if (
+            not isinstance(mapping, dict)
+            or set(mapping) != set(agent_ids)
+            or not all(isinstance(r, str) for r in mapping.values())
+            or set(mapping.values()) != set(rooms)
+        ):
             raise ParseError("expected assignment must be a bijection over the roster", ctx)
+        if not isinstance(exp["prices"], dict):
+            raise ParseError("expected prices must map rooms to decimal strings", ctx)
         prices = {r: _money(p, ctx) for r, p in exp["prices"].items()}
         if set(prices) != set(rooms):
             raise ParseError("expected prices must cover every room", ctx)
         vec = PriceVector(prices)
         if vec.total() != instance.total_rent:
             raise ParseError("expected prices do not sum to the total rent", ctx)
+        tolerance = _money(exp.get("tolerance", "0"), ctx)
+        if tolerance < 0:
+            raise ParseError("tolerance must be nonnegative", ctx)
         expected = ExpectedOutcome(
-            assignment=Assignment(mapping),
-            prices=vec,
-            tolerance=_money(exp.get("tolerance", "0"), ctx),
+            assignment=Assignment(mapping), prices=vec, tolerance=tolerance
         )
 
     return Scenario(
-        name=doc["name"],
-        slug=doc.get("slug", doc["name"].lower().replace(" ", "-")),
+        name=name,
+        slug=_text(doc, "slug", where, name.lower().replace(" ", "-")),
         instance=instance,
         reported_matrix=reported,
         true_matrix=true_matrix,
         roles=roles,
         expected=expected,
-        notes=doc.get("notes", ""),
+        notes=_text(doc, "notes", where, ""),
     )
 
 
@@ -247,13 +268,7 @@ def save_scenario(s: Scenario, path) -> None:
 
 def builtin_scenarios() -> list:
     """The five shipped scenarios, in canonical order."""
-    out = []
-    for slug in BUILTIN_SLUGS:
-        data = (
-            resources.files("rentdiv.fixtures").joinpath(f"{slug}.json").read_text()
-        )
-        out.append(scenario_from_dict(json.loads(data), where=slug))
-    return out
+    return [builtin_scenario(slug) for slug in BUILTIN_SLUGS]
 
 
 def builtin_scenario(slug: str) -> Scenario:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats and exit codes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -7,11 +8,14 @@ import pytest
 
 from rentdiv import matching, pricing
 from rentdiv.cli import (
+    CONTESTED_GRAMMAR,
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_MISMATCH,
     EXIT_OK,
     OBJECTIVE_GRAMMAR,
+    STEP_GRAMMAR,
+    TARGET_ROOMS_GRAMMAR,
     main,
 )
 from rentdiv.scenarios import builtin_scenario, save_scenario
@@ -103,6 +107,100 @@ class TestVerifyHotPath:
         ]
 
 
+class TestHotPath:
+    ORACLES = (
+        (matching, "tie_break_key"),
+        (matching, "brute_force_assignment"),
+        (matching, "all_optimal_assignments"),
+        (pricing, "min_utility_feasible"),
+        (pricing, "fm_feasible"),
+    )
+
+    @pytest.fixture(autouse=True)
+    def oracles_raise(self, monkeypatch):
+        def oracle(*args, **kwargs):
+            raise AssertionError("a test-only oracle ran on the hot path")
+
+        for module, name in self.ORACLES:
+            monkeypatch.setattr(module, name, oracle)
+
+    def test_search_runs_without_oracles(self, baseline_file, capsys):
+        argv = ["manipulate", baseline_file, "--coalition", "D", "--objective", "min-pay:D"]
+        assert main(argv + ["--search", "--format", "json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert json.loads(out)["reported_values"]["D"] == ["0", "12", "10", "7", "7"]
+        # SHA-256 of the whole JSON document, as printed before the search
+        # kernel stopped enumerating permutations.
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "6c98c4f7134ad606b4472011021f3ecde0b0ffb312657e6c70b5c8a4d0cc32df"
+        )
+
+    def test_solve_runs_without_oracles(self, baseline_file, capsys):
+        assert main(["solve", baseline_file]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "room   agent     price  utility\n"
+            "R1     D          9.20     0.80\n"
+            "R2     C          9.20     0.80\n"
+            "R3     E          8.20     0.80\n"
+            "R4     B          5.20     0.80\n"
+            "R5     A          4.20     0.80\n"
+            "minimum utility: 0.80\n"
+        )
+
+
+# (manipulate arguments after the objective, the whole stderr line after
+# 'rentdiv: ')
+MALFORMED_FLAGS = [
+    (
+        ["--coalition", "D,E", "--template", "defensive", "--contested", "D:R1+R2"],
+        f"--contested 'D:R1+R2': no entry for coalition member 'E'; "
+        f"expected {CONTESTED_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "D", "--template", "defensive", "--contested", "D"],
+        f"--contested 'D': missing ':' after the agent in 'D'; "
+        f"expected {CONTESTED_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "D", "--template", "defensive", "--contested", "D:R1+R9"],
+        f"--contested 'D:R1+R9': unknown room 'R9'; expected {CONTESTED_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "D", "--template", "defensive", "--contested", "D:R1+R1"],
+        f"--contested 'D:R1+R1': 'D' needs 2 distinct room(s), not 'R1+R1'; "
+        f"expected {CONTESTED_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "D", "--template", "defensive", "--contested", "Z:R1+R2"],
+        f"--contested 'Z:R1+R2': 'Z' is not a --coalition member; "
+        f"expected {CONTESTED_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "D,E", "--template", "flatten", "--target-rooms", "D,E"],
+        f"--target-rooms 'D,E': missing ':' after the agent in 'D'; "
+        f"expected {TARGET_ROOMS_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "D", "--template", "flatten", "--target-rooms", "D:R9"],
+        f"--target-rooms 'D:R9': unknown room 'R9'; expected {TARGET_ROOMS_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "D", "--template", "flatten", "--target-rooms", "D:R4,D:R5"],
+        f"--target-rooms 'D:R4,D:R5': 'D' appears twice; "
+        f"expected {TARGET_ROOMS_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "D", "--search", "--step", "1/0"],
+        f"--step '1/0': not {STEP_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "D", "--search", "--step", "-1"],
+        f"--step '-1': not {STEP_GRAMMAR}",
+    ),
+]
+
+
 class TestManipulate:
     def test_template_flatten(self, baseline_file, capsys):
         code = main(
@@ -190,6 +288,15 @@ class TestManipulate:
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert f"objective {spec!r}: {reason}; expected one of {OBJECTIVE_GRAMMAR}" in err
+
+    @pytest.mark.parametrize(
+        "args,message", MALFORMED_FLAGS, ids=[" ".join(a[2:]) for a, _ in MALFORMED_FLAGS]
+    )
+    def test_malformed_flag_quotes_grammar(self, baseline_file, capsys, args, message):
+        objective = "min-pay:" + args[1]
+        code = main(["manipulate", baseline_file, "--objective", objective] + args)
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"rentdiv: {message}\n"
 
     def test_defensive_requires_contested(self, baseline_file):
         code = main(

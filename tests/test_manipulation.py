@@ -32,7 +32,11 @@ from rentdiv.manipulation import (
     template_exclusionary,
     template_flatten,
 )
-from rentdiv.matching import max_welfare_assignment
+from rentdiv.matching import (
+    all_optimal_assignments,
+    brute_force_assignment,
+    max_welfare_assignment,
+)
 from rentdiv.pricing import maximin_prices, solve
 from rentdiv.scenarios import builtin_scenario
 
@@ -206,6 +210,66 @@ class TestFastMechanism:
                 sol = maximin_prices(inst, reported, exact.assignment)
                 for i, name in enumerate(inst.agent_ids):
                     assert F(int(u_num[b][i]), n) == sol.utilities[name]
+
+    # Instances per size n; rows sum to a small rent, so welfare ties abound.
+    ORACLE_SIZES = {2: 30, 3: 30, 4: 20, 5: 10, 6: 4, 7: 1}
+
+    def test_winners_match_enumeration_oracles(self):
+        # The winner for room r must be the canonical optimum among the
+        # assignments giving the agent r.  A row of R on r alone makes every
+        # such optimum a global one (moving the agent to r costs the others at
+        # most what it takes from whoever held r, which is at most R), so the
+        # winner is the first of those in the enumerated, sorted optima.  The
+        # first optimum overall is the assignment the mechanism picks.
+        import numpy as np
+
+        rng = random.Random(77)
+        for n, count in self.ORACLE_SIZES.items():
+            for _ in range(count):
+                total = rng.choice((3, 4, 6))
+                rows = random_rows(rng, n, total=total)
+                inst, mat = make_instance(rows)
+                for agent in range(n):
+                    fast = _FastMechanism(inst, mat, agent, scale=1)
+                    forcing, picked = [], []
+                    for r in range(n):
+                        row = [F(0)] * n
+                        row[r] = F(total)
+                        forcing.append(row)
+                        optima = all_optimal_assignments(inst, mat.replace_row(agent, row))
+                        group = [a.to_indices(inst) for a in optima]
+                        winner = next(p for p in group if p[agent] == r)
+                        assert tuple(fast.perm[r].tolist()) == winner
+                        others = sum(rows[k][winner[k]] for k in range(n) if k != agent)
+                        assert int(fast.others_welfare[r]) == others
+                        picked.append(group[0])
+                    block = [rows[agent]] + random_rows(rng, n, total=total)[:2]
+                    for row in block:
+                        brute = brute_force_assignment(inst, mat.replace_row(agent, row))
+                        picked.append(brute.assignment.to_indices(inst))
+                    perm, _, _ = fast.solve(
+                        np.array(
+                            [[int(v) for v in row] for row in forcing + block], dtype=np.int64
+                        )
+                    )
+                    assert [tuple(p) for p in perm.tolist()] == picked
+
+    def test_ten_agents_search_matches_exact_route(self):
+        # 92,378 candidates; the n! table the kernel once used stopped at 9.
+        rng = random.Random(10)
+        inst, mat = make_instance(random_rows(rng, 10, total=10))
+        row, value = best_response_search(inst, mat, "C", MinimizeOwnPayment("C"))
+        assert value == solve(inst, mat.replace_row(2, row)).payment_of("C")
+        assert value < solve(inst, mat).payment_of("C")
+
+    def test_single_agent_search(self):
+        # The others' problem is empty; the one candidate is the true row.
+        inst, mat = make_instance([(7,)])
+        assert best_response_search(inst, mat, "A", MinimizeOwnPayment("A")) == ((F(7),), F(7))
+        reported, value, converged = coalition_search(
+            inst, mat, ["A"], MaximizeTrueUtility("A")
+        )
+        assert (reported, value, converged) == (mat, F(0), True)
 
     def test_compositions_lexicographic(self):
         def rows(total, parts):

@@ -23,11 +23,11 @@ from rentdiv.pricing import (
     LinearProgram,
     NotWelfareMaximizing,
     TooManyVariables,
+    _envy_chains,
     _leximin_utilities,
     ef_constraint_system,
     envy_closure,
     envy_matrix,
-    equal_split_candidate,
     fm_feasible,
     is_envy_free,
     maximin_level,
@@ -179,6 +179,16 @@ class TestEnvyFreeness:
         assert len(floored.constraints) == len(sys_.constraints) + 5
 
 
+def _equal_split_prices(inst, mat, assignment):
+    """Prices giving every agent (welfare - R)/n, envy-free or not."""
+    sigma = assignment.to_indices(inst)
+    share = (sum(mat.value(i, sigma[i]) for i in range(inst.n)) - inst.total_rent) / inst.n
+    plist = [F(0)] * inst.n
+    for i in range(inst.n):
+        plist[sigma[i]] = mat.value(i, sigma[i]) - share
+    return PriceVector.from_list(inst, plist)
+
+
 class TestMaximin:
     def test_baseline_exact(self, baseline):
         inst, mat = baseline
@@ -227,9 +237,12 @@ class TestMaximin:
 
     def test_equal_split_shortcut_matches_lp_route(self, baseline):
         inst, mat = baseline
-        sigma = max_welfare_assignment(inst, mat).assignment
-        shortcut = equal_split_candidate(inst, mat, sigma)
-        assert shortcut is not None
+        result = max_welfare_assignment(inst, mat)
+        sigma = result.assignment
+        # Every chain is 0, so maximin_prices takes the equal split.
+        assert _envy_chains(inst, mat, sigma, result.welfare) == [0] * inst.n
+        shortcut = _equal_split_prices(inst, mat, sigma)
+        assert is_envy_free(inst, mat, sigma, shortcut) == []
         by_lp = _leximin_utilities(
             inst, mat, sigma.to_indices(inst), nonnegative_prices=False
         )
@@ -242,8 +255,28 @@ class TestMaximin:
         from rentdiv.scenarios import builtin_scenario
 
         sc = builtin_scenario("exclusionary-collusion")
-        sigma = max_welfare_assignment(sc.instance, sc.reported_matrix).assignment
-        assert equal_split_candidate(sc.instance, sc.reported_matrix, sigma) is None
+        inst, mat = sc.instance, sc.reported_matrix
+        result = max_welfare_assignment(inst, mat)
+        sigma = result.assignment
+        assert any(_envy_chains(inst, mat, sigma, result.welfare))
+        assert is_envy_free(inst, mat, sigma, _equal_split_prices(inst, mat, sigma))
+
+    def test_zero_chains_iff_equal_split_envy_free(self):
+        rng = random.Random(4)
+        zero = 0
+        for trial in range(150):
+            n = 2 + trial % 5
+            inst, mat = make_instance(random_rows(rng, n, total=rng.choice((6, 36))))
+            result = max_welfare_assignment(inst, mat)
+            chains = _envy_chains(inst, mat, result.assignment, result.welfare)
+            equal = _equal_split_prices(inst, mat, result.assignment)
+            envy_free = is_envy_free(inst, mat, result.assignment, equal) == []
+            assert envy_free == (not any(chains))
+            sol = maximin_prices(inst, mat, result.assignment)
+            assert is_envy_free(inst, mat, result.assignment, sol.prices) == []
+            assert (sol.prices.as_list(inst) == equal.as_list(inst)) == envy_free
+            zero += envy_free
+        assert 10 < zero < 140
 
 
 class TestNonnegativePrices:

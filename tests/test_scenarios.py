@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_instance
 from rentdiv import pricing
-from rentdiv.cli import EXIT_MISMATCH, EXIT_OK, main
+from rentdiv.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from rentdiv.model import Assignment, compute_utilities, format_exact, parse_money
 from rentdiv.scenarios import (
     BUILTIN_SLUGS,
@@ -35,6 +35,23 @@ def minimal_doc():
             {"id": "B", "reported_values": ["0", "2"]},
         ],
     }
+
+
+# (path to a field of the document, the bad value, part of the error)
+MALFORMED_FIELDS = [
+    # A string is not a row: "20" once parsed as the row (2, 0).
+    (("agents", 0, "reported_values"), "20", "reported_values must be a list"),
+    (("agents", 0, "reported_values"), 20, "reported_values must be a list"),
+    (("agents", 0, "true_values"), 20, "true_values must be a list"),
+    (("agents", 0, "id"), ["A"], "id must be a string"),
+    (("name",), 5, "name must be a string"),
+    (("slug",), 5, "slug must be a string"),
+    (("notes",), ["x"], "notes must be a string"),
+    (("expected", "prices"), ["1", "1"], "expected prices must map rooms"),
+    (("expected", "assignment"), ["R1", "R2"], "must be a bijection"),
+    (("expected", "assignment", "A"), ["R1"], "must be a bijection"),
+    (("expected", "tolerance"), "-1/100", "tolerance must be nonnegative"),
+]
 
 
 class TestParsing:
@@ -77,6 +94,35 @@ class TestParsing:
         doc["agents"][0]["reported_values"] = ["2", "1"]
         with pytest.raises(Exception):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        MALFORMED_FIELDS,
+        ids=[".".join(map(str, p)) + "=" + json.dumps(v) for p, v, _ in MALFORMED_FIELDS],
+    )
+    def test_malformed_field_is_a_parse_error(self, tmp_path, capsys, path, value, message):
+        doc = minimal_doc()
+        doc["expected"] = {
+            "assignment": {"A": "R1", "B": "R2"},
+            "prices": {"R1": "1", "R2": "1"},
+        }
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ParseError, match=message):
+            scenario_from_dict(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["solve", str(bad)]) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+
+    def test_rent_error_names_its_location_once(self):
+        doc = minimal_doc()
+        doc["total_rent"] = "x"
+        with pytest.raises(ParseError) as info:
+            scenario_from_dict(doc, where="x.json")
+        assert str(info.value).startswith("x.json: cannot parse 'x'")
 
 
 class TestRoundTrip:
