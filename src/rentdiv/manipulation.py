@@ -4,9 +4,15 @@ Templates construct the three archetypal coordinated misreports (room capture,
 defensive inflation, preference flattening).  The search operations enumerate
 every report row on a value grid, in lexicographic order and in blocks of
 SEARCH_BLOCK rows, and score each block in one array pass of the mechanism on
-integer-scaled values.  The arithmetic is exact: int64 where a bound shows it
-cannot wrap, Python integers otherwise.  The test suite pins this kernel
-against the exact simplex route.
+integer-scaled values (``_FastMechanism``): once per search, the per-room
+winners and the others' envy chains come from ``matching.canonical_optimum``
+and ``pricing.envy_closure``, after which each candidate costs O(n) array
+work.  The arithmetic is exact: int64 where a bound shows it cannot wrap,
+Python integers otherwise.  The test suite pins this kernel against the exact
+simplex route and against the closure of each candidate's whole envy graph.
+
+Only the search kernel uses numpy, and imports it where it runs, so that
+templates, deviation reports and every command but ``--search`` never load it.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-import numpy as np
 
 from . import matching, pricing
 from .model import (
@@ -179,11 +183,10 @@ def evaluate_deviation(
     objective,
 ) -> DeviationReport:
     """Solve the mechanism on truth and on the reports, compare under truth."""
-    validate_instance(instance, true_matrix)
-    validate_instance(instance, reported_matrix)
-    _check_objective(instance, objective)
+    # Each solve validates its matrix, before the objective is checked.
     honest = pricing.solve(instance, true_matrix)
     manipulated = pricing.solve(instance, reported_matrix)
+    _check_objective(instance, objective)
 
     payment_delta = {
         a: manipulated.payment_of(a) - honest.payment_of(a)
@@ -386,7 +389,7 @@ def _fill_defensive_rest(row, rest, true_values, remainder):
 # ---------------------------------------------------------------------------
 
 SEARCH_BUDGET = 10**7
-SEARCH_BLOCK = 256  # candidate rows scored per array pass
+SEARCH_BLOCK = 1024  # candidate rows scored per array pass
 
 
 def _composition_blocks(total: int, parts: int):
@@ -398,6 +401,8 @@ def _composition_blocks(total: int, parts: int):
     have a first part below h; so the first part of the row of a given rank
     is one searchsorted over the column N(., p), and so on part by part.
     """
+    import numpy as np
+
     count = np.array(
         [[math.comb(s + p - 1, p - 1) for p in range(1, parts + 1)] for s in range(total + 1)],
         dtype=np.int64,
@@ -419,28 +424,41 @@ def _composition_blocks(total: int, parts: int):
 
 class _FastMechanism:
     """The mechanism on integer-scaled values, batched over the report rows
-    of one searching agent while every other row stays fixed.
+    x of one searching agent a while every other row stays fixed.
 
-    Fix the room r the searching agent gets.  Among the assignments that give
-    it r, the searching agent adds the same welfare and the same (value,
-    agent) entry at room r to the canonical tie-break, so the canonical
-    optimum of that group is the canonical optimum of the others on the
-    other rooms (``matching.canonical_optimum``), whatever its row.  These n
-    per-room winners are found once; for a block of B rows, welfare is then
-    a (B, n) array, and winners tied on welfare are settled room by room on
+    Fix the room r the agent gets.  Among the assignments that give it r, the
+    agent adds the same welfare and the same (value, agent) entry at room r
+    to the canonical tie-break, so the canonical optimum of that group is the
+    canonical optimum sigma_r of the others on the other rooms
+    (``matching.canonical_optimum``), whatever x is.  These n per-room
+    winners are found once; for a block of B rows, welfare is then a (B, n)
+    array, and winners tied on welfare are settled room by room on
     value*n + agent keys, which order exactly like the (value, agent) pairs.
-    Maximin utilities come from longest paths in the envy graph whose edge
-    i -> k weighs v_i(room of k) - v_k(room of k): u_i = (surplus -
-    sum(m))/n + m_i, with m_i the heaviest path leaving agent i, computed by
-    ``pricing.envy_closure`` over a stack of B envy matrices.
 
-    Values and every intermediate stay below 4*n**3 times the scaled rent
-    (rows are nonnegative and sum to it).  When that bound does not fit in
-    int64 the same arrays are built with dtype=object, so arithmetic is
-    exact Python integers and never wraps.
+    Maximin utilities are u_i = (W - R - sum(m))/n + m_i, with m_i the
+    heaviest walk leaving i in the envy graph whose edge i -> k weighs
+    v_i(sigma(k)) - v_k(sigma(k)).  Only the edges at a depend on x, so the
+    closure C_r of the others' envy graph under sigma_r
+    (``pricing.envy_closure``) is also found once per room, giving each
+    other agent i its chain m'_i = max_k C_r[i][k] among the others and its
+    heaviest walk into a, reach_r[i] - x[r] with reach_r[i] =
+    max_k (C_r[i][k] + v_k(r)), since the edge k -> a weighs v_k(r) - x[r].
+    The winner has no positive envy cycle, so a heaviest walk visits a at
+    most once, and per candidate
+        m_a = max(0, max_{k != a} (x[sigma_r(k)] - v_k(sigma_r(k)) + m'_k)),
+        m_i = max(m'_i, reach_r[i] - x[r] + m_a),
+    that is O(n) array work.
+
+    Values lie in [0, R] for the scaled rent R, envy weights in [-R, R] and
+    chains in [0, (n-1)R]; the largest intermediate, a coalition's summed
+    payment numerator over n*scale, is at most 2*n**3*R in absolute value.
+    When 4*n**3*(R + 1) does not fit in int64 the same arrays are built with
+    dtype=object, so arithmetic is exact Python integers and never wraps.
     """
 
     def __init__(self, instance: Instance, matrix: ValuationMatrix, agent: int, scale: int):
+        import numpy as np
+
         n = instance.n
         self.n = n
         self.agent = agent
@@ -449,30 +467,41 @@ class _FastMechanism:
             raise ValueError(f"scale {scale} does not make the rent integral")
         self.rent = int(rent)
         self.dtype = np.int64 if 4 * n**3 * (self.rent + 1) < 2**63 else object
-        base = np.array(
-            [[int(v * scale) for v in row] for row in matrix.values], dtype=self.dtype
-        )
-        rows = base.tolist()
+        rows = [[int(v * scale) for v in row] for row in matrix.values]
         others = [k for k in range(n) if k != agent]
-        self.perm = np.empty((n, n), dtype=np.intp)
-        welfare = []
+        # Per room r of the searching agent, indexed by agent: the winning
+        # assignment, each agent's value of its room, m'_i and reach_r[i] (0
+        # at the agent), tie-break keys by room; and the others' welfare.
+        perm, assigned, chain, reach, keys, welfare = [], [], [], [], [], []
         for r in range(n):
             rooms = [j for j in range(n) if j != r]
             sub, w = matching.canonical_optimum([[rows[k][j] for j in rooms] for k in others])
-            self.perm[r, agent] = r
-            self.perm[r, others] = [rooms[j] for j in sub]
+            sigma = [r] * n
+            for k, j in zip(others, sub):
+                sigma[k] = rooms[j]
+            closed = pricing.envy_closure(
+                pricing.envy_matrix([rows[k] for k in others], [sigma[k] for k in others])
+            )
+            chain_r, reach_r = [0] * n, [0] * n
+            for k, row in zip(others, closed):
+                chain_r[k] = max(row)
+                reach_r[k] = max(c + rows[o][r] for c, o in zip(row, others))
+            occupant = [0] * n
+            for k, j in enumerate(sigma):
+                occupant[j] = k
+            perm.append(sigma)
+            assigned.append([rows[k][j] for k, j in enumerate(sigma)])
+            chain.append(chain_r)
+            reach.append(reach_r)
+            keys.append([rows[k][j] * n + k for j, k in enumerate(occupant)])
             welfare.append(w)
-        # Per room r of the searching agent: its winning assignment (above),
-        # the others' welfare, tie-break keys, values of the assigned rooms
-        # and the value grid in assigned-room order.
+        self.perm = np.array(perm, dtype=np.intp)
+        self.assigned, self.chain, self.reach, self.keys = (
+            np.array(a, dtype=self.dtype) for a in (assigned, chain, reach, keys)
+        )
         self.others_welfare = np.array(welfare, dtype=self.dtype)
-        ar = np.arange(n)
-        occupant = np.argsort(self.perm, axis=1)
-        self.keys = base[occupant, ar] * n + occupant
-        self.assigned = base[ar, self.perm]
-        self.grid = base[:, self.perm].transpose(1, 0, 2)
 
-    def solve(self, rows: np.ndarray):
+    def solve(self, rows):
         """Canonical assignment and maximin utilities for a (B, n) block of
         scaled report rows of the searching agent.
 
@@ -480,6 +509,8 @@ class _FastMechanism:
         agent's reported value of its room, and utilities as numerators over
         n*scale.
         """
+        import numpy as np
+
         n, a = self.n, self.agent
         ar = np.arange(n)
         block = np.arange(len(rows))
@@ -497,13 +528,14 @@ class _FastMechanism:
         room = alive.argmax(axis=1)
 
         perm = self.perm[room]
+        own = rows[block, room]
         assigned = self.assigned[room]
-        assigned[:, a] = rows[block, room]
-        grid = self.grid[room]
-        grid[:, a, :] = rows[block[:, None], perm]
-        # Envy weights d[i, k, b]; candidates innermost keep each step contiguous.
-        d = (grid - assigned[:, None, :]).transpose(1, 2, 0).copy()
-        m = pricing.envy_closure(d).max(axis=1).T
+        assigned[:, a] = own
+        chain = self.chain[room]
+        # Column a adds own - own + 0, the empty walk.
+        m_a = (rows[block[:, None], perm] - assigned + chain).max(axis=1)
+        m = np.maximum(chain, self.reach[room] + (m_a - own)[:, None])
+        m[:, a] = m_a
         shared = welfare[block, room] - self.rent - m.sum(axis=1)
         # u_i * n * scale = shared + n * m_i
         return perm, assigned, shared[:, None] + n * m
@@ -512,6 +544,8 @@ class _FastMechanism:
 def _scores(instance, true_rows, objective, perm, pay, nscale):
     """Exact integer score per candidate, larger is better.  ``pay`` holds
     payment numerators over ``nscale``; ``true_rows`` is the scaled truth."""
+    import numpy as np
+
     if isinstance(objective, ExcludeFromRooms):
         targets = [instance.agent_index(a) for a in sorted(objective.targets)]
         rooms = [instance.room_index(r) for r in objective.rooms]
@@ -543,6 +577,8 @@ def _score_value(objective, score, nscale):
 def _score_blocks(instance, true_matrix, matrix, agent_index, objective, step, scale):
     """Yield (units, scores) per block of one agent's candidate rows, in
     lexicographic order; a row is ``units * step``."""
+    import numpy as np
+
     fast = _FastMechanism(instance, matrix, agent_index, scale)
     n = instance.n
     step_int = int(step * scale)
@@ -562,7 +598,7 @@ def _best_response(instance, true_matrix, matrix, agent_index, objective, step, 
     for units, scores in _score_blocks(
         instance, true_matrix, matrix, agent_index, objective, step, scale
     ):
-        k = int(np.argmax(scores))
+        k = int(scores.argmax())
         if best_score is None or scores[k] > best_score:
             best_units, best_score = units[k], scores[k]
     row = tuple(int(u) * step for u in best_units)

@@ -7,14 +7,17 @@ refinement so the result is canonical (two-phase simplex with Bland's rule).
 
 The envy graph gives both certificates in closed form.  Its edge i -> k
 weighs v_i(room of k) - v_k(room of k); one exact Floyd-Warshall closure
-(``envy_closure``) yields m_i, the heaviest envy chain leaving agent i.  The
+(``envy_closure``, on lists of Python integers: the values scaled by their
+common denominator) yields m_i, the heaviest envy chain leaving agent i.  The
 assignment is welfare-maximizing iff no envy cycle is positive, and the
 largest minimum utility of any envy-free price vector is
 t* = (W - R - sum(m))/n (``maximin_level``).  ``maximin_prices`` checks the
 assignment this way and, when every m_i is 0, returns the equal split of the
 surplus without an LP; ``rentdiv verify`` certifies maximin optimality with
-it.  A Fourier-Motzkin feasibility oracle (``min_utility_feasible``), sharing
-no code with either, is kept as a test-only cross-check.
+it.  The misreport search (``manipulation``) runs the same closure once per
+room of the searching agent.  A Fourier-Motzkin feasibility oracle
+(``min_utility_feasible``), sharing no code with either, is kept as a
+test-only cross-check.
 """
 
 from __future__ import annotations
@@ -410,44 +413,43 @@ def fm_feasible(constraints, num_vars: int) -> bool:
 
 
 def envy_closure(d):
-    """Heaviest-walk closure of envy weights d[i, k], by Floyd-Warshall.
+    """Heaviest-walk closure of envy weights d[i][k], by Floyd-Warshall.
 
-    ``d`` is an (n, n) array, or an (n, n, B) stack of B matrices with the
-    stack innermost; any dtype that adds and compares exactly works.  With a
+    ``d`` is a square list of lists of numbers that add and compare exactly
+    (Python integers are fastest); the result is a new list of lists.  With a
     zero diagonal, a positive diagonal entry of the result is a positive envy
     cycle; without one, row i's maximum is m_i, the heaviest chain leaving i.
     """
-    # numpy is imported on first use: imported ahead of the rest of the
-    # package it raises the process's peak RSS by about 1 MB.
-    import numpy as np
-
+    d = list(d)  # rows are replaced, never written to
     for k in range(len(d)):
-        d = np.maximum(d, d[:, k, None] + d[k])
+        dk = d[k]
+        for i, row in enumerate(d):
+            via = row[k]
+            d[i] = [x if x >= via + y else via + y for x, y in zip(row, dk)]
     return d
 
 
-def envy_matrix(instance: Instance, matrix: ValuationMatrix, assignment: Assignment):
-    """d[i, k] = v_i(room of k) - v_k(room of k) as Fractions (dtype=object):
-    the least u_i - u_k that envy-freeness allows."""
-    import numpy as np
-
-    sigma = assignment.to_indices(instance)
-    rows = matrix.values
-    own = [rows[k][sigma[k]] for k in range(instance.n)]
-    return np.array(
-        [[row[sigma[k]] - own[k] for k in range(instance.n)] for row in rows],
-        dtype=object,
-    )
+def envy_matrix(rows, sigma):
+    """d[i][k] = rows[i][sigma[k]] - rows[k][sigma[k]], the least u_i - u_k
+    that envy-freeness allows when agent k holds room sigma[k]."""
+    own = [rows[k][room] for k, room in enumerate(sigma)]
+    return [[row[room] - v for room, v in zip(sigma, own)] for row in rows]
 
 
 def _envy_chains(instance, matrix, assignment, welfare):
     """m_i per agent; raises NotWelfareMaximizing on a positive envy cycle,
-    since rotating rooms along it would raise welfare by its weight."""
-    closed = envy_closure(envy_matrix(instance, matrix, assignment))
-    if any(closed[i, i] > 0 for i in range(instance.n)):
+    since rotating rooms along it would raise welfare by its weight.
+
+    The closure runs on the values scaled by their common denominator, so it
+    adds Python integers instead of Fractions.
+    """
+    scale = math.lcm(*(v.denominator for row in matrix.values for v in row))
+    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix.values]
+    closed = envy_closure(envy_matrix(rows, assignment.to_indices(instance)))
+    if any(closed[i][i] > 0 for i in range(instance.n)):
         best = matching.max_welfare_assignment(instance, matrix).welfare
         raise NotWelfareMaximizing(f"assignment welfare {welfare} < optimum {best}")
-    return closed.max(axis=1).tolist()
+    return [Fraction(max(row), scale) for row in closed]
 
 
 def maximin_level(
@@ -461,6 +463,11 @@ def maximin_level(
     attains it.  Raises NotWelfareMaximizing when no envy-free prices exist.
     """
     validate_instance(instance, matrix)
+    return _maximin_level(instance, matrix, assignment)
+
+
+def _maximin_level(instance, matrix, assignment):
+    """``maximin_level`` on reports already validated."""
     sigma = assignment.to_indices(instance)
     welfare = sum(matrix.value(i, sigma[i]) for i in range(instance.n))
     chains = _envy_chains(instance, matrix, assignment, welfare)

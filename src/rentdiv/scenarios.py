@@ -316,8 +316,9 @@ def run_scenario(s: Scenario):
     )
     expected_min = min(expected_utilities.values())
     # Envy-free prices exist only for welfare-maximizing assignments, so
-    # maximin_level meets no positive envy cycle here.
-    expected_maximin = expected_ef and expected_min == pricing.maximin_level(
+    # maximin_level meets no positive envy cycle here; solve validated the
+    # reports.
+    expected_maximin = expected_ef and expected_min == pricing._maximin_level(
         s.instance, s.reported_matrix, exp.assignment
     )
 

@@ -1,10 +1,13 @@
 """Shared fixtures and factories for the test suite."""
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rentdiv
 from rentdiv.model import Instance, ValuationMatrix
 from rentdiv.scenarios import builtin_scenario
 
@@ -33,6 +36,14 @@ def random_rows(rng: random.Random, n: int, total: int = 36):
             tuple(Fraction(b - a) for a, b in zip([0] + cuts, cuts + [total]))
         )
     return rows
+
+
+def subprocess_env() -> dict:
+    """The environment with this rentdiv's source directory first on
+    PYTHONPATH, for tests that run it in a fresh interpreter."""
+    src = str(Path(rentdiv.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 @pytest.fixture

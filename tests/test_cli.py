@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from conftest import subprocess_env
 from rentdiv import matching, pricing
 from rentdiv.cli import (
     CONTESTED_GRAMMAR,
@@ -147,6 +150,53 @@ class TestHotPath:
             "R5     A          4.20     0.80\n"
             "minimum utility: 0.80\n"
         )
+
+
+# Runs cli.main on its arguments in a fresh interpreter; prints the exit code
+# and whether numpy was imported.
+NUMPY_PROBE = """
+import contextlib, io, sys
+from rentdiv import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+class TestNumpyImport:
+    """Only the misreport search needs numpy; every other command runs
+    without importing it."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["solve", "{baseline}"], "0 False"),
+            (["verify", "--all-builtin"], "1 False"),
+            (["table"], "0 False"),
+            (
+                ["manipulate", "{baseline}", "--coalition", "D,E", "--objective",
+                 "min-pay:D,E", "--template", "flatten"],
+                "0 False",
+            ),
+            (
+                ["manipulate", "{baseline}", "--coalition", "D", "--objective",
+                 "min-pay:D", "--search"],
+                "0 True",
+            ),
+        ],
+        ids=["solve", "verify", "table", "template", "search"],
+    )
+    def test_numpy_loaded_only_by_search(self, baseline_file, argv, expected):
+        argv = [a.format(baseline=baseline_file) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, *argv],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
 
 
 # (manipulate arguments after the objective, the whole stderr line after

@@ -37,7 +37,7 @@ from rentdiv.matching import (
     brute_force_assignment,
     max_welfare_assignment,
 )
-from rentdiv.pricing import maximin_prices, solve
+from rentdiv.pricing import envy_closure, envy_matrix, maximin_prices, solve
 from rentdiv.scenarios import builtin_scenario
 
 F = Fraction
@@ -254,6 +254,42 @@ class TestFastMechanism:
                     )
                     assert [tuple(p) for p in perm.tolist()] == picked
 
+    # Instances per size n for the chain parity test.
+    PARITY_SIZES = {2: 40, 3: 40, 4: 30, 5: 20, 6: 10, 7: 6}
+
+    def test_chains_match_full_closure(self):
+        # The kernel derives each candidate's chains from the per-room
+        # closures of the others; here every candidate's whole envy matrix
+        # goes through the closure instead.  Rows summing to a small rent
+        # make welfare ties, settled by the tie-break, common.
+        import numpy as np
+
+        rng = random.Random(4099)
+        candidates = tied = 0
+        for n, count in self.PARITY_SIZES.items():
+            for _ in range(count):
+                total = rng.choice((2, 3, 5, 8))
+                rows = [[int(v) for v in row] for row in random_rows(rng, n, total=total)]
+                inst, mat = make_instance(rows, total=total)
+                for agent in range(n):
+                    fast = _FastMechanism(inst, mat, agent, scale=1)
+                    block = [rows[agent]] + [
+                        [int(v) for v in row] for row in random_rows(rng, n, total=total)
+                    ]
+                    perm, _, u_num = fast.solve(np.array(block, dtype=np.int64))
+                    for x, sigma, u in zip(block, perm.tolist(), u_num.tolist()):
+                        reported = rows[:agent] + [x] + rows[agent + 1 :]
+                        closed = envy_closure(envy_matrix(reported, sigma))
+                        assert all(closed[i][i] == 0 for i in range(n))
+                        chains = [max(row) for row in closed]
+                        welfare = sum(reported[i][sigma[i]] for i in range(n))
+                        shared = welfare - total - sum(chains)
+                        assert u == [shared + n * m for m in chains]
+                        room_welfare = [int(w) + x[r] for r, w in enumerate(fast.others_welfare)]
+                        tied += room_welfare.count(max(room_welfare)) > 1
+                        candidates += 1
+        assert tied > candidates // 4
+
     def test_ten_agents_search_matches_exact_route(self):
         # 92,378 candidates; the n! table the kernel once used stopped at 9.
         rng = random.Random(10)
@@ -277,11 +313,11 @@ class TestFastMechanism:
 
         assert rows(3, 2) == [(0, 3), (1, 2), (2, 1), (3, 0)]
         assert len(rows(4, 3)) == 15
-        # 924 rows: several blocks, every one full except the last.
-        brute = [c for c in itertools.product(range(7), repeat=7) if sum(c) == 6]
+        # 3,876 rows: several blocks, every one full except the last.
+        brute = [c for c in itertools.product(range(16), repeat=5) if sum(c) == 15]
         assert len(brute) > 3 * SEARCH_BLOCK
-        assert [len(b) for b in _composition_blocks(6, 7)][:-1] == [SEARCH_BLOCK] * 3
-        assert rows(6, 7) == brute
+        assert [len(b) for b in _composition_blocks(15, 5)][:-1] == [SEARCH_BLOCK] * 3
+        assert rows(15, 5) == brute
 
 
 # SHA-256 of each full-grid score vector on the baseline scenario at step 1
@@ -377,10 +413,10 @@ class TestSearchKernel:
 
     def test_seven_agents_across_blocks(self):
         rng = random.Random(7)
-        inst, truth = make_instance(random_rows(rng, 7, total=6), total=6)
+        inst, truth = make_instance(random_rows(rng, 7, total=9), total=9)
         objective = MinimizeOwnPayment("C")
         scores, nscale = _grid_scores(inst, truth, "C", objective, F(1))
-        assert len(scores) == 924
+        assert len(scores) == 5005 > 4 * SEARCH_BLOCK
         ranks = {0, len(scores) - 1}
         for edge in range(SEARCH_BLOCK, len(scores), SEARCH_BLOCK):
             ranks |= {edge - 1, edge}
