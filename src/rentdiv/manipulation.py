@@ -33,9 +33,6 @@ from .model import (
     validate_instance,
 )
 
-ROLES = ("coalition", "victim", "defender", "helper", "beneficiary", "honest")
-
-
 class InfeasibleTemplate(RentDivisionError):
     pass
 
@@ -135,10 +132,8 @@ def objective_value(
             and outcome.payment_of(objective.beneficiary) <= objective.max_price
         )
     if isinstance(objective, MaximizeTrueUtility):
-        i = instance.agent_index(objective.agent)
-        room = outcome.assignment.room_of(objective.agent)
-        j = instance.room_index(room)
-        return true_matrix.value(i, j) - outcome.prices.price_of(room)
+        utilities = compute_utilities(instance, true_matrix, outcome.assignment, outcome.prices)
+        return utilities[objective.agent]
     raise TypeError(f"unknown objective {objective!r}")
 
 
@@ -201,15 +196,16 @@ def evaluate_deviation(
     true_utility_delta = {
         a: true_manip[a] - true_honest[a] for a in instance.agent_ids
     }
-    envy = []
-    for i, a in enumerate(instance.agent_ids):
-        for b in instance.agent_ids:
-            if b == a:
-                continue
-            room_b = manipulated.assignment.room_of(b)
-            jb = instance.room_index(room_b)
-            if true_matrix.value(i, jb) - manipulated.prices.price_of(room_b) > true_manip[a]:
-                envy.append((a, b))
+    rank = instance.agent_index
+    envy = sorted(
+        (
+            (a, manipulated.assignment.agent_of(room))
+            for a, room, _ in pricing.is_envy_free(
+                instance, true_matrix, manipulated.assignment, manipulated.prices
+            )
+        ),
+        key=lambda pair: (rank(pair[0]), rank(pair[1])),
+    )
     return DeviationReport(
         honest_outcome=honest,
         manipulated_outcome=manipulated,
@@ -467,7 +463,7 @@ class _FastMechanism:
             raise ValueError(f"scale {scale} does not make the rent integral")
         self.rent = int(rent)
         self.dtype = np.int64 if 4 * n**3 * (self.rent + 1) < 2**63 else object
-        rows = [[int(v * scale) for v in row] for row in matrix.values]
+        rows = pricing._scaled_rows(matrix.values, scale)
         others = [k for k in range(n) if k != agent]
         # Per room r of the searching agent, indexed by agent: the winning
         # assignment, each agent's value of its room, m'_i and reach_r[i] (0
@@ -582,9 +578,7 @@ def _score_blocks(instance, true_matrix, matrix, agent_index, objective, step, s
     fast = _FastMechanism(instance, matrix, agent_index, scale)
     n = instance.n
     step_int = int(step * scale)
-    true_rows = np.array(
-        [[int(v * scale) for v in row] for row in true_matrix.values], dtype=fast.dtype
-    )
+    true_rows = np.array(pricing._scaled_rows(true_matrix.values, scale), dtype=fast.dtype)
     for units in _composition_blocks(int(instance.total_rent / step), n):
         perm, assigned, u_num = fast.solve(units.astype(fast.dtype) * step_int)
         pay = n * assigned - u_num
@@ -616,12 +610,10 @@ def _prepare_search(instance, true_matrix, step, budget):
     count = math.comb(int(units) + instance.n - 1, instance.n - 1)
     if count > budget:
         raise SearchSpaceTooLarge(count, budget)
-    scale = step.denominator
-    for row in true_matrix.values:
-        for v in row:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    scale = scale * instance.total_rent.denominator // math.gcd(
-        scale, instance.total_rent.denominator
+    scale = math.lcm(
+        step.denominator,
+        instance.total_rent.denominator,
+        *(v.denominator for row in true_matrix.values for v in row),
     )
     return step, scale
 
@@ -637,8 +629,9 @@ def best_response_search(
     """Exhaustively enumerate one agent's report rows, all others truthful.
 
     Returns (best_row, achieved_value) where the value is measured against
-    true preferences.  Ties go to the lexicographically smallest row; honesty
-    is always in the candidate set, so the result never scores worse than it.
+    true preferences.  Ties go to the lexicographically smallest row.  The
+    true row is a candidate only when ``step`` divides each of the agent's
+    true values; only then can the result never score worse than honesty.
     """
     _check_objective(instance, objective)
     step, scale = _prepare_search(instance, true_matrix, step, budget)
@@ -661,6 +654,8 @@ def coalition_search(
     Cycles through members in roster order, replacing each row with its best
     response holding the others fixed, until a full round changes nothing or
     max_rounds is hit.  Returns (reported_matrix, achieved_value, converged).
+    As in ``best_response_search``, the value can be worse than honesty's
+    when ``step`` does not divide every member's true values.
     """
     _check_objective(instance, objective)
     step, scale = _prepare_search(instance, true_matrix, step, budget)

@@ -160,24 +160,10 @@ def max_welfare_assignment(
 def brute_force_assignment(
     instance: Instance, matrix: ValuationMatrix
 ) -> WelfareResult:
-    """Exhaustive oracle: enumerate all n! permutations (n <= 9)."""
-    validate_instance(instance, matrix)
-    n = instance.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLarge(n)
-    rows = matrix.values
-    best_w = None
-    best_perm = None
-    for perm in itertools.permutations(range(n)):
-        w = sum(rows[i][perm[i]] for i in range(n))
-        if (
-            best_w is None
-            or w > best_w
-            or (w == best_w and tie_break_key(perm, rows) > tie_break_key(best_perm, rows))
-        ):
-            best_w = w
-            best_perm = perm
-    return WelfareResult(Assignment.from_indices(instance, best_perm), best_w)
+    """Exhaustive oracle: the first of ``all_optimal_assignments`` (n <= 9)."""
+    best = all_optimal_assignments(instance, matrix)[0]
+    sigma = best.to_indices(instance)
+    return WelfareResult(best, sum(matrix.value(i, j) for i, j in enumerate(sigma)))
 
 
 def all_optimal_assignments(

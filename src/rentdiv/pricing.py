@@ -3,7 +3,7 @@
 Given a welfare-maximizing assignment, the envy-free price vectors form a
 polytope: one budget equality plus n*(n-1) envy inequalities.  The price
 vector returned here maximizes the minimum utility and then applies a leximin
-refinement so the result is canonical (two-phase simplex with Bland's rule).
+refinement so the result is canonical.
 
 The envy graph gives both certificates in closed form.  Its edge i -> k
 weighs v_i(room of k) - v_k(room of k); one exact Floyd-Warshall closure
@@ -11,13 +11,20 @@ weighs v_i(room of k) - v_k(room of k); one exact Floyd-Warshall closure
 common denominator) yields m_i, the heaviest envy chain leaving agent i.  The
 assignment is welfare-maximizing iff no envy cycle is positive, and the
 largest minimum utility of any envy-free price vector is
-t* = (W - R - sum(m))/n (``maximin_level``).  ``maximin_prices`` checks the
-assignment this way and, when every m_i is 0, returns the equal split of the
-surplus without an LP; ``rentdiv verify`` certifies maximin optimality with
-it.  The misreport search (``manipulation``) runs the same closure once per
-room of the searching agent.  A Fourier-Motzkin feasibility oracle
-(``min_utility_feasible``), sharing no code with either, is kept as a
-test-only cross-check.
+t* = (W - R - sum(m))/n (``maximin_level``).  ``rentdiv verify`` certifies
+maximin optimality with it.  The misreport search (``manipulation``) runs the
+same closure once per room of the searching agent.
+
+``maximin_prices`` checks the assignment with the closure and then takes one
+of two routes to the utilities:
+
+- the closed form u_i = t* + m_i, when every m_i is 0 (the equal split of the
+  surplus) and prices may be negative;
+- otherwise the leximin LP (``_leximin_utilities``): two-phase simplex with
+  Bland's rule, maximizing the minimum utility and freezing forced agents.
+
+A Fourier-Motzkin feasibility oracle (``min_utility_feasible``), sharing no
+code with either, is kept as a test-only cross-check.
 """
 
 from __future__ import annotations
@@ -436,6 +443,12 @@ def envy_matrix(rows, sigma):
     return [[row[room] - v for room, v in zip(sigma, own)] for row in rows]
 
 
+def _scaled_rows(rows, scale):
+    """Rows of Fractions times ``scale``, a common multiple of their
+    denominators, as Python integers."""
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+
+
 def _envy_chains(instance, matrix, assignment, welfare):
     """m_i per agent; raises NotWelfareMaximizing on a positive envy cycle,
     since rotating rooms along it would raise welfare by its weight.
@@ -444,7 +457,7 @@ def _envy_chains(instance, matrix, assignment, welfare):
     adds Python integers instead of Fractions.
     """
     scale = math.lcm(*(v.denominator for row in matrix.values for v in row))
-    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix.values]
+    rows = _scaled_rows(matrix.values, scale)
     closed = envy_closure(envy_matrix(rows, assignment.to_indices(instance)))
     if any(closed[i][i] > 0 for i in range(instance.n)):
         best = matching.max_welfare_assignment(instance, matrix).welfare
@@ -463,15 +476,15 @@ def maximin_level(
     attains it.  Raises NotWelfareMaximizing when no envy-free prices exist.
     """
     validate_instance(instance, matrix)
-    return _maximin_level(instance, matrix, assignment)
+    return _maximin_level(instance, matrix, assignment)[0]
 
 
 def _maximin_level(instance, matrix, assignment):
-    """``maximin_level`` on reports already validated."""
+    """(t*, chains m_i) for the assignment, on reports already validated."""
     sigma = assignment.to_indices(instance)
     welfare = sum(matrix.value(i, sigma[i]) for i in range(instance.n))
     chains = _envy_chains(instance, matrix, assignment, welfare)
-    return (welfare - instance.total_rent - sum(chains)) / instance.n
+    return (welfare - instance.total_rent - sum(chains)) / instance.n, chains
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +507,20 @@ def is_envy_free(
     prices: PriceVector,
 ) -> list:
     """Violated envy pairs (agent, room) with positive slack; empty means EF."""
+    return [v for v in _envy_slacks(instance, matrix, assignment, prices) if v[2] > 0]
+
+
+def _envy_slacks(instance, matrix, assignment, prices):
+    """(agent, room, v_i(room) - p(room) - u_i) for every room an agent does
+    not hold, agents in roster order and rooms in room order: a positive
+    slack is envy, a zero slack a tight envy edge."""
     utilities = compute_utilities(instance, matrix, assignment, prices)
-    violations = []
-    for i, agent in enumerate(instance.agent_ids):
-        u = utilities[agent]
-        for j, room in enumerate(instance.room_ids):
-            if room == assignment.room_of(agent):
-                continue
-            slack = matrix.value(i, j) - prices.price_of(room) - u
-            if slack > 0:
-                violations.append((agent, room, slack))
-    return violations
+    price = prices.as_list(instance)
+    for agent, row in zip(instance.agent_ids, matrix.values):
+        own, u = assignment.room_of(agent), utilities[agent]
+        for room, v, p in zip(instance.room_ids, row, price):
+            if room != own:
+                yield agent, room, v - p - u
 
 
 def _maximin_lp(instance, matrix, sigma, floors, objective_agent=None):
@@ -559,35 +575,29 @@ def maximin_prices(
     validate_instance(instance, matrix)
     n = instance.n
     sigma = assignment.to_indices(instance)
-    welfare = sum(matrix.value(i, sigma[i]) for i in range(n))
-    chains = _envy_chains(instance, matrix, assignment, welfare)
+    level, chains = _maximin_level(instance, matrix, assignment)
     if nonnegative_prices or any(chains):
         utilities_vec = _leximin_utilities(
             instance, matrix, sigma, nonnegative_prices
         )
     else:
-        # No envy edge is positive, so the equal split of the surplus is
-        # envy-free; no minimum utility exceeds it, so it is the optimum.
-        utilities_vec = [(welfare - instance.total_rent) / n] * n
+        # u = t* + m, here the equal split of the surplus.
+        utilities_vec = [level + m for m in chains]
 
     plist = [Fraction(0)] * n
     for i in range(n):
         plist[sigma[i]] = matrix.value(i, sigma[i]) - utilities_vec[i]
     prices = PriceVector.from_list(instance, plist)
-    utilities = dict(zip(instance.agent_ids, utilities_vec))
-
-    tight = []
-    for i, agent in enumerate(instance.agent_ids):
-        for j, room in enumerate(instance.room_ids):
-            if j == sigma[i]:
-                continue
-            if matrix.value(i, j) - plist[j] == utilities_vec[i]:
-                tight.append((agent, room))
+    tight = tuple(
+        (agent, room)
+        for agent, room, slack in _envy_slacks(instance, matrix, assignment, prices)
+        if slack == 0
+    )
     return MaximinSolution(
         prices=prices,
-        utilities=utilities,
+        utilities=dict(zip(instance.agent_ids, utilities_vec)),
         min_utility=min(utilities_vec),
-        tight_envy_edges=tuple(tight),
+        tight_envy_edges=tight,
     )
 
 

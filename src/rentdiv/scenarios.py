@@ -42,7 +42,8 @@ from .model import (
     format_exact,
     validate_instance,
 )
-from .manipulation import ROLES
+
+ROLES = ("coalition", "victim", "defender", "helper", "beneficiary", "honest")
 
 BUILTIN_SLUGS = (
     "baseline",
@@ -100,7 +101,7 @@ class DiscrepancyReport:
 def _money(value, where):
     if isinstance(value, float):
         raise ParseError("float values are not exact; use decimal strings", where)
-    if not isinstance(value, (str, int)):
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
         raise ParseError(f"expected a decimal string, got {type(value).__name__}", where)
     try:
         return Fraction(value)
@@ -320,7 +321,7 @@ def run_scenario(s: Scenario):
     # reports.
     expected_maximin = expected_ef and expected_min == pricing._maximin_level(
         s.instance, s.reported_matrix, exp.assignment
-    )
+    )[0]
 
     prices_ok = all(abs(d) <= exp.tolerance for d in diffs.values())
     if prices_ok and outcome.assignment == exp.assignment:

@@ -505,6 +505,19 @@ class TestSearch:
         assert value < honest.payment_of("A")
         assert value == F(17, 5)
 
+    def test_honesty_is_a_candidate_only_on_a_dividing_step(self, baseline):
+        # A's true row (10, 8, 8, 5, 5) lies on the grid of step 1/2, so the
+        # search cannot lose to honesty there; on the grid of step 3 it is
+        # no candidate, and A's best row there pays more than honesty.
+        inst, truth = baseline
+        assert solve(inst, truth).payment_of("A") == F(21, 5)
+        objective = MinimizeOwnPayment("A")
+        row, value = best_response_search(inst, truth, "A", objective, step=F(1, 2))
+        assert value == F(17, 5)
+        row, value = best_response_search(inst, truth, "A", objective, step=F(3))
+        assert row == (0, 0, 0, 18, 18)
+        assert value == 5
+
     def test_coalition_search_converges_on_small_instance(self):
         inst, truth = make_instance([(4, 1, 1), (1, 4, 1), (1, 1, 4)], total=6)
         honest = solve(inst, truth)

@@ -24,6 +24,7 @@ from rentdiv.pricing import (
     TooManyVariables,
     _envy_chains,
     _leximin_utilities,
+    _maximin_level,
     ef_constraint_system,
     envy_closure,
     envy_matrix,
@@ -276,6 +277,27 @@ class TestMaximin:
             assert (sol.prices.as_list(inst) == equal.as_list(inst)) == envy_free
             zero += envy_free
         assert 10 < zero < 140
+
+
+    def test_leximin_is_level_plus_chains(self):
+        # Every envy-free u with minimum t* has u_i >= t* + m_i, and both
+        # sides sum to W - R, so the maximin utilities are exactly t* + m:
+        # the LP route must land there whenever some chain is positive.
+        rng = random.Random(6)
+        positive = 0
+        for trial in range(60):
+            n = 2 + trial % 6
+            inst, mat = make_instance(random_rows(rng, n, total=rng.choice((6, 36))))
+            sigma = max_welfare_assignment(inst, mat).assignment
+            level, chains = _maximin_level(inst, mat, sigma)
+            if not any(chains):
+                continue
+            positive += 1
+            by_lp = _leximin_utilities(
+                inst, mat, sigma.to_indices(inst), nonnegative_prices=False
+            )
+            assert by_lp == [level + m for m in chains]
+        assert positive > 15
 
 
 class TestNonnegativePrices:

@@ -51,6 +51,12 @@ MALFORMED_FIELDS = [
     (("expected", "assignment"), ["R1", "R2"], "must be a bijection"),
     (("expected", "assignment", "A"), ["R1"], "must be a bijection"),
     (("expected", "tolerance"), "-1/100", "tolerance must be nonnegative"),
+    # A JSON boolean is a Python int: true once parsed as the amount 1.
+    (("agents", 0, "reported_values"), [True, True], "expected a decimal string, got bool"),
+    (("agents", 0, "true_values"), [True, True], "expected a decimal string, got bool"),
+    (("total_rent",), True, "expected a decimal string, got bool"),
+    (("expected", "prices", "R1"), True, "expected a decimal string, got bool"),
+    (("expected", "tolerance"), False, "expected a decimal string, got bool"),
 ]
 
 
