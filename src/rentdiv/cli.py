@@ -207,6 +207,7 @@ def _parse_objective(spec: str):
     raise bad(f"unknown objective kind {kind!r}")
 
 
+COALITION_GRAMMAR = "A[,B,...], each agent named once"
 CONTESTED_GRAMMAR = "D:R1+R2[,E:R3+R4], two distinct rooms per coalition member"
 TARGET_ROOMS_GRAMMAR = "D:R4[,E:R5], one room per coalition member"
 STEP_GRAMMAR = "a positive exact amount such as 1, 0.5 or 1/4"
@@ -298,6 +299,12 @@ def cmd_manipulate(args) -> int:
     instance = scenario.instance
     true_matrix = scenario.truth()
     coalition = args.coalition.split(",") if args.coalition else []
+    repeated = next((a for a in coalition if coalition.count(a) > 1), None)
+    if repeated is not None:
+        raise ParseError(
+            f"{repeated!r} appears twice; expected {COALITION_GRAMMAR}",
+            f"--coalition {args.coalition!r}",
+        )
     unknown = [a for a in coalition if a not in instance.agent_ids]
     if unknown:
         _err(f"unknown coalition agent(s): {', '.join(unknown)}")
@@ -359,17 +366,9 @@ def cmd_manipulate(args) -> int:
             _err(f"unknown template {args.template!r}")
             return EXIT_INVALID
     elif args.search:
-        if len(coalition) == 1:
-            row, _ = manipulation.best_response_search(
-                instance, true_matrix, coalition[0], objective, step=step
-            )
-            reported = true_matrix.replace_row(
-                instance.agent_index(coalition[0]), row
-            )
-        else:
-            reported, _, _ = manipulation.coalition_search(
-                instance, true_matrix, coalition, objective, step=step
-            )
+        reported, _, _ = manipulation.coalition_search(
+            instance, true_matrix, coalition, objective, step=step
+        )
     else:
         _err("pick one of --template or --search")
         return EXIT_INVALID

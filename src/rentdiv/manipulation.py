@@ -38,10 +38,10 @@ class InfeasibleTemplate(RentDivisionError):
 
 
 class SearchSpaceTooLarge(RentDivisionError):
-    def __init__(self, count: int, budget: int):
+    def __init__(self, count: int):
         self.count = count
-        self.budget = budget
-        super().__init__(f"{count} candidate rows exceed the budget of {budget}")
+        self.budget = SEARCH_BUDGET
+        super().__init__(f"{count} candidate rows exceed the budget of {SEARCH_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,11 @@ class ExcludeFromRooms:
 @dataclass(frozen=True)
 class MinimizeOwnPayment:
     agent: str
+
+    @property
+    def coalition(self) -> frozenset:
+        """The coalition of one, so both min-pay objectives share a formula."""
+        return frozenset((self.agent,))
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,7 @@ class MaximizeTrueUtility:
 
 
 Objective = object  # any of the five dataclasses above
+_MIN_PAY = (MinimizeOwnPayment, MinimizeCoalitionPayments)
 
 
 def _check_objective(instance: Instance, objective) -> None:
@@ -95,9 +101,7 @@ def _check_objective(instance: Instance, objective) -> None:
     rooms = set(instance.room_ids)
     if isinstance(objective, ExcludeFromRooms):
         bad = (objective.targets - agents) | (objective.rooms - rooms)
-    elif isinstance(objective, MinimizeOwnPayment):
-        bad = {objective.agent} - agents
-    elif isinstance(objective, MinimizeCoalitionPayments):
+    elif isinstance(objective, _MIN_PAY):
         bad = objective.coalition - agents
     elif isinstance(objective, SubsidizeAgent):
         bad = ({objective.beneficiary} - agents) | ({objective.room} - rooms)
@@ -122,9 +126,7 @@ def objective_value(
     values (payments are report-independent facts)."""
     if isinstance(objective, ExcludeFromRooms):
         return exclusion_check(outcome, objective.targets, objective.rooms)
-    if isinstance(objective, MinimizeOwnPayment):
-        return outcome.payment_of(objective.agent)
-    if isinstance(objective, MinimizeCoalitionPayments):
+    if isinstance(objective, _MIN_PAY):
         return sum(outcome.payment_of(a) for a in sorted(objective.coalition))
     if isinstance(objective, SubsidizeAgent):
         return (
@@ -150,7 +152,7 @@ def objective_satisfied(
     if isinstance(objective, (ExcludeFromRooms, SubsidizeAgent)):
         return bool(value)
     baseline = objective_value(instance, true_matrix, honest, objective)
-    if isinstance(objective, (MinimizeOwnPayment, MinimizeCoalitionPayments)):
+    if isinstance(objective, _MIN_PAY):
         return value < baseline
     return value > baseline
 
@@ -223,6 +225,10 @@ def evaluate_deviation(
 # Strategy templates
 # ---------------------------------------------------------------------------
 
+CLAIM_VALUE = Fraction(15)  # exclusionary: a member's bid on its claimed room
+FILLER_VALUE = Fraction(9)  # exclusionary: a member's bid on each victim room
+INFLATE_VALUE = Fraction(12)  # defensive: a defender's bid on each contested room
+
 
 def template_exclusionary(
     instance: Instance,
@@ -230,8 +236,6 @@ def template_exclusionary(
     coalition: list,
     claimed_rooms: list,
     victim_rooms: Iterable[str],
-    claim_value=Fraction(15),
-    filler_value=Fraction(9),
 ) -> ValuationMatrix:
     """Room-capture misreport: each member overbids its claimed room, parks
     filler mass on the victims' rooms, and splits the exact leftover over the
@@ -241,22 +245,18 @@ def template_exclusionary(
     cyclic coalition order starting from the member after oneself.
     """
     validate_instance(instance, true_matrix)
-    claim_value = to_rational(claim_value)
-    filler_value = to_rational(filler_value)
     if len(coalition) != len(claimed_rooms):
         raise ValueError("coalition and claimed_rooms must pair up")
     victim_rooms = list(dict.fromkeys(victim_rooms))
     if set(claimed_rooms) & set(victim_rooms):
         raise ValueError("claimed and victim rooms overlap")
-    if claim_value < 0 or filler_value < 0:
-        raise ValueError("claim and filler values must be nonnegative")
 
     room_of_member = dict(zip(coalition, claimed_rooms))
     matrix = true_matrix
-    remainder = instance.total_rent - claim_value - filler_value * len(victim_rooms)
+    remainder = instance.total_rent - CLAIM_VALUE - FILLER_VALUE * len(victim_rooms)
     if remainder < 0:
         raise InfeasibleTemplate(
-            f"claim {claim_value} plus fillers exceed the rent by {-remainder}"
+            f"claim {CLAIM_VALUE} plus fillers exceed the rent by {-remainder}"
         )
     k = len(coalition) - 1
     if k == 0 and remainder != 0:
@@ -265,9 +265,9 @@ def template_exclusionary(
         )
     for m, agent in enumerate(coalition):
         row = [Fraction(0)] * instance.n
-        row[instance.room_index(room_of_member[agent])] = claim_value
+        row[instance.room_index(room_of_member[agent])] = CLAIM_VALUE
         for r in victim_rooms:
-            row[instance.room_index(r)] = filler_value
+            row[instance.room_index(r)] = FILLER_VALUE
         if k:
             parts = _descending_parts(remainder, k)
             others = coalition[m + 1 :] + coalition[:m]
@@ -316,7 +316,6 @@ def template_defensive(
     true_matrix: ValuationMatrix,
     defenders: Iterable[str],
     contested: dict,
-    inflate_value=Fraction(12),
 ) -> ValuationMatrix:
     """Counter-bidding misreport: each defender inflates its two contested
     rooms and spreads the exact leftover over the remaining rooms.
@@ -329,13 +328,12 @@ def template_defensive(
     to the lower room index).
     """
     validate_instance(instance, true_matrix)
-    inflate_value = to_rational(inflate_value)
     defenders = list(defenders)
     matrix = true_matrix
-    remainder = instance.total_rent - 2 * inflate_value
+    remainder = instance.total_rent - 2 * INFLATE_VALUE
     if remainder < 0:
         raise InfeasibleTemplate(
-            f"two bids of {inflate_value} exceed the rent {instance.total_rent}"
+            f"two bids of {INFLATE_VALUE} exceed the rent {instance.total_rent}"
         )
     for agent in defenders:
         pair = contested[agent]
@@ -344,7 +342,7 @@ def template_defensive(
         i = instance.agent_index(agent)
         row = [Fraction(0)] * instance.n
         for r in pair:
-            row[instance.room_index(r)] = inflate_value
+            row[instance.room_index(r)] = INFLATE_VALUE
         rest = [
             j
             for j in range(instance.n)
@@ -384,8 +382,9 @@ def _fill_defensive_rest(row, rest, true_values, remainder):
 # Exhaustive misreport search
 # ---------------------------------------------------------------------------
 
-SEARCH_BUDGET = 10**7
+SEARCH_BUDGET = 10**7  # candidate rows per member; beyond it a search refuses
 SEARCH_BLOCK = 1024  # candidate rows scored per array pass
+MAX_ROUNDS = 10  # coalition rounds before a search gives up on convergence
 
 
 def _composition_blocks(total: int, parts: int):
@@ -546,9 +545,7 @@ def _scores(instance, true_rows, objective, perm, pay, nscale):
         targets = [instance.agent_index(a) for a in sorted(objective.targets)]
         rooms = [instance.room_index(r) for r in objective.rooms]
         return ~np.isin(perm[:, targets], rooms).any(axis=1)
-    if isinstance(objective, MinimizeOwnPayment):
-        return -pay[:, instance.agent_index(objective.agent)]
-    if isinstance(objective, MinimizeCoalitionPayments):
+    if isinstance(objective, _MIN_PAY):
         members = sorted(instance.agent_index(a) for a in objective.coalition)
         return -pay[:, members].sum(axis=1)
     if isinstance(objective, SubsidizeAgent):
@@ -599,7 +596,7 @@ def _best_response(instance, true_matrix, matrix, agent_index, objective, step, 
     return row, _score_value(objective, best_score, instance.n * scale)
 
 
-def _prepare_search(instance, true_matrix, step, budget):
+def _prepare_search(instance, true_matrix, step):
     validate_instance(instance, true_matrix)
     step = to_rational(step)
     if step <= 0:
@@ -608,8 +605,8 @@ def _prepare_search(instance, true_matrix, step, budget):
     if units.denominator != 1:
         raise ValueError("step must divide the total rent")
     count = math.comb(int(units) + instance.n - 1, instance.n - 1)
-    if count > budget:
-        raise SearchSpaceTooLarge(count, budget)
+    if count > SEARCH_BUDGET:
+        raise SearchSpaceTooLarge(count)
     scale = math.lcm(
         step.denominator,
         instance.total_rent.denominator,
@@ -624,20 +621,17 @@ def best_response_search(
     agent: str,
     objective,
     step=Fraction(1),
-    budget: int = SEARCH_BUDGET,
 ):
-    """Exhaustively enumerate one agent's report rows, all others truthful.
+    """Exhaustively enumerate one agent's report rows, all others truthful:
+    ``coalition_search`` for the coalition of one.
 
     Returns (best_row, achieved_value) where the value is measured against
     true preferences.  Ties go to the lexicographically smallest row.  The
     true row is a candidate only when ``step`` divides each of the agent's
     true values; only then can the result never score worse than honesty.
     """
-    _check_objective(instance, objective)
-    step, scale = _prepare_search(instance, true_matrix, step, budget)
-    return _best_response(
-        instance, true_matrix, true_matrix, instance.agent_index(agent), objective, step, scale
-    )
+    reported, value, _ = coalition_search(instance, true_matrix, (agent,), objective, step)
+    return reported.row(instance.agent_index(agent)), value
 
 
 def coalition_search(
@@ -646,39 +640,38 @@ def coalition_search(
     coalition: Iterable[str],
     objective,
     step=Fraction(1),
-    max_rounds: int = 10,
-    budget: int = SEARCH_BUDGET,
 ):
     """Coordinate-ascent over coalition members' rows.
 
     Cycles through members in roster order, replacing each row with its best
-    response holding the others fixed, until a full round changes nothing or
-    max_rounds is hit.  Returns (reported_matrix, achieved_value, converged).
+    response holding the others fixed.  A best response reads only the other
+    rows, so a member's row stays one until another member's row changes.
+    The search stops, converged, as soon as every member's row is a best
+    response to the current rows of the others, or unconverged after
+    MAX_ROUNDS rounds.  Returns (reported_matrix, achieved_value, converged).
     As in ``best_response_search``, the value can be worse than honesty's
     when ``step`` does not divide every member's true values.
     """
     _check_objective(instance, objective)
-    step, scale = _prepare_search(instance, true_matrix, step, budget)
-    members = [a for a in instance.agent_ids if a in set(coalition)]
+    step, scale = _prepare_search(instance, true_matrix, step)
+    coalition = set(coalition)
+    members = [i for i, a in enumerate(instance.agent_ids) if a in coalition]
     if not members:
         raise ValueError("coalition is empty")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
 
     current = true_matrix
-    converged = False
-    for _ in range(max_rounds):
-        changed = False
-        for agent in members:
-            agent_index = instance.agent_index(agent)
-            # The value is that of `current` once this row is in place.
-            row, value = _best_response(
-                instance, true_matrix, current, agent_index, objective, step, scale
-            )
-            if row != current.row(agent_index):
-                current = current.replace_row(agent_index, row)
-                changed = True
-        if not changed:
-            converged = True
-            break
-    return current, value, converged
+    settled = 0  # members, up to this one, whose rows are best responses
+    for turn in range(MAX_ROUNDS * len(members)):
+        agent_index = members[turn % len(members)]
+        # The value is that of `current` once this row is in place.
+        row, value = _best_response(
+            instance, true_matrix, current, agent_index, objective, step, scale
+        )
+        if row == current.row(agent_index):
+            settled += 1
+        else:
+            current = current.replace_row(agent_index, row)
+            settled = 1
+        if settled == len(members):
+            return current, value, True
+    return current, value, False

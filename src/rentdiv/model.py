@@ -62,9 +62,10 @@ def parse_money(s: str) -> Fraction:
 
 
 def render_money(x: Fraction) -> str:
-    """Render an exact rational to 2 decimal places, round half away from zero."""
-    sign = "-" if x < 0 else ""
+    """Render an exact rational to 2 decimal places, round half away from
+    zero; an amount that rounds to zero cents prints unsigned."""
     cents = (abs(x) * 100 + Fraction(1, 2)).__floor__()
+    sign = "-" if x < 0 and cents else ""
     return f"{sign}{cents // 100}.{cents % 100:02d}"
 
 

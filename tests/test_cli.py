@@ -11,6 +11,7 @@ import pytest
 from conftest import subprocess_env
 from rentdiv import matching, pricing
 from rentdiv.cli import (
+    COALITION_GRAMMAR,
     CONTESTED_GRAMMAR,
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -239,6 +240,10 @@ MALFORMED_FLAGS = [
         ["--coalition", "D", "--template", "flatten", "--target-rooms", "D:R4,D:R5"],
         f"--target-rooms 'D:R4,D:R5': 'D' appears twice; "
         f"expected {TARGET_ROOMS_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "D,D,D,D", "--template", "exclusionary"],
+        f"--coalition 'D,D,D,D': 'D' appears twice; expected {COALITION_GRAMMAR}",
     ),
     (
         ["--coalition", "D", "--search", "--step", "1/0"],

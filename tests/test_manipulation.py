@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_instance, random_rows
+from rentdiv import manipulation
 from rentdiv.manipulation import (
     SEARCH_BLOCK,
     ExcludeFromRooms,
@@ -64,6 +65,9 @@ class TestObjectives:
         )
         assert not objective_satisfied(
             inst, truth, honest, honest, MaximizeTrueUtility("D")
+        )
+        assert not objective_satisfied(
+            inst, truth, honest, honest, MinimizeCoalitionPayments(("D", "E"))
         )
         # Predicates just check the condition on the manipulated outcome.
         assert objective_satisfied(
@@ -174,16 +178,11 @@ class TestTemplates:
                 inst, truth, ["A", "B"], ["R1", "R2"], ["R3", "R4", "R5"]
             )
 
-    def test_defensive_infeasible_when_bids_exceed_rent(self, baseline):
-        inst, truth = baseline
+    def test_defensive_infeasible_when_bids_exceed_rent(self):
+        # Two bids of 12 exceed a rent of 20.
+        inst, truth = make_instance([(4, 4, 4, 4, 4)] * 5)
         with pytest.raises(InfeasibleTemplate):
-            template_defensive(
-                inst,
-                truth,
-                ["D"],
-                {"D": ("R1", "R2")},
-                inflate_value=F(20),
-            )
+            template_defensive(inst, truth, ["D"], {"D": ("R1", "R2")})
 
 
 class TestFastMechanism:
@@ -374,7 +373,7 @@ BASELINE_DIGESTS = [
 
 def _grid_scores(inst, truth, agent, objective, step):
     """[(units, score)] over the whole grid, and the payment denominator."""
-    step, scale = _prepare_search(inst, truth, step, 10**7)
+    step, scale = _prepare_search(inst, truth, step)
     agent_index = inst.agent_index(agent)
     blocks = _score_blocks(inst, truth, truth, agent_index, objective, step, scale)
     return [
@@ -458,6 +457,8 @@ class TestSearchKernel:
             ("A", MinimizeOwnPayment("A")),
             ("B", MaximizeTrueUtility("B")),
             ("C", SubsidizeAgent("C", "R3", F(1, 7))),
+            ("A", ExcludeFromRooms(("B",), ("R1",))),
+            ("C", MinimizeCoalitionPayments(("A", "C"))),
         ]:
             scores, nscale = _grid_scores(inst, truth, agent, objective, F(1, 2))
             for units, score in scores:
@@ -518,6 +519,30 @@ class TestSearch:
         assert row == (0, 0, 0, 18, 18)
         assert value == 5
 
+    def test_stops_once_every_member_is_settled(self, baseline, monkeypatch):
+        # A best response reads only the other rows, so the search stops as
+        # soon as each member's row answers the others' current rows.
+        inst, truth = baseline
+        calls = []
+        real = manipulation._best_response
+
+        def counted(*args):
+            calls.append(inst.agent_ids[args[3]])
+            return real(*args)
+
+        monkeypatch.setattr(manipulation, "_best_response", counted)
+        _, _, converged = coalition_search(inst, truth, ("C",), MinimizeOwnPayment("C"))
+        assert converged
+        assert calls == ["C"]
+        calls.clear()
+        objective = MinimizeCoalitionPayments(("D", "E"))
+        reported, value, converged = coalition_search(inst, truth, ("D", "E"), objective)
+        assert calls == ["D", "E", "D"]
+        assert reported.row(3) == (0, 12, 10, 7, 7)
+        assert reported.row(4) == (0, 0, 15, 10, 11)
+        assert reported.values[:3] == truth.values[:3]
+        assert (value, converged) == (F(62, 5), True)
+
     def test_coalition_search_converges_on_small_instance(self):
         inst, truth = make_instance([(4, 1, 1), (1, 4, 1), (1, 1, 4)], total=6)
         honest = solve(inst, truth)
@@ -530,3 +555,6 @@ class TestSearch:
         assert value <= honest_total
         # Non-members are never touched.
         assert reported.row(2) == truth.row(2)
+        # Any iterable names the members, a one-shot generator too.
+        members = (a for a in ("A", "B"))
+        assert coalition_search(inst, truth, members, objective) == (reported, value, converged)

@@ -53,6 +53,9 @@ class TestMoney:
     def test_render_rounds_half_away_from_zero(self):
         assert render_money(Fraction(1, 200)) == "0.01"  # 0.005 -> up
         assert render_money(Fraction(-1, 200)) == "-0.01"
+        # Amounts that round to zero cents print no sign.
+        assert render_money(Fraction(-1, 1000)) == "0.00"
+        assert render_money(Fraction(-1, 201)) == "0.00"
 
     def test_format_exact(self):
         assert format_exact(Fraction(36)) == "36"
