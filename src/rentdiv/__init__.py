@@ -22,7 +22,6 @@ from .matching import (
     max_welfare_assignment,
 )
 from .pricing import (
-    MaximinSolution,
     fm_feasible,
     is_envy_free,
     maximin_level,

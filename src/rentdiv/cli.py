@@ -127,25 +127,33 @@ def _report_text(scenario, outcome, report, out):
 
 
 def cmd_verify(args) -> int:
+    sources = {"a scenario file": args.scenario, "--builtin": args.builtin,
+               "--all-builtin": args.all_builtin}
+    given = [name for name, value in sources.items() if value]
+    if not given:
+        raise ParseError("verify needs a scenario file, --builtin or --all-builtin")
+    if len(given) > 1:
+        raise ParseError(
+            f"verify takes one of a scenario file, --builtin or --all-builtin, "
+            f"not {' and '.join(given)}"
+        )
     if args.all_builtin:
         items = scenarios.builtin_scenarios()
     elif args.builtin:
         try:
             items = [scenarios.builtin_scenario(args.builtin)]
         except KeyError:
-            _err(f"unknown builtin scenario {args.builtin!r}; pick from {', '.join(BUILTIN_SLUGS)}")
-            return EXIT_INVALID
+            raise ParseError(
+                f"unknown builtin scenario {args.builtin!r}; "
+                f"pick from {', '.join(BUILTIN_SLUGS)}"
+            ) from None
     else:
-        if not args.scenario:
-            _err("verify needs a scenario file, --builtin or --all-builtin")
-            return EXIT_INVALID
         items = [scenarios.load_scenario(args.scenario)]
 
     results = []
     for s in items:
         if s.expected is None:
-            _err(f"scenario {s.slug!r} has no expected outcome to verify against")
-            return EXIT_INVALID
+            raise ParseError(f"scenario {s.slug!r} has no expected outcome to verify against")
         outcome, report = scenarios.run_scenario(s)
         results.append((s, outcome, report))
 
@@ -307,31 +315,25 @@ def cmd_manipulate(args) -> int:
         )
     unknown = [a for a in coalition if a not in instance.agent_ids]
     if unknown:
-        _err(f"unknown coalition agent(s): {', '.join(unknown)}")
-        return EXIT_INVALID
-    try:
-        objective = _parse_objective(args.objective)
-        manipulation._check_objective(instance, objective)
-    except (ValueError, TypeError) as exc:
-        _err(str(exc))
-        return EXIT_INVALID
+        raise ParseError(f"unknown coalition agent(s): {', '.join(unknown)}")
+    objective = _parse_objective(args.objective)
+    manipulation._check_objective(instance, objective)
 
     step = _parse_step(args.step)
+    if args.template and args.search:
+        raise ParseError("--template and --search exclude each other; pick one")
     if args.template:
         if not coalition:
-            _err("--template needs --coalition")
-            return EXIT_INVALID
+            raise ParseError("--template needs --coalition")
         if args.template == "exclusionary":
             if not isinstance(objective, manipulation.ExcludeFromRooms):
-                _err("the exclusionary template needs an exclude:... objective")
-                return EXIT_INVALID
+                raise ParseError("the exclusionary template needs an exclude:... objective")
             claimed = [
                 r for r in instance.room_ids if r in objective.rooms
             ]
             victims = [r for r in instance.room_ids if r not in objective.rooms]
             if len(claimed) != len(coalition):
-                _err("coalition size must match the number of claimed rooms")
-                return EXIT_INVALID
+                raise ParseError("coalition size must match the number of claimed rooms")
             reported = manipulation.template_exclusionary(
                 instance, true_matrix, coalition, claimed, victims
             )
@@ -352,26 +354,21 @@ def cmd_manipulate(args) -> int:
             reported = manipulation.template_flatten(
                 instance, true_matrix, coalition, own
             )
-        elif args.template == "defensive":
+        else:  # defensive, the last choice argparse allows
             if not args.contested:
-                _err("the defensive template needs --contested D:R1+R2,...")
-                return EXIT_INVALID
+                raise ParseError("the defensive template needs --contested D:R1+R2,...")
             contested = _parse_member_rooms(
                 "--contested", args.contested, CONTESTED_GRAMMAR, instance, coalition, 2
             )
             reported = manipulation.template_defensive(
                 instance, true_matrix, coalition, contested
             )
-        else:  # pragma: no cover - argparse restricts choices
-            _err(f"unknown template {args.template!r}")
-            return EXIT_INVALID
     elif args.search:
         reported, _, _ = manipulation.coalition_search(
             instance, true_matrix, coalition, objective, step=step
         )
     else:
-        _err("pick one of --template or --search")
-        return EXIT_INVALID
+        raise ParseError("pick one of --template or --search")
 
     report = manipulation.evaluate_deviation(
         instance, true_matrix, reported, objective

@@ -96,21 +96,25 @@ Objective = object  # any of the five dataclasses above
 _MIN_PAY = (MinimizeOwnPayment, MinimizeCoalitionPayments)
 
 
+def _check_labels(instance: Instance, what: str, agents, rooms=()) -> None:
+    """Raise ValueError naming every agent or room label the instance lacks."""
+    bad = (set(agents) - set(instance.agent_ids)) | (set(rooms) - set(instance.room_ids))
+    if bad:
+        raise ValueError(f"{what} references unknown labels: {sorted(bad)}")
+
+
 def _check_objective(instance: Instance, objective) -> None:
-    agents = set(instance.agent_ids)
-    rooms = set(instance.room_ids)
     if isinstance(objective, ExcludeFromRooms):
-        bad = (objective.targets - agents) | (objective.rooms - rooms)
+        agents, rooms = objective.targets, objective.rooms
     elif isinstance(objective, _MIN_PAY):
-        bad = objective.coalition - agents
+        agents, rooms = objective.coalition, ()
     elif isinstance(objective, SubsidizeAgent):
-        bad = ({objective.beneficiary} - agents) | ({objective.room} - rooms)
+        agents, rooms = (objective.beneficiary,), (objective.room,)
     elif isinstance(objective, MaximizeTrueUtility):
-        bad = {objective.agent} - agents
+        agents, rooms = (objective.agent,), ()
     else:
         raise TypeError(f"unknown objective {objective!r}")
-    if bad:
-        raise ValueError(f"objective references unknown labels: {sorted(bad)}")
+    _check_labels(instance, "objective", agents, rooms)
 
 
 def exclusion_check(outcome: Outcome, targets: Iterable[str], rooms: Iterable[str]) -> bool:
@@ -245,9 +249,10 @@ def template_exclusionary(
     cyclic coalition order starting from the member after oneself.
     """
     validate_instance(instance, true_matrix)
+    victim_rooms = list(dict.fromkeys(victim_rooms))
+    _check_labels(instance, "template", coalition, [*claimed_rooms, *victim_rooms])
     if len(coalition) != len(claimed_rooms):
         raise ValueError("coalition and claimed_rooms must pair up")
-    victim_rooms = list(dict.fromkeys(victim_rooms))
     if set(claimed_rooms) & set(victim_rooms):
         raise ValueError("claimed and victim rooms overlap")
 
@@ -296,6 +301,7 @@ def template_flatten(
     mass on the member's own room."""
     validate_instance(instance, true_matrix)
     coalition = list(coalition)
+    _check_labels(instance, "template", coalition, own_room.values())
     for agent in coalition:
         if agent not in own_room:
             raise ValueError(f"own_room missing for {agent}")
@@ -329,6 +335,8 @@ def template_defensive(
     """
     validate_instance(instance, true_matrix)
     defenders = list(defenders)
+    rooms = [r for pair in contested.values() for r in pair]
+    _check_labels(instance, "template", defenders, rooms)
     matrix = true_matrix
     remainder = instance.total_rent - 2 * INFLATE_VALUE
     if remainder < 0:
@@ -336,6 +344,8 @@ def template_defensive(
             f"two bids of {INFLATE_VALUE} exceed the rent {instance.total_rent}"
         )
     for agent in defenders:
+        if agent not in contested:
+            raise ValueError(f"contested rooms missing for {agent}")
         pair = contested[agent]
         if len(set(pair)) != 2:
             raise ValueError(f"{agent} must contest two distinct rooms")
@@ -653,8 +663,9 @@ def coalition_search(
     when ``step`` does not divide every member's true values.
     """
     _check_objective(instance, objective)
-    step, scale = _prepare_search(instance, true_matrix, step)
     coalition = set(coalition)
+    _check_labels(instance, "coalition", coalition)
+    step, scale = _prepare_search(instance, true_matrix, step)
     members = [i for i, a in enumerate(instance.agent_ids) if a in coalition]
     if not members:
         raise ValueError("coalition is empty")

@@ -15,13 +15,17 @@ t* = (W - R - sum(m))/n (``maximin_level``).  ``rentdiv verify`` certifies
 maximin optimality with it.  The misreport search (``manipulation``) runs the
 same closure once per room of the searching agent.
 
-``maximin_prices`` checks the assignment with the closure and then takes one
-of two routes to the utilities:
+``maximin_prices`` checks the assignment with the closure, takes one of two
+routes to the utilities, and returns the mechanism's ``Outcome`` for the
+assignment at the resulting prices:
 
 - the closed form u_i = t* + m_i, when every m_i is 0 (the equal split of the
   surplus) and prices may be negative;
 - otherwise the leximin LP (``_leximin_utilities``): two-phase simplex with
   Bland's rule, maximizing the minimum utility and freezing forced agents.
+
+``solve`` is ``maximin_prices`` on the canonical welfare-maximizing
+assignment (``matching.max_welfare_assignment``).
 
 A Fourier-Motzkin feasibility oracle (``min_utility_feasible``), sharing no
 code with either, is kept as a test-only cross-check.
@@ -492,14 +496,6 @@ def _maximin_level(instance, matrix, assignment):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaximinSolution:
-    prices: PriceVector
-    utilities: dict  # agent_id -> Fraction
-    min_utility: Fraction
-    tight_envy_edges: tuple  # (agent_id, room_id) pairs where envy binds
-
-
 def is_envy_free(
     instance: Instance,
     matrix: ValuationMatrix,
@@ -523,9 +519,10 @@ def _envy_slacks(instance, matrix, assignment, prices):
                 yield agent, room, v - p - u
 
 
-def _maximin_lp(instance, matrix, sigma, floors, objective_agent=None):
+def _maximin_lp(instance, matrix, sigma, floors, nonnegative_prices, objective_agent=None):
     """LP over variables (p_0..p_{n-1}, t): maximize t (or u_a) subject to EF,
-    budget balance, and u_i >= floors[i] where given."""
+    budget balance, u_i >= floors[i] where given, and p_j >= 0 when
+    ``nonnegative_prices``."""
     n = instance.n
     zero = Fraction(0)
     nv = n + 1  # prices + t
@@ -552,6 +549,11 @@ def _maximin_lp(instance, matrix, sigma, floors, objective_agent=None):
             coeffs = [zero] * nv
             coeffs[sigma[i]] = Fraction(1)
             rows.append((coeffs, LE, matrix.value(i, sigma[i]) - floors[i]))
+    if nonnegative_prices:
+        for j in range(n):
+            coeffs = [zero] * nv
+            coeffs[j] = Fraction(-1)
+            rows.append((coeffs, LE, zero))
     objective = [zero] * nv
     if objective_agent is None:
         objective[n] = Fraction(1)
@@ -566,39 +568,27 @@ def maximin_prices(
     matrix: ValuationMatrix,
     assignment: Assignment,
     nonnegative_prices: bool = False,
-) -> MaximinSolution:
-    """Envy-free prices maximizing the minimum utility, leximin-refined.
+) -> Outcome:
+    """The assignment's ``Outcome`` at the envy-free prices that maximize the
+    minimum utility, leximin-refined.
 
     Raises NotWelfareMaximizing when the assignment does not maximize welfare
     (the envy-free polytope is empty exactly then).
     """
     validate_instance(instance, matrix)
-    n = instance.n
     sigma = assignment.to_indices(instance)
     level, chains = _maximin_level(instance, matrix, assignment)
     if nonnegative_prices or any(chains):
-        utilities_vec = _leximin_utilities(
-            instance, matrix, sigma, nonnegative_prices
-        )
+        utilities = _leximin_utilities(instance, matrix, sigma, nonnegative_prices)
     else:
         # u = t* + m, here the equal split of the surplus.
-        utilities_vec = [level + m for m in chains]
+        utilities = [level + m for m in chains]
 
-    plist = [Fraction(0)] * n
-    for i in range(n):
-        plist[sigma[i]] = matrix.value(i, sigma[i]) - utilities_vec[i]
+    plist = [Fraction(0)] * instance.n
+    for i, room in enumerate(sigma):
+        plist[room] = matrix.value(i, room) - utilities[i]
     prices = PriceVector.from_list(instance, plist)
-    tight = tuple(
-        (agent, room)
-        for agent, room, slack in _envy_slacks(instance, matrix, assignment, prices)
-        if slack == 0
-    )
-    return MaximinSolution(
-        prices=prices,
-        utilities=dict(zip(instance.agent_ids, utilities_vec)),
-        min_utility=min(utilities_vec),
-        tight_envy_edges=tight,
-    )
+    return build_outcome(instance, matrix, assignment, prices)
 
 
 def _leximin_utilities(instance, matrix, sigma, nonnegative_prices):
@@ -610,19 +600,11 @@ def _leximin_utilities(instance, matrix, sigma, nonnegative_prices):
     objective.
     """
     n = instance.n
-
-    def augment(lp):
-        if nonnegative_prices:
-            zero = Fraction(0)
-            for j in range(n):
-                coeffs = [zero] * (n + 1)
-                coeffs[j] = Fraction(-1)
-                lp.rows.append((coeffs, LE, zero))
-        return lp
-
     floors = [None] * n
     while any(f is None for f in floors):
-        res = simplex_solve(augment(_maximin_lp(instance, matrix, sigma, floors)))
+        res = simplex_solve(
+            _maximin_lp(instance, matrix, sigma, floors, nonnegative_prices)
+        )
         if res.status != "optimal":  # pragma: no cover
             raise AssertionError(f"maximin LP is {res.status}")
         t_star = res.x[n]
@@ -639,7 +621,9 @@ def _leximin_utilities(instance, matrix, sigma, nonnegative_prices):
             if u_now[i] > t_star:
                 continue  # current solution witnesses u_i above the level
             probe = simplex_solve(
-                augment(_maximin_lp(instance, matrix, sigma, trial, objective_agent=i))
+                _maximin_lp(
+                    instance, matrix, sigma, trial, nonnegative_prices, objective_agent=i
+                )
             )
             if probe.status != "optimal":  # pragma: no cover
                 raise AssertionError(f"freeze probe is {probe.status}")
@@ -660,11 +644,8 @@ def solve(
     nonnegative_prices: bool = False,
 ) -> Outcome:
     """Run the whole mechanism: welfare-max assignment, then maximin prices."""
-    result = matching.max_welfare_assignment(instance, matrix)
-    solution = maximin_prices(
-        instance, matrix, result.assignment, nonnegative_prices=nonnegative_prices
-    )
-    return build_outcome(instance, matrix, result.assignment, solution.prices)
+    assignment = matching.max_welfare_assignment(instance, matrix).assignment
+    return maximin_prices(instance, matrix, assignment, nonnegative_prices)
 
 
 def min_utility_feasible(

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats and exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -22,7 +23,7 @@ from rentdiv.cli import (
     TARGET_ROOMS_GRAMMAR,
     main,
 )
-from rentdiv.scenarios import builtin_scenario, save_scenario
+from rentdiv.scenarios import BUILTIN_SLUGS, builtin_scenario, save_scenario
 
 
 @pytest.fixture
@@ -82,6 +83,13 @@ class TestVerify:
 
     def test_file_argument(self, baseline_file):
         assert main(["verify", baseline_file]) == EXIT_OK
+
+    def test_file_and_builtin_rejected(self, baseline_file, capsys):
+        assert main(["verify", baseline_file, "--builtin", "baseline"]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "rentdiv: verify takes one of a scenario file, --builtin or "
+            "--all-builtin, not a scenario file and --builtin\n"
+        )
 
     def test_json_format(self, capsys):
         assert (
@@ -253,6 +261,10 @@ MALFORMED_FLAGS = [
         ["--coalition", "D", "--search", "--step", "-1"],
         f"--step '-1': not {STEP_GRAMMAR}",
     ),
+    (
+        ["--coalition", "D", "--template", "flatten", "--search"],
+        "--template and --search exclude each other; pick one",
+    ),
 ]
 
 
@@ -391,3 +403,141 @@ class TestTable:
             "match",
             "mismatch",
         ]
+
+
+def _golden_digest(code, out, err) -> str:
+    """SHA-256 of one command's (exit code, stdout, stderr)."""
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+FORMATS = ("text", "json", "csv")
+# {<slug>} stands for that builtin scenario saved to a file, {no_expected} for
+# the baseline saved without its expected outcome.
+MANIPULATE = ["manipulate", "{baseline}", "--coalition"]
+GOLDEN_COMMANDS = {
+    **{
+        f"solve {slug} {fmt}": ["solve", "{" + slug + "}", "--format", fmt]
+        for slug in BUILTIN_SLUGS
+        for fmt in FORMATS
+    },
+    **{
+        f"verify --all-builtin {fmt}": ["verify", "--all-builtin", "--format", fmt]
+        for fmt in FORMATS
+    },
+    **{
+        f"verify --builtin {slug} {fmt}": ["verify", "--builtin", slug, "--format", fmt]
+        for slug in BUILTIN_SLUGS
+        for fmt in FORMATS
+    },
+    **{f"table {fmt}": ["table", "--format", fmt] for fmt in FORMATS},
+    "template exclusionary": MANIPULATE
+    + ["A,B,C", "--objective", "exclude:D,E@R1,R2,R3", "--template", "exclusionary"],
+    "template defensive": MANIPULATE
+    + ["D,E", "--objective", "min-pay:D,E", "--template", "defensive",
+       "--contested", "D:R1+R2,E:R2+R3", "--format", "json"],
+    "template flatten": MANIPULATE
+    + ["D,E", "--objective", "min-pay:D,E", "--template", "flatten", "--format", "csv"],
+    "search one member": MANIPULATE + ["D", "--objective", "max-util:D", "--search"],
+    "search two members": MANIPULATE
+    + ["D,E", "--objective", "min-pay:D,E", "--search", "--format", "json"],
+    # Exit 2, one per invalid-input message of cmd_verify and cmd_manipulate.
+    "verify unknown builtin": ["verify", "--builtin", "nope"],
+    "verify no source": ["verify"],
+    "verify no expected": ["verify", "{no_expected}"],
+    "unknown coalition agent": MANIPULATE
+    + ["D,Z", "--objective", "min-pay:D", "--search"],
+    "unknown objective kind": MANIPULATE
+    + ["D", "--objective", "conquer:world", "--search"],
+    "objective unknown label": MANIPULATE
+    + ["D", "--objective", "min-pay:Z", "--search"],
+    "template without coalition": [
+        "manipulate", "{baseline}", "--objective", "min-pay:D", "--template", "flatten"
+    ],
+    "exclusionary needs exclude": MANIPULATE
+    + ["A,B,C", "--objective", "min-pay:A", "--template", "exclusionary"],
+    "exclusionary size mismatch": MANIPULATE
+    + ["A,B", "--objective", "exclude:D,E@R1,R2,R3", "--template", "exclusionary"],
+    "defensive needs contested": MANIPULATE
+    + ["D", "--objective", "min-pay:D", "--template", "defensive"],
+    "template or search": MANIPULATE + ["D", "--objective", "min-pay:D"],
+}
+# SHA-256 of each command's (exit code, stdout, stderr) as first recorded.
+GOLDEN_DIGESTS = {
+    "defensive needs contested": "f2e0dbbe0ec5b68bcddd1f31c2c22c61436537dcf4d85cf5b7d5062590fe67e0",
+    "exclusionary needs exclude": "cd04798e443bfd9a882815af3102829395ca3b91c665e048959f04f36fff854a",
+    "exclusionary size mismatch": "37426f0c038ee5895dec2a686e5fec57631ec03b4e8b493e0350996055e2e24f",
+    "objective unknown label": "7156c8e8bf433ba78ed74d6a97c6a65817c79c3265c91044b0a4c0505253c710",
+    "search one member": "b263ff50c3d7af24e10f31e614564342d21132da9bff6abd2dabe4e8685561b1",
+    "search two members": "db6d29e0569e1e8234fcb3b9e1bb76e17d4826adb6367930554369dd836e5e08",
+    "solve baseline csv": "8a0f26d9b0e8af4031b4953c51abb975efc6fe1363ce9c74933b51fdb40007dc",
+    "solve baseline json": "150c5497720620a45f7aadae2c4e6570f52d888a0062858831d8aa1a14c8522b",
+    "solve baseline text": "d662f26b42165728528e5f0d5e5d86401d96a145f075fe03641530a7bae79f0b",
+    "solve benevolent-collusion csv": "16905f7ffdac3d72348dd0b43489a31ad39556c4fab6826e6c84cf2fbe6c0410",
+    "solve benevolent-collusion json": "2d7c591ed5dbca77f3df4dbb132203300869c8cc2c0f471c25ca658e8ccaa8fd",
+    "solve benevolent-collusion text": "eac72c18b23c5aa661f67c819a8e78cd4ec8c2205452aab0e0c19684ebf0a443",
+    "solve cost-minimization csv": "152d643457aa926dba9300fc965d6665416686c2510c6d30e55e5c67b2a5e69c",
+    "solve cost-minimization json": "d2a52879a53d2224768d18781cd01d7456eaa28a8e687facb98fd187e079a449",
+    "solve cost-minimization text": "75726f7c837f4d5bd4d7e1941151d55e22741b3eb8d5aa94a51fefff6f3cd45d",
+    "solve exclusionary-collusion csv": "3628a8f4ab87d3030653b682c95fb158361c61acb0df0c5cbe660b4c464bcfc6",
+    "solve exclusionary-collusion json": "caa22a316db5109ad89b5b29a1bbe8ca7aee3c01521700cec073cad0549dff86",
+    "solve exclusionary-collusion text": "ec309622e418c8f7fd6576f21b628380df7e346f5751305e4e4ead87df498444",
+    "solve failed-counter-attack csv": "709accc04fecba59cb3a444b48a0b439e001c74ce644ac6813a0d3aaa4cd7dc9",
+    "solve failed-counter-attack json": "b1882474c30b0165eb74df36bb7590630ce858b259889e19955921d19662b858",
+    "solve failed-counter-attack text": "b10110542bd8fb3289a0fd302cc3e43e2ff8e815d0e7edaed4748ed7a18c2c0f",
+    "table csv": "93a039a35b961fad913b9681fbfcd8dd2d2f7621d5324b2b54d67b98f06b4b0f",
+    "table json": "04f65ea113079d270214558ea841b2acd21951ca045db56a38b6a10f0e9f552c",
+    "table text": "934f9b97a18a68d886dc7f9411fb76b76a7fa5d29d49030911fe56bfd702f703",
+    "template defensive": "782f30d45819db3484e75e4e440a3dce132d3f20fd41054f821d90d7e4f177a3",
+    "template exclusionary": "c7c0993f86b78f4054dd3fde60f4f7a7ff96e2e38b2cd9bbf39981c53f8c26a5",
+    "template flatten": "c6e1c76c4febfddb08c6c460c074e70b6a45b96f4bf920a781e7dd38c991193d",
+    "template or search": "5387a4a67940cc90eae95804300d37a9eab739a1e6fbd81fbe803d5f5bf3c9f1",
+    "template without coalition": "c295769f04a589d70ab70d3bf82073abf0339a18ab5ffc3ed1db99f5db0f3d83",
+    "unknown coalition agent": "f42b8e1fa8ad9cce878a47b776ee8ec1d78029cdaa148dfdeeb3c8c5531f00bc",
+    "unknown objective kind": "860bb88f09699f2bd9d64f228060f43fc7441fd7521eeb1062f445687df05eb9",
+    "verify --all-builtin csv": "c2e07306290cb574543b38f79eb67efa8cb38b939e2b05f4ea8f2910763d3020",
+    "verify --all-builtin json": "bdd0f6c9cee56d521ce4dd06bd1dd8eead0ef5485f62dddc979602d499baf4cc",
+    "verify --all-builtin text": "04a4a728194c7713551fc943f2889b5adcad0ebfd2c1a5457f4d918b706f9915",
+    "verify --builtin baseline csv": "f832785c0963a94a2c19ef9de85df3e1d1a71a530bae2ee39a4dada843d1fd91",
+    "verify --builtin baseline json": "24f3423447194b9bcc114eb43e6e94e28140a91b4e0828de32e5a4366f763f73",
+    "verify --builtin baseline text": "f4f1b45c9d29257510a78692c3566bc6fa9673e5b64f8fd002b7a1445352ec41",
+    "verify --builtin benevolent-collusion csv": "bf8b527491f2633e9d6b82164422f393b2363e7483f4e4e2a1ac62c43e3428ef",
+    "verify --builtin benevolent-collusion json": "5126cbbed7067e26643dc4ed14f4415a5d39d0bf3d72a8937eb74f1c17e6e6bd",
+    "verify --builtin benevolent-collusion text": "0d2b6e1cbb270df9448fbaa75c63a3ccc6fcf1bba0ec87880fae0486e0d495ad",
+    "verify --builtin cost-minimization csv": "3f354fe3f96a8cc7bdce5f18cd92f36ab5b7924ba95b50b9fc34cba279dc2e13",
+    "verify --builtin cost-minimization json": "863747c5c98d90267288ae2900e4eb8f91bb7bf5711b2ac06dbc7ec574b93d0a",
+    "verify --builtin cost-minimization text": "acd1c213290241f77cb4d2efe9e12f72a64ad01a84c3a9afb23f5103901eaae1",
+    "verify --builtin exclusionary-collusion csv": "227f092a61142cf79aff3f0116215207698c2230ffa02f6e838e3e86f594d947",
+    "verify --builtin exclusionary-collusion json": "d51fed99dfc958adcb8ab95af355cdb1ffa4c8d8dd8097702b5817bf04f2ec35",
+    "verify --builtin exclusionary-collusion text": "972d6553d453d68428bab351e7df7d5b7d9bf3984644488a718dc7f97cdb4816",
+    "verify --builtin failed-counter-attack csv": "e0092a0d13897f80bdfc2890d78f1cf5e9ddaac86c6b5925804d3c3b81ca96bd",
+    "verify --builtin failed-counter-attack json": "2fd53cef4328f485d214ca49672a844fd21c2d8b757cb668b0643e69fb6ad6df",
+    "verify --builtin failed-counter-attack text": "4a22ee1343e78e36ce7b5c29856727183b26f19dd8214bf0ac0501f19bd9e034",
+    "verify no expected": "7de323e318dcca2695543dd157f6c5c8b914b2ffe44a8750e555c2181f862791",
+    "verify no source": "7990c3446d4a73b8c47f421bbfa3af696a6a9809841c7a2c6b8576fa4d11493e",
+    "verify unknown builtin": "9750fc1be4a688a492f5ded80d7953ea35e9646c27106e492d9c1c8ffe61bd66",
+}
+
+
+class TestGoldenOutputs:
+    """Every command's whole output, pinned: a change to any byte of stdout
+    or stderr, or to an exit code, updates its digest deliberately."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden")
+        out = {}
+        for slug in BUILTIN_SLUGS:
+            out[slug] = str(root / f"{slug}.json")
+            save_scenario(builtin_scenario(slug), out[slug])
+        out["no_expected"] = str(root / "no-expected.json")
+        save_scenario(
+            dataclasses.replace(builtin_scenario("baseline"), expected=None),
+            out["no_expected"],
+        )
+        return out
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+    def test_output_digest(self, files, capsys, name):
+        code = main([a.format(**files) for a in GOLDEN_COMMANDS[name]])
+        captured = capsys.readouterr()
+        assert _golden_digest(code, captured.out, captured.err) == GOLDEN_DIGESTS[name]

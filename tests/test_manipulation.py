@@ -469,6 +469,40 @@ class TestSearchKernel:
                 )
 
 
+# (entry point called on the baseline's (instance, truth), the message it
+# must raise as a ValueError)
+UNKNOWN_LABELS = {
+    "coalition_search": (
+        lambda inst, truth: coalition_search(inst, truth, ("D", "Z"), MinimizeOwnPayment("D")),
+        "coalition references unknown labels: ['Z']",
+    ),
+    "best_response_search": (
+        lambda inst, truth: best_response_search(inst, truth, "Z", MinimizeOwnPayment("D")),
+        "coalition references unknown labels: ['Z']",
+    ),
+    "template_flatten": (
+        lambda inst, truth: template_flatten(inst, truth, ["A"], {"A": "R9"}),
+        "template references unknown labels: ['R9']",
+    ),
+    "template_defensive": (
+        lambda inst, truth: template_defensive(inst, truth, ["A"], {}),
+        "contested rooms missing for A",
+    ),
+    "template_exclusionary": (
+        lambda inst, truth: template_exclusionary(inst, truth, ["Z"], ["R1"], ["R4", "R5"]),
+        "template references unknown labels: ['Z']",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNKNOWN_LABELS))
+def test_unknown_labels_are_named(baseline, entry):
+    call, message = UNKNOWN_LABELS[entry]
+    with pytest.raises(ValueError) as exc:
+        call(*baseline)
+    assert str(exc.value) == message
+
+
 class TestSearch:
     def test_budget_guard(self, baseline):
         inst, truth = baseline

@@ -299,6 +299,19 @@ class TestMaximin:
             assert by_lp == [level + m for m in chains]
         assert positive > 15
 
+    def test_maximin_prices_returns_the_solve_outcome(self):
+        # Equal as Outcomes: assignment, prices, utilities, welfare and
+        # min_utility, on tie-heavy instances that take both routes.
+        rng = random.Random(8)
+        routes = set()
+        for trial in range(18):
+            n = 2 + trial % 6
+            inst, mat = make_instance(random_rows(rng, n, total=rng.choice((6, 36))))
+            out = solve(inst, mat)
+            assert maximin_prices(inst, mat, out.assignment) == out
+            routes.add(any(_envy_chains(inst, mat, out.assignment, out.welfare)))
+        assert routes == {False, True}
+
 
 class TestNonnegativePrices:
     # A = (18,18,0), B = (18,18,0), C = (35,1,0), R = 36: the canonical
@@ -320,6 +333,11 @@ class TestNonnegativePrices:
         assert out.utilities == {"A": F(0), "B": F(0), "C": F(17)}
         assert out.min_utility == F(0)
         assert is_envy_free(inst, mat, out.assignment, out.prices) == []
+
+    def test_maximin_prices_returns_the_solve_outcome(self):
+        inst, mat = make_instance(self.ROWS, total=36)
+        out = solve(inst, mat, nonnegative_prices=True)
+        assert maximin_prices(inst, mat, out.assignment, nonnegative_prices=True) == out
 
 
 class TestCertificates:
