@@ -363,16 +363,21 @@ def cmd_manipulate(args) -> int:
             reported = manipulation.template_defensive(
                 instance, true_matrix, coalition, contested
             )
+        report = manipulation.evaluate_deviation(
+            instance, true_matrix, reported, objective
+        )
     elif args.search:
-        reported, _, _ = manipulation.coalition_search(
-            instance, true_matrix, coalition, objective, step=step
+        # The search already solved the mechanism on the reports it returns.
+        reported, _, _, manipulated = manipulation._coalition_search(
+            instance, true_matrix, coalition, objective, step
+        )
+        honest = pricing.solve(instance, true_matrix)
+        report = manipulation._deviation_report(
+            instance, true_matrix, honest, manipulated, objective
         )
     else:
         raise ParseError("pick one of --template or --search")
 
-    report = manipulation.evaluate_deviation(
-        instance, true_matrix, reported, objective
-    )
     if args.format == "json":
         json.dump(_deviation_json(instance, report, reported), sys.stdout, indent=2)
         sys.stdout.write("\n")

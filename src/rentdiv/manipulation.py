@@ -11,6 +11,11 @@ work.  The arithmetic is exact: int64 where a bound shows it cannot wrap,
 Python integers otherwise.  The test suite pins this kernel against the exact
 simplex route and against the closure of each candidate's whole envy graph.
 
+A search also yields the mechanism's ``Outcome`` on the reports it returns,
+built from the winning candidate's assignment and integer payments, so
+``rentdiv manipulate --search`` solves only the truth; the LP route is a
+cross-check in the tests, not a second solve of the winning reports.
+
 Only the search kernel uses numpy, and imports it where it runs, so that
 templates, deviation reports and every command but ``--search`` never load it.
 """
@@ -24,10 +29,13 @@ from typing import Iterable
 
 from . import matching, pricing
 from .model import (
+    Assignment,
     Instance,
     Outcome,
+    PriceVector,
     RentDivisionError,
     ValuationMatrix,
+    build_outcome,
     compute_utilities,
     to_rational,
     validate_instance,
@@ -188,7 +196,17 @@ def evaluate_deviation(
     honest = pricing.solve(instance, true_matrix)
     manipulated = pricing.solve(instance, reported_matrix)
     _check_objective(instance, objective)
+    return _deviation_report(instance, true_matrix, honest, manipulated, objective)
 
+
+def _deviation_report(
+    instance: Instance,
+    true_matrix: ValuationMatrix,
+    honest: Outcome,
+    manipulated: Outcome,
+    objective,
+) -> DeviationReport:
+    """Compare two solved outcomes under the true values."""
     payment_delta = {
         a: manipulated.payment_of(a) - honest.payment_of(a)
         for a in instance.agent_ids
@@ -577,9 +595,10 @@ def _score_value(objective, score, nscale):
     return Fraction(-int(score), nscale)
 
 
-def _score_blocks(instance, true_matrix, matrix, agent_index, objective, step, scale):
-    """Yield (units, scores) per block of one agent's candidate rows, in
-    lexicographic order; a row is ``units * step``."""
+def _priced_blocks(instance, true_matrix, matrix, agent_index, objective, step, scale):
+    """Yield (units, scores, perm, pay) per block of one agent's candidate
+    rows, in lexicographic order: a row is ``units * step``, ``perm`` maps
+    each agent to its room and ``pay`` holds payment numerators over n*scale."""
     import numpy as np
 
     fast = _FastMechanism(instance, matrix, agent_index, scale)
@@ -589,21 +608,31 @@ def _score_blocks(instance, true_matrix, matrix, agent_index, objective, step, s
     for units in _composition_blocks(int(instance.total_rent / step), n):
         perm, assigned, u_num = fast.solve(units.astype(fast.dtype) * step_int)
         pay = n * assigned - u_num
-        yield units, _scores(instance, true_rows, objective, perm, pay, n * scale)
+        yield units, _scores(instance, true_rows, objective, perm, pay, n * scale), perm, pay
+
+
+def _score_blocks(instance, true_matrix, matrix, agent_index, objective, step, scale):
+    """(units, scores) of each block of ``_priced_blocks``."""
+    for units, scores, _, _ in _priced_blocks(
+        instance, true_matrix, matrix, agent_index, objective, step, scale
+    ):
+        yield units, scores
 
 
 def _best_response(instance, true_matrix, matrix, agent_index, objective, step, scale):
-    """(row, value) of the best report row; ties go to the first row in
-    lexicographic order."""
-    best_units = best_score = None
-    for units, scores in _score_blocks(
+    """(row, value, perm, pay) of the best report row, with that row's
+    assignment and payment numerators as ``_priced_blocks`` gives them; ties
+    go to the first row in lexicographic order."""
+    best = None
+    for units, scores, perm, pay in _priced_blocks(
         instance, true_matrix, matrix, agent_index, objective, step, scale
     ):
         k = int(scores.argmax())
-        if best_score is None or scores[k] > best_score:
-            best_units, best_score = units[k], scores[k]
-    row = tuple(int(u) * step for u in best_units)
-    return row, _score_value(objective, best_score, instance.n * scale)
+        if best is None or scores[k] > best[1]:
+            best = units[k], scores[k], perm[k], pay[k]
+    units, score, perm, pay = best
+    row = tuple(int(u) * step for u in units)
+    return row, _score_value(objective, score, instance.n * scale), perm, pay
 
 
 def _prepare_search(instance, true_matrix, step):
@@ -662,6 +691,18 @@ def coalition_search(
     As in ``best_response_search``, the value can be worse than honesty's
     when ``step`` does not divide every member's true values.
     """
+    return _coalition_search(instance, true_matrix, coalition, objective, step)[:3]
+
+
+def _coalition_search(instance, true_matrix, coalition, objective, step):
+    """``coalition_search``'s result plus the mechanism's ``Outcome`` on the
+    returned reports.
+
+    The last best response was scored with every other row at its value in
+    the returned matrix, so its winning candidate's assignment and payments
+    are those of ``pricing.solve`` on that matrix, converged or not; the
+    outcome is built from them without solving again.
+    """
     _check_objective(instance, objective)
     coalition = set(coalition)
     _check_labels(instance, "coalition", coalition)
@@ -675,7 +716,7 @@ def coalition_search(
     for turn in range(MAX_ROUNDS * len(members)):
         agent_index = members[turn % len(members)]
         # The value is that of `current` once this row is in place.
-        row, value = _best_response(
+        row, value, perm, pay = _best_response(
             instance, true_matrix, current, agent_index, objective, step, scale
         )
         if row == current.row(agent_index):
@@ -684,5 +725,17 @@ def coalition_search(
             current = current.replace_row(agent_index, row)
             settled = 1
         if settled == len(members):
-            return current, value, True
-    return current, value, False
+            break
+
+    perm = perm.tolist()
+    nscale = instance.n * scale
+    prices = [Fraction(0)] * instance.n
+    for room, numerator in zip(perm, pay.tolist()):
+        prices[room] = Fraction(numerator, nscale)
+    outcome = build_outcome(
+        instance,
+        current,
+        Assignment.from_indices(instance, perm),
+        PriceVector.from_list(instance, prices),
+    )
+    return current, value, settled == len(members), outcome

@@ -573,7 +573,8 @@ def maximin_prices(
     minimum utility, leximin-refined.
 
     Raises NotWelfareMaximizing when the assignment does not maximize welfare
-    (the envy-free polytope is empty exactly then).
+    (the envy-free polytope is empty exactly then), and RentDivisionError when
+    ``nonnegative_prices`` is set and no envy-free price vector is nonnegative.
     """
     validate_instance(instance, matrix)
     sigma = assignment.to_indices(instance)
@@ -605,8 +606,13 @@ def _leximin_utilities(instance, matrix, sigma, nonnegative_prices):
         res = simplex_solve(
             _maximin_lp(instance, matrix, sigma, floors, nonnegative_prices)
         )
-        if res.status != "optimal":  # pragma: no cover
-            raise AssertionError(f"maximin LP is {res.status}")
+        if res.status != "optimal":
+            # Without the price floor the program is feasible for every
+            # welfare-maximizing assignment, and each later round keeps the
+            # last optimum feasible, so only the floor can empty it.
+            raise RentDivisionError(
+                "no envy-free price vector is nonnegative for this assignment"
+            )
         t_star = res.x[n]
         u_now = [
             matrix.value(i, sigma[i]) - res.x[sigma[i]] for i in range(n)

@@ -148,6 +148,21 @@ class TestHotPath:
             == "6c98c4f7134ad606b4472011021f3ecde0b0ffb312657e6c70b5c8a4d0cc32df"
         )
 
+    @pytest.mark.parametrize("agent", "ABCDE")
+    def test_search_solves_truth_only(self, baseline_file, monkeypatch, agent):
+        # The manipulated outcome comes from the search's winning candidate:
+        # one solve, of the truth, and no simplex on the way.
+        calls = {"simplex_solve": 0, "solve": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(pricing, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pricing, name, counted)
+        argv = ["manipulate", baseline_file, "--coalition", agent]
+        assert main(argv + ["--objective", f"min-pay:{agent}", "--search"]) == EXIT_OK
+        assert calls == {"simplex_solve": 0, "solve": 1}
+
     def test_solve_runs_without_oracles(self, baseline_file, capsys):
         assert main(["solve", baseline_file]) == EXIT_OK
         assert capsys.readouterr().out == (

@@ -39,7 +39,7 @@ from rentdiv.matching import (
     max_welfare_assignment,
 )
 from rentdiv.pricing import envy_closure, envy_matrix, maximin_prices, solve
-from rentdiv.scenarios import builtin_scenario
+from rentdiv.scenarios import builtin_scenario, builtin_scenarios
 
 F = Fraction
 
@@ -592,3 +592,76 @@ class TestSearch:
         # Any iterable names the members, a one-shot generator too.
         members = (a for a in ("A", "B"))
         assert coalition_search(inst, truth, members, objective) == (reported, value, converged)
+
+
+def _one_of_each_kind(inst, agent, other):
+    """One objective of each of the five kinds, for a search by `agent`."""
+    return [
+        MinimizeOwnPayment(agent),
+        MinimizeCoalitionPayments((agent, other)),
+        MaximizeTrueUtility(agent),
+        ExcludeFromRooms((other,), (inst.room_ids[0],)),
+        SubsidizeAgent(other, inst.room_ids[-1], F(1)),
+    ]
+
+
+class TestSearchOutcome:
+    """The outcome the search builds from its winning candidate is the
+    mechanism's outcome on the reports it returns: equal as Outcomes, so in
+    assignment, prices, utilities, welfare and min_utility."""
+
+    @staticmethod
+    def search(inst, truth, coalition, objective, step=F(1)):
+        reported, value, converged, outcome = manipulation._coalition_search(
+            inst, truth, coalition, objective, step
+        )
+        assert outcome == solve(inst, reported)
+        assert value == objective_value(inst, truth, outcome, objective)
+        return converged
+
+    def test_random_tie_heavy_instances(self):
+        rng = random.Random(9)
+        for trial in range(20):
+            n = 2 + trial % 4
+            inst, truth = make_instance(random_rows(rng, n, total=rng.choice((4, 6))))
+            agent, other = rng.sample(inst.agent_ids, 2)
+            step = F(1, 1 + trial % 2)
+            for objective in _one_of_each_kind(inst, agent, other):
+                coalition = getattr(objective, "coalition", None) or (agent,)
+                self.search(inst, truth, coalition, objective, step)
+                if trial % 3 == 0:
+                    self.search(inst, truth, (agent, other), objective, step)
+
+    def test_builtins(self):
+        for sc in builtin_scenarios():
+            inst, truth = sc.instance, sc.truth()
+            agents = inst.agent_ids
+            for k, agent in enumerate(agents):
+                other = agents[(k + 1) % len(agents)]
+                objective = _one_of_each_kind(inst, agent, other)[k % 5]
+                coalition = getattr(objective, "coalition", None) or (agent,)
+                self.search(inst, truth, coalition, objective)
+
+    def test_fractional_truth(self):
+        # scale 2: the payments are numerators over n * scale = 6.
+        inst, truth = make_instance(
+            [(F(5, 2), F(1, 2), 1), (1, F(5, 2), F(1, 2)), (F(3, 2), F(3, 2), 1)]
+        )
+        for objective in _one_of_each_kind(inst, "A", "C"):
+            self.search(inst, truth, ("A",), objective, F(1, 2))
+            self.search(inst, truth, ("A", "C"), objective, F(1, 2))
+
+    def test_exact_integer_fallback(self):
+        # Past the int64 bound the kernel's arrays hold Python integers.
+        r = 4 * 10**18
+        inst, truth = make_instance([(r, 0, 0), (0, r, 0), (0, 0, r)])
+        objective = MinimizeCoalitionPayments(("A", "B"))
+        self.search(inst, truth, ("A", "B"), objective, F(r, 4))
+
+    def test_unconverged_search(self, baseline, monkeypatch):
+        # (D, E) needs a third best response to settle; one round stops
+        # after E's, with the outcome of the rows in place then.
+        monkeypatch.setattr(manipulation, "MAX_ROUNDS", 1)
+        inst, truth = baseline
+        objective = MinimizeCoalitionPayments(("D", "E"))
+        assert not self.search(inst, truth, ("D", "E"), objective)

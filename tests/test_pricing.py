@@ -13,7 +13,7 @@ from rentdiv.matching import (
     brute_force_assignment,
     max_welfare_assignment,
 )
-from rentdiv.model import Assignment, PriceVector, parse_money
+from rentdiv.model import Assignment, PriceVector, RentDivisionError, parse_money
 from rentdiv.pricing import (
     CERTIFICATE_EPSILON,
     EQ,
@@ -333,6 +333,23 @@ class TestNonnegativePrices:
         assert out.utilities == {"A": F(0), "B": F(0), "C": F(17)}
         assert out.min_utility == F(0)
         assert is_envy_free(inst, mat, out.assignment, out.prices) == []
+
+    def test_no_nonnegative_envy_free_prices(self):
+        # The 4th `contested` input of the benchmark's seed 1: every
+        # envy-free price vector charges some room a negative price, so the
+        # floor leaves no price vector to choose from.
+        rows = [
+            (44, 129, 140, 87, 188, 12),
+            (12, 159, 31, 27, 281, 90),
+            (237, 176, 111, 25, 8, 43),
+            (275, 76, 8, 108, 120, 13),
+            (5, 126, 259, 131, 36, 43),
+            (57, 152, 225, 94, 42, 30),
+        ]
+        inst, mat = make_instance(rows, total=600)
+        assert min(solve(inst, mat).prices.as_list(inst)) < 0
+        with pytest.raises(RentDivisionError, match="no envy-free price vector is nonnegative"):
+            solve(inst, mat, nonnegative_prices=True)
 
     def test_maximin_prices_returns_the_solve_outcome(self):
         inst, mat = make_instance(self.ROWS, total=36)
