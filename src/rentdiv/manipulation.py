@@ -1,23 +1,23 @@
 """Coalition modelling: strategy templates, misreport search, deviation scoring.
 
 Templates construct the three archetypal coordinated misreports (room capture,
-defensive inflation, preference flattening).  The search operations enumerate
-every report row on a value grid, in lexicographic order and in blocks of
-SEARCH_BLOCK rows, and score each block in one array pass of the mechanism on
-integer-scaled values (``_FastMechanism``): once per search, the per-room
-winners and the others' envy chains come from ``matching.canonical_optimum``
-and ``pricing.envy_closure``, after which each candidate costs O(n) array
-work.  The arithmetic is exact: int64 where a bound shows it cannot wrap,
-Python integers otherwise.  The test suite pins this kernel against the exact
-simplex route and against the closure of each candidate's whole envy graph.
+defensive inflation, preference flattening).  The search finds one agent's
+best report row on a value grid without scoring rows one by one: once the
+room the agent wins is fixed, the mechanism's outcome depends on its row only
+through one integer, its chain offset y, and the rows that reach each room
+and offset form boxes with closed-form bounds (``_best_response``).  The
+per-room tables behind it, the others' canonical optima and envy chains,
+come once per best response from ``matching.canonical_optimum`` and
+``pricing.envy_closure`` (``_room_tables``).  The arithmetic is exact Python
+integers on the values scaled by their common denominator.
 
 A search also yields the mechanism's ``Outcome`` on the reports it returns,
-built from the winning candidate's assignment and integer payments, so
-``rentdiv manipulate --search`` solves only the truth; the LP route is a
-cross-check in the tests, not a second solve of the winning reports.
+built from the best row's assignment and integer payments, so
+``rentdiv manipulate --search`` solves only the truth.
 
-Only the search kernel uses numpy, and imports it where it runs, so that
-templates, deviation reports and every command but ``--search`` never load it.
+The module runs in pure Python.  The enumeration oracle at its end, which
+scores every report row of the grid in numpy blocks (``_FastMechanism``), is
+there for the tests, which hold the search to it; no command calls it.
 """
 
 from __future__ import annotations
@@ -407,12 +407,482 @@ def _fill_defensive_rest(row, rest, true_values, remainder):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive misreport search
+# Misreport search
 # ---------------------------------------------------------------------------
 
 SEARCH_BUDGET = 10**7  # candidate rows per member; beyond it a search refuses
-SEARCH_BLOCK = 1024  # candidate rows scored per array pass
 MAX_ROUNDS = 10  # coalition rounds before a search gives up on convergence
+
+
+def _room_tables(rows, agent):
+    """The mechanism's data per room r the searching agent may win, none of
+    it read from that agent's own row: (perm, assigned, chain, reach, keys,
+    welfare), each a list indexed by r, on scaled integer reports ``rows``.
+
+    Among the assignments that give the agent room r, the agent adds the same
+    welfare and the same (value, agent) entry at room r to the canonical
+    tie-break, so their canonical optimum sigma_r is that of the others on
+    the other rooms (``matching.canonical_optimum``), whatever the agent
+    reports.  ``perm[r]`` maps each agent to its room under sigma_r,
+    ``assigned[r]`` is each agent's value of that room, ``keys[r]`` the
+    tie-break key value*n + agent of each room's occupant by room (value*n +
+    agent orders exactly like the (value, agent) pair), and ``welfare[r]``
+    the others' welfare W_-r.
+
+    The envy edge i -> k weighs v_i(sigma(k)) - v_k(sigma(k)); only the
+    edges at the agent read its row.  From the closure C_r of the others'
+    envy graph under sigma_r (``pricing.envy_closure``), ``chain[r][i]`` is
+    m'_i = max_k C_r[i][k], the heaviest chain of i among the others, and
+    ``reach[r][i]`` is max_k (C_r[i][k] + v_k(r)); both are 0 at the agent.
+    """
+    n = len(rows)
+    others = [k for k in range(n) if k != agent]
+    perm, assigned, chain, reach, keys, welfare = [], [], [], [], [], []
+    for r in range(n):
+        rooms = [j for j in range(n) if j != r]
+        sub, w = matching.canonical_optimum([[rows[k][j] for j in rooms] for k in others])
+        sigma = [r] * n
+        for k, j in zip(others, sub):
+            sigma[k] = rooms[j]
+        closed = pricing.envy_closure(
+            pricing.envy_matrix([rows[k] for k in others], [sigma[k] for k in others])
+        )
+        chain_r, reach_r = [0] * n, [0] * n
+        for k, row in zip(others, closed):
+            chain_r[k] = max(row)
+            reach_r[k] = max(c + rows[o][r] for c, o in zip(row, others))
+        perm.append(sigma)
+        assigned.append([rows[k][j] for k, j in enumerate(sigma)])
+        chain.append(chain_r)
+        reach.append(reach_r)
+        keys.append([rows[k][j] * n + k for j, k in enumerate(_occupants(sigma))])
+        welfare.append(w)
+    return perm, assigned, chain, reach, keys, welfare
+
+
+def _occupants(sigma):
+    """Room -> agent, the inverse of an agent -> room list."""
+    occupant = [0] * len(sigma)
+    for k, j in enumerate(sigma):
+        occupant[j] = k
+    return occupant
+
+
+def _objective_margin(instance, true_matrix, objective, perm, scale):
+    """(ok, margin, numeric): the objective on the candidates that give the
+    searching agent room r, whose assignment is ``perm[r]``.
+
+    ``margin(r, pay)`` reads the payment numerators over n*scale.  A numeric
+    objective scores the margin itself, exactly as ``_scores`` does; a
+    predicate holds where ``ok[r]`` and the margin is nonnegative.
+    """
+    n = instance.n
+    if isinstance(objective, ExcludeFromRooms):
+        targets = [instance.agent_index(a) for a in objective.targets]
+        rooms = {instance.room_index(r) for r in objective.rooms}
+        ok = [all(p[t] not in rooms for t in targets) for p in perm]
+        return ok, lambda r, pay: 0, False
+    if isinstance(objective, _MIN_PAY):
+        members = [instance.agent_index(a) for a in objective.coalition]
+        return [True] * n, lambda r, pay: -sum(pay[i] for i in members), True
+    if isinstance(objective, SubsidizeAgent):
+        ben = instance.agent_index(objective.beneficiary)
+        room = instance.room_index(objective.room)
+        cap = math.floor(objective.max_price * n * scale)
+        return [p[ben] == room for p in perm], lambda r, pay: cap - pay[ben], False
+    if isinstance(objective, MaximizeTrueUtility):
+        who = instance.agent_index(objective.agent)
+        truth = pricing._scaled_rows(true_matrix.values, scale)[who]
+        return [True] * n, lambda r, pay: n * truth[perm[r][who]] - pay[who], True
+    raise TypeError(f"unknown objective {objective!r}")
+
+
+def _score_value(objective, score, nscale):
+    """The objective value a score stands for, as ``objective_value`` gives it."""
+    if isinstance(objective, (ExcludeFromRooms, SubsidizeAgent)):
+        return bool(score)
+    if isinstance(objective, MaximizeTrueUtility):
+        return Fraction(int(score), nscale)
+    return Fraction(-int(score), nscale)
+
+
+def _tie_rule(keys, r, s):
+    """Whether room r beats room s on a welfare tie when that does not hang
+    on the searching agent's row, else None.  The winner's key vector,
+    keys[r] with the agent's own key at room r, is the larger one: the first
+    room where keys[r] and keys[s] differ decides, unless it is r or s,
+    where one side is the agent's key."""
+    for j in range(min(r, s)):
+        if keys[r][j] != keys[s][j]:
+            return keys[r][j] > keys[s][j]
+    return None
+
+
+def _least_level(need, bounds):
+    """The least integer v with v + sum(min(cap, v + e)) >= need over the
+    (cap, e) pairs in ``bounds``.
+
+    The sum is the least, over the ways to pick one term per pair, of
+    sum(cap) + sum(e - cap) + m*v over the m pairs that take v + e; for each
+    m the m smallest (e - cap) bind, so v needs (m + 1)*v >= need - sum(cap)
+    - (their sum) for every m.
+    """
+    deficit = need - sum(cap for cap, _ in bounds)
+    least = deficit
+    for m, d in enumerate(sorted(e - cap for cap, e in bounds), 1):
+        deficit -= d
+        least = max(least, -(-deficit // (m + 1)))
+    return least
+
+
+def _lex_first(n, fixed, free, need):
+    """The lexicographically first row of n grid units with the ``fixed``
+    (room, units) entries and, on the ``free`` (room, bound) entries in room
+    order, 0 <= u <= bound summing to ``need``; the bounds admit one."""
+    row = [0] * n
+    for k, u in fixed:
+        row[k] = u
+    left = sum(b for _, b in free)
+    for k, b in free:
+        left -= b
+        row[k] = max(0, need - left)
+        need -= row[k]
+    return row
+
+
+def _linear_run(t, g, t2, g2):
+    """The t-interval of [t, t2] on which an integer-linear function with
+    values g at t and g2 at t2 is nonnegative, or None."""
+    if g >= 0 and g2 >= 0:
+        return t, t2
+    if g < 0 and g2 < 0:
+        return None
+    slope = (g2 - g) // (t2 - t)
+    if g >= 0:
+        return t, t + g // -slope
+    return t - g // slope, t2
+
+
+def _merge(spans):
+    """Sorted [t1, t2] integer spans with overlapping or adjacent ones joined."""
+    merged = []
+    for t1, t2 in spans:
+        if merged and t1 <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], t2)
+        else:
+            merged.append([t1, t2])
+    return merged
+
+
+def _best_response(instance, true_matrix, matrix, agent_index, objective, step, scale):
+    """(row, value, perm, pay) of the best report row of one agent, every
+    other row as in ``matrix``: the row, the objective value, and that row's
+    assignment (agent -> room) and payment numerators over n*scale as lists
+    of ints.  Ties go to the first row in lexicographic order.  It gives what
+    the enumeration oracle ``_priced_blocks`` gives, without scoring rows.
+
+    Fix the room r the agent a wins; the outcome then hangs on a's row x
+    through y = m_a - x_r alone: with S(y) = sum over i != a of
+    m_i = max(m'_i, reach_r[i] + y), every u_i*n*scale is shared + n*m_i
+    with shared = W_-r - R - S(y) - y, so pay_a = -shared - n*y and every
+    payment is piecewise linear in y with breakpoints at m'_i - reach_r[i].
+
+    The rows in which a wins r with q units on it cap every other room s,
+    x_s <= x_r + W_-r - W_-s, strictly when a welfare tie goes to s (the
+    tie-break reads only x_r or x_s there).  Since m_a = max(0, max_s (x_s -
+    c_s)) with c_s = v_k(s) - m'_k for the occupant k of s, they split into
+    one box where m_a = 0 and, for each room s* that attains the chain, boxes
+    indexed by v = u_s*, where y = v*step - c_s* - x_r and each free room k
+    holds u_k <= min(cap_k, v + e_k), e_k = floor((c_k - c_s*)/step).
+    Feasibility grows with v, so each family's v form one interval.  The
+    best value is the maximum over the ends of each y interval and the grid
+    points next to each breakpoint; the first optimal row is the least, over
+    the optimal boxes, of a box's first row.  Over a family, that row falls
+    in lexicographic order as v rises until the free rooms before s* are
+    empty, and rises with v after, so one v per family is a candidate.
+    With T grid steps in a row, that is O(n**3 * T * log n) integer work
+    against the C(T + n - 1, n - 1) rows of the grid.
+    """
+    n, a = instance.n, agent_index
+    unit = int(step * scale)  # one grid step on the scaled values
+    total = int(instance.total_rent / step)  # grid steps in a row
+    rent = int(instance.total_rent * scale)
+    perm, assigned, chain, reach, keys, welfare = _room_tables(
+        pricing._scaled_rows(matrix.values, scale), a
+    )
+    ok, margin, numeric = _objective_margin(instance, true_matrix, objective, perm, scale)
+
+    def payments(r, y):
+        m = [max(c, h + y) for c, h in zip(chain[r], reach[r])]
+        m[a] = 0
+        shared = welfare[r] - rent - y - sum(m)
+        pay = [n * (v - mi) - shared for v, mi in zip(assigned[r], m)]
+        pay[a] = -shared - n * y
+        return pay
+
+    margins = {}
+
+    def margin_at(r, y):
+        if (r, y) not in margins:
+            margins[r, y] = margin(r, payments(r, y))
+        return margins[r, y]
+
+    # The boxes of each room r: per own units q, the caps on the other
+    # rooms, the bounds of the box where m_a = 0 (None if empty), and the
+    # (s*, lowest v, highest v) of each nonempty family.  Grid points y =
+    # rho + unit*t reached in r, as t-spans per residue rho.
+    layout, reached = [], []
+    for r in range(n):
+        occupant = _occupants(perm[r])
+        other = [s for s in range(n) if s != r]
+        c = [assigned[r][k] - chain[r][k] for k in occupant]
+        e = [[(ck - cs) // unit for ck in c] for cs in c]
+        rule = {s: _tie_rule(keys, r, s) for s in other}
+        # Family s* reaches y = residue + unit*t at t = v + offset - q, and
+        # its chain alone asks v*unit >= c_s* and v + e_k >= 0.
+        residue = [-cs % unit for cs in c]
+        offset = [-cs // unit for cs in c]
+        lowest = [
+            max(0, -offset[s], *(-e[s][k] for k in other if k != s)) for s in range(n)
+        ]
+        boxes, spans = [], {}
+        for q in range(total + 1):
+            need = total - q
+            caps = [0] * n
+            for s in other:
+                tied = q * unit + welfare[r] - welfare[s]  # the x_s of a welfare tie
+                # Unless a key before both rooms decides, the tie goes to
+                # the larger key at room min(r, s), where one side is a's.
+                wins = rule[s]
+                if wins is None and r < s:
+                    wins = q * unit * n + a > keys[s][r]
+                elif wins is None:
+                    wins = keys[r][s] > tied * n + a
+                caps[s] = (tied - (not wins)) // unit
+            if any(caps[s] < 0 for s in other):
+                continue
+            if sum(min(caps[s], need) for s in other) < need:
+                continue
+            zero = [(k, min(caps[k], c[k] // unit)) for k in other]
+            if all(b >= 0 for _, b in zero) and sum(b for _, b in zero) >= need:
+                spans.setdefault(0, []).append((-q, -q))
+            else:
+                zero = None
+            families = []
+            for s in other:
+                hi = min(caps[s], need)
+                if lowest[s] > hi:
+                    continue
+                free = [(caps[k], e[s][k]) for k in other if k != s]
+                lo = max(lowest[s], _least_level(need, free))
+                if lo <= hi:
+                    families.append((s, lo, hi))
+                    shift = offset[s] - q
+                    spans.setdefault(residue[s], []).append((lo + shift, hi + shift))
+            boxes.append((q, caps, zero, families))
+        layout.append((other, c, e, residue, offset, boxes))
+        breaks = [chain[r][i] - reach[r][i] for i in range(n) if i != a]
+        runs = {}
+        for rho, found in spans.items():
+            runs[rho] = []
+            for t1, t2 in _merge(sorted(found)):
+                points = {t1, t2}
+                for b in breaks:
+                    tb = (b - rho) // unit
+                    points.update(t for t in (tb, tb + 1) if t1 < t < t2)
+                runs[rho].append(sorted(points))
+        reached.append(runs)
+
+    # The best score: each margin is linear in y between breakpoints.
+    def score(r, y):
+        if numeric:
+            return margin_at(r, y)
+        return int(ok[r] and margin_at(r, y) >= 0)
+
+    best = max(
+        score(r, rho + unit * t)
+        for r, runs in enumerate(reached)
+        for rho, points in runs.items()
+        for run in points
+        for t in run
+    )
+    if numeric:
+        def gap(r, y):
+            return margin_at(r, y) - best
+    elif best:
+        gap = margin_at
+    else:
+        def gap(r, y):
+            return 0
+
+    # Optimal t-spans per room and residue: a run between neighbouring
+    # points is linear, so its optimal part is one span.
+    optimal = []
+    for r, runs in enumerate(reached):
+        optimal.append({})
+        if not numeric and best and not ok[r]:
+            continue
+        for rho, points in runs.items():
+            spans = []
+            for run in points:
+                gs = [gap(r, rho + unit * t) for t in run]
+                if len(run) == 1 and gs[0] >= 0:
+                    spans.append((run[0], run[0]))
+                for t, g, t2, g2 in zip(run, gs, run[1:], gs[1:]):
+                    span = _linear_run(t, g, t2, g2)
+                    if span:
+                        spans.append(span)
+            if spans:
+                optimal[r][rho] = _merge(spans)
+
+    # The first optimal row.  A box whose every row follows the best row
+    # found so far is skipped.
+    first = pick = None
+    for r, (other, c, e, residue, offset, boxes) in enumerate(layout):
+        if not optimal[r]:
+            continue
+        for q, caps, zero, families in boxes:
+            need = total - q
+            if first is not None:
+                if first[: r + 1] < [0] * r + [q]:
+                    break  # every later box of r starts after the best row
+                if _lex_first(n, [(r, q)], [(k, caps[k]) for k in other], need) >= first:
+                    continue
+            if zero is not None and any(t1 <= -q <= t2 for t1, t2 in optimal[r].get(0, ())):
+                row = _lex_first(n, [(r, q)], zero, need)
+                if first is None or row < first:
+                    first, pick = row, (r, -q * unit)
+            for s, lo, hi in families:
+                shift = q - offset[s]  # v = t + shift
+                spans = [
+                    (max(lo, t1 + shift), min(hi, t2 + shift))
+                    for t1, t2 in optimal[r].get(residue[s], ())
+                ]
+                spans = [(v1, v2) for v1, v2 in spans if v1 <= v2]
+                if not spans:
+                    continue
+                empty = _least_level(need, [(caps[k], e[s][k]) for k in other if k > s])
+                v = next((max(v1, empty) for v1, v2 in spans if v2 >= empty), spans[-1][1])
+                free = [(k, min(caps[k], v + e[s][k])) for k in other if k != s]
+                row = _lex_first(n, [(r, q), (s, v)], free, need - v)
+                if first is None or row < first:
+                    first, pick = row, (r, (v - q) * unit - c[s])
+
+    r, y = pick
+    row = tuple(u * step for u in first)
+    return row, _score_value(objective, best, n * scale), perm[r], payments(r, y)
+
+
+def _prepare_search(instance, true_matrix, step):
+    validate_instance(instance, true_matrix)
+    step = to_rational(step)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    units = instance.total_rent / step
+    if units.denominator != 1:
+        raise ValueError("step must divide the total rent")
+    count = math.comb(int(units) + instance.n - 1, instance.n - 1)
+    if count > SEARCH_BUDGET:
+        raise SearchSpaceTooLarge(count)
+    scale = math.lcm(
+        step.denominator,
+        instance.total_rent.denominator,
+        *(v.denominator for row in true_matrix.values for v in row),
+    )
+    return step, scale
+
+
+def best_response_search(
+    instance: Instance,
+    true_matrix: ValuationMatrix,
+    agent: str,
+    objective,
+    step=Fraction(1),
+):
+    """The best of all one agent's report rows on the grid, all others
+    truthful: ``coalition_search`` for the coalition of one.
+
+    Returns (best_row, achieved_value) where the value is measured against
+    true preferences.  Ties go to the lexicographically smallest row.  The
+    true row is a candidate only when ``step`` divides each of the agent's
+    true values; only then can the result never score worse than honesty.
+    """
+    reported, value, _ = coalition_search(instance, true_matrix, (agent,), objective, step)
+    return reported.row(instance.agent_index(agent)), value
+
+
+def coalition_search(
+    instance: Instance,
+    true_matrix: ValuationMatrix,
+    coalition: Iterable[str],
+    objective,
+    step=Fraction(1),
+):
+    """Coordinate-ascent over coalition members' rows.
+
+    Cycles through members in roster order, replacing each row with its best
+    response holding the others fixed.  A best response reads only the other
+    rows, so a member's row stays one until another member's row changes.
+    The search stops, converged, as soon as every member's row is a best
+    response to the current rows of the others, or unconverged after
+    MAX_ROUNDS rounds.  Returns (reported_matrix, achieved_value, converged).
+    As in ``best_response_search``, the value can be worse than honesty's
+    when ``step`` does not divide every member's true values.
+    """
+    return _coalition_search(instance, true_matrix, coalition, objective, step)[:3]
+
+
+def _coalition_search(instance, true_matrix, coalition, objective, step):
+    """``coalition_search``'s result plus the mechanism's ``Outcome`` on the
+    returned reports.
+
+    The last best response was scored with every other row at its value in
+    the returned matrix, so its winning candidate's assignment and payments
+    are those of ``pricing.solve`` on that matrix, converged or not; the
+    outcome is built from them without solving again.
+    """
+    _check_objective(instance, objective)
+    coalition = set(coalition)
+    _check_labels(instance, "coalition", coalition)
+    step, scale = _prepare_search(instance, true_matrix, step)
+    members = [i for i, a in enumerate(instance.agent_ids) if a in coalition]
+    if not members:
+        raise ValueError("coalition is empty")
+
+    current = true_matrix
+    settled = 0  # members, up to this one, whose rows are best responses
+    for turn in range(MAX_ROUNDS * len(members)):
+        agent_index = members[turn % len(members)]
+        # The value is that of `current` once this row is in place.
+        row, value, perm, pay = _best_response(
+            instance, true_matrix, current, agent_index, objective, step, scale
+        )
+        if row == current.row(agent_index):
+            settled += 1
+        else:
+            current = current.replace_row(agent_index, row)
+            settled = 1
+        if settled == len(members):
+            break
+
+    nscale = instance.n * scale
+    prices = [Fraction(0)] * instance.n
+    for room, numerator in zip(perm, pay):
+        prices[room] = Fraction(numerator, nscale)
+    outcome = build_outcome(
+        instance,
+        current,
+        Assignment.from_indices(instance, perm),
+        PriceVector.from_list(instance, prices),
+    )
+    return current, value, settled == len(members), outcome
+
+
+# ---------------------------------------------------------------------------
+# Enumeration oracle
+# ---------------------------------------------------------------------------
+
+SEARCH_BLOCK = 1024  # candidate rows scored per array pass
 
 
 def _composition_blocks(total: int, parts: int):
@@ -447,27 +917,16 @@ def _composition_blocks(total: int, parts: int):
 
 class _FastMechanism:
     """The mechanism on integer-scaled values, batched over the report rows
-    x of one searching agent a while every other row stays fixed.
+    x of one searching agent a while every other row stays fixed: the
+    enumeration oracle the tests hold ``_best_response`` to.
 
-    Fix the room r the agent gets.  Among the assignments that give it r, the
-    agent adds the same welfare and the same (value, agent) entry at room r
-    to the canonical tie-break, so the canonical optimum of that group is the
-    canonical optimum sigma_r of the others on the other rooms
-    (``matching.canonical_optimum``), whatever x is.  These n per-room
-    winners are found once; for a block of B rows, welfare is then a (B, n)
-    array, and winners tied on welfare are settled room by room on
-    value*n + agent keys, which order exactly like the (value, agent) pairs.
-
-    Maximin utilities are u_i = (W - R - sum(m))/n + m_i, with m_i the
-    heaviest walk leaving i in the envy graph whose edge i -> k weighs
-    v_i(sigma(k)) - v_k(sigma(k)).  Only the edges at a depend on x, so the
-    closure C_r of the others' envy graph under sigma_r
-    (``pricing.envy_closure``) is also found once per room, giving each
-    other agent i its chain m'_i = max_k C_r[i][k] among the others and its
-    heaviest walk into a, reach_r[i] - x[r] with reach_r[i] =
-    max_k (C_r[i][k] + v_k(r)), since the edge k -> a weighs v_k(r) - x[r].
-    The winner has no positive envy cycle, so a heaviest walk visits a at
-    most once, and per candidate
+    The per-room tables come from ``_room_tables``.  For a block of B rows,
+    welfare is a (B, n) array, and winners tied on welfare are settled room
+    by room on the value*n + agent keys.  Maximin utilities are u_i = (W - R
+    - sum(m))/n + m_i, with m_i the heaviest walk leaving i in the envy
+    graph.  The edge k -> a weighs v_k(r) - x[r], so other agent i's
+    heaviest walk into a is reach_r[i] - x[r]; the winner has no positive
+    envy cycle, so a heaviest walk visits a at most once, and per candidate
         m_a = max(0, max_{k != a} (x[sigma_r(k)] - v_k(sigma_r(k)) + m'_k)),
         m_i = max(m'_i, reach_r[i] - x[r] + m_a),
     that is O(n) array work.
@@ -490,34 +949,9 @@ class _FastMechanism:
             raise ValueError(f"scale {scale} does not make the rent integral")
         self.rent = int(rent)
         self.dtype = np.int64 if 4 * n**3 * (self.rent + 1) < 2**63 else object
-        rows = pricing._scaled_rows(matrix.values, scale)
-        others = [k for k in range(n) if k != agent]
-        # Per room r of the searching agent, indexed by agent: the winning
-        # assignment, each agent's value of its room, m'_i and reach_r[i] (0
-        # at the agent), tie-break keys by room; and the others' welfare.
-        perm, assigned, chain, reach, keys, welfare = [], [], [], [], [], []
-        for r in range(n):
-            rooms = [j for j in range(n) if j != r]
-            sub, w = matching.canonical_optimum([[rows[k][j] for j in rooms] for k in others])
-            sigma = [r] * n
-            for k, j in zip(others, sub):
-                sigma[k] = rooms[j]
-            closed = pricing.envy_closure(
-                pricing.envy_matrix([rows[k] for k in others], [sigma[k] for k in others])
-            )
-            chain_r, reach_r = [0] * n, [0] * n
-            for k, row in zip(others, closed):
-                chain_r[k] = max(row)
-                reach_r[k] = max(c + rows[o][r] for c, o in zip(row, others))
-            occupant = [0] * n
-            for k, j in enumerate(sigma):
-                occupant[j] = k
-            perm.append(sigma)
-            assigned.append([rows[k][j] for k, j in enumerate(sigma)])
-            chain.append(chain_r)
-            reach.append(reach_r)
-            keys.append([rows[k][j] * n + k for j, k in enumerate(occupant)])
-            welfare.append(w)
+        perm, assigned, chain, reach, keys, welfare = _room_tables(
+            pricing._scaled_rows(matrix.values, scale), agent
+        )
         self.perm = np.array(perm, dtype=np.intp)
         self.assigned, self.chain, self.reach, self.keys = (
             np.array(a, dtype=self.dtype) for a in (assigned, chain, reach, keys)
@@ -586,15 +1020,6 @@ def _scores(instance, true_rows, objective, perm, pay, nscale):
     raise TypeError(f"unknown objective {objective!r}")
 
 
-def _score_value(objective, score, nscale):
-    """The objective value a score stands for, as ``objective_value`` gives it."""
-    if isinstance(objective, (ExcludeFromRooms, SubsidizeAgent)):
-        return bool(score)
-    if isinstance(objective, MaximizeTrueUtility):
-        return Fraction(int(score), nscale)
-    return Fraction(-int(score), nscale)
-
-
 def _priced_blocks(instance, true_matrix, matrix, agent_index, objective, step, scale):
     """Yield (units, scores, perm, pay) per block of one agent's candidate
     rows, in lexicographic order: a row is ``units * step``, ``perm`` maps
@@ -617,125 +1042,3 @@ def _score_blocks(instance, true_matrix, matrix, agent_index, objective, step, s
         instance, true_matrix, matrix, agent_index, objective, step, scale
     ):
         yield units, scores
-
-
-def _best_response(instance, true_matrix, matrix, agent_index, objective, step, scale):
-    """(row, value, perm, pay) of the best report row, with that row's
-    assignment and payment numerators as ``_priced_blocks`` gives them; ties
-    go to the first row in lexicographic order."""
-    best = None
-    for units, scores, perm, pay in _priced_blocks(
-        instance, true_matrix, matrix, agent_index, objective, step, scale
-    ):
-        k = int(scores.argmax())
-        if best is None or scores[k] > best[1]:
-            best = units[k], scores[k], perm[k], pay[k]
-    units, score, perm, pay = best
-    row = tuple(int(u) * step for u in units)
-    return row, _score_value(objective, score, instance.n * scale), perm, pay
-
-
-def _prepare_search(instance, true_matrix, step):
-    validate_instance(instance, true_matrix)
-    step = to_rational(step)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    units = instance.total_rent / step
-    if units.denominator != 1:
-        raise ValueError("step must divide the total rent")
-    count = math.comb(int(units) + instance.n - 1, instance.n - 1)
-    if count > SEARCH_BUDGET:
-        raise SearchSpaceTooLarge(count)
-    scale = math.lcm(
-        step.denominator,
-        instance.total_rent.denominator,
-        *(v.denominator for row in true_matrix.values for v in row),
-    )
-    return step, scale
-
-
-def best_response_search(
-    instance: Instance,
-    true_matrix: ValuationMatrix,
-    agent: str,
-    objective,
-    step=Fraction(1),
-):
-    """Exhaustively enumerate one agent's report rows, all others truthful:
-    ``coalition_search`` for the coalition of one.
-
-    Returns (best_row, achieved_value) where the value is measured against
-    true preferences.  Ties go to the lexicographically smallest row.  The
-    true row is a candidate only when ``step`` divides each of the agent's
-    true values; only then can the result never score worse than honesty.
-    """
-    reported, value, _ = coalition_search(instance, true_matrix, (agent,), objective, step)
-    return reported.row(instance.agent_index(agent)), value
-
-
-def coalition_search(
-    instance: Instance,
-    true_matrix: ValuationMatrix,
-    coalition: Iterable[str],
-    objective,
-    step=Fraction(1),
-):
-    """Coordinate-ascent over coalition members' rows.
-
-    Cycles through members in roster order, replacing each row with its best
-    response holding the others fixed.  A best response reads only the other
-    rows, so a member's row stays one until another member's row changes.
-    The search stops, converged, as soon as every member's row is a best
-    response to the current rows of the others, or unconverged after
-    MAX_ROUNDS rounds.  Returns (reported_matrix, achieved_value, converged).
-    As in ``best_response_search``, the value can be worse than honesty's
-    when ``step`` does not divide every member's true values.
-    """
-    return _coalition_search(instance, true_matrix, coalition, objective, step)[:3]
-
-
-def _coalition_search(instance, true_matrix, coalition, objective, step):
-    """``coalition_search``'s result plus the mechanism's ``Outcome`` on the
-    returned reports.
-
-    The last best response was scored with every other row at its value in
-    the returned matrix, so its winning candidate's assignment and payments
-    are those of ``pricing.solve`` on that matrix, converged or not; the
-    outcome is built from them without solving again.
-    """
-    _check_objective(instance, objective)
-    coalition = set(coalition)
-    _check_labels(instance, "coalition", coalition)
-    step, scale = _prepare_search(instance, true_matrix, step)
-    members = [i for i, a in enumerate(instance.agent_ids) if a in coalition]
-    if not members:
-        raise ValueError("coalition is empty")
-
-    current = true_matrix
-    settled = 0  # members, up to this one, whose rows are best responses
-    for turn in range(MAX_ROUNDS * len(members)):
-        agent_index = members[turn % len(members)]
-        # The value is that of `current` once this row is in place.
-        row, value, perm, pay = _best_response(
-            instance, true_matrix, current, agent_index, objective, step, scale
-        )
-        if row == current.row(agent_index):
-            settled += 1
-        else:
-            current = current.replace_row(agent_index, row)
-            settled = 1
-        if settled == len(members):
-            break
-
-    perm = perm.tolist()
-    nscale = instance.n * scale
-    prices = [Fraction(0)] * instance.n
-    for room, numerator in zip(perm, pay.tolist()):
-        prices[room] = Fraction(numerator, nscale)
-    outcome = build_outcome(
-        instance,
-        current,
-        Assignment.from_indices(instance, perm),
-        PriceVector.from_list(instance, prices),
-    )
-    return current, value, settled == len(members), outcome

@@ -568,6 +568,8 @@ def maximin_prices(
     matrix: ValuationMatrix,
     assignment: Assignment,
     nonnegative_prices: bool = False,
+    *,
+    _validated: bool = False,
 ) -> Outcome:
     """The assignment's ``Outcome`` at the envy-free prices that maximize the
     minimum utility, leximin-refined.
@@ -575,8 +577,10 @@ def maximin_prices(
     Raises NotWelfareMaximizing when the assignment does not maximize welfare
     (the envy-free polytope is empty exactly then), and RentDivisionError when
     ``nonnegative_prices`` is set and no envy-free price vector is nonnegative.
+    ``solve`` passes ``_validated=True`` for the reports it has validated.
     """
-    validate_instance(instance, matrix)
+    if not _validated:
+        validate_instance(instance, matrix)
     sigma = assignment.to_indices(instance)
     level, chains = _maximin_level(instance, matrix, assignment)
     if nonnegative_prices or any(chains):
@@ -649,9 +653,10 @@ def solve(
     matrix: ValuationMatrix,
     nonnegative_prices: bool = False,
 ) -> Outcome:
-    """Run the whole mechanism: welfare-max assignment, then maximin prices."""
+    """Run the whole mechanism: welfare-max assignment, then maximin prices.
+    The reports are validated once, by ``max_welfare_assignment``."""
     assignment = matching.max_welfare_assignment(instance, matrix).assignment
-    return maximin_prices(instance, matrix, assignment, nonnegative_prices)
+    return maximin_prices(instance, matrix, assignment, nonnegative_prices, _validated=True)
 
 
 def min_utility_feasible(

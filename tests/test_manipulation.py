@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,13 @@ from rentdiv.manipulation import (
     MinimizeOwnPayment,
     SearchSpaceTooLarge,
     SubsidizeAgent,
+    _best_response,
     _composition_blocks,
     _FastMechanism,
+    _occupants,
     _prepare_search,
+    _priced_blocks,
+    _room_tables,
     _score_blocks,
     _score_value,
     best_response_search,
@@ -38,7 +43,7 @@ from rentdiv.matching import (
     brute_force_assignment,
     max_welfare_assignment,
 )
-from rentdiv.pricing import envy_closure, envy_matrix, maximin_prices, solve
+from rentdiv.pricing import _scaled_rows, envy_closure, envy_matrix, maximin_prices, solve
 from rentdiv.scenarios import builtin_scenario, builtin_scenarios
 
 F = Fraction
@@ -468,6 +473,115 @@ class TestSearchKernel:
                     inst, truth, exact, objective
                 )
 
+
+def _oracle_best_response(inst, truth, matrix, agent_index, objective, step, scale):
+    """``_best_response`` by enumeration: the first row of best score among
+    ``_priced_blocks``, with its assignment and payment numerators."""
+    best = None
+    for units, scores, perm, pay in _priced_blocks(
+        inst, truth, matrix, agent_index, objective, step, scale
+    ):
+        k = int(scores.argmax())
+        if best is None or scores[k] > best[1]:
+            best = units[k], scores[k], perm[k], pay[k]
+    units, score, perm, pay = best
+    row = tuple(int(u) * step for u in units)
+    return row, _score_value(objective, score, inst.n * scale), perm.tolist(), pay.tolist()
+
+
+class TestClosedForm:
+    """The closed-form best response against the enumeration oracle."""
+
+    def test_outcome_is_a_function_of_room_and_offset(self, baseline):
+        # Group every candidate of each baseline grid by the room r the agent
+        # wins and y = m_a - x_r, with m_a = max(0, max_s (x_s - c_s)) and
+        # c_s = v_k(s) - m'_k for the occupant k of s, all from the tables.
+        import numpy as np
+
+        inst, truth = baseline
+        step, scale = _prepare_search(inst, truth, F(1))
+        n = inst.n
+        for agent in sorted({a for a, _, _ in BASELINE_DIGESTS}):
+            a = inst.agent_index(agent)
+            perm, assigned, chain, _, _, _ = _room_tables(_scaled_rows(truth.values, scale), a)
+            c = np.array(
+                [[assigned[r][k] - chain[r][k] for k in _occupants(perm[r])] for r in range(n)]
+            )
+            c[np.arange(n), np.arange(n)] = 10**9  # a's own room is no chain step
+            grid = _priced_blocks(inst, truth, truth, a, MinimizeOwnPayment(agent), step, scale)
+            outcomes = []
+            for units, _, block_perm, pay in grid:
+                room = block_perm[:, a]
+                x = units * int(step * scale)
+                m_a = np.maximum(0, (x - c[room]).max(axis=1))
+                y = m_a - x[np.arange(len(x)), room]
+                outcomes.append(np.column_stack([room, y, block_perm, pay]))
+            outcomes = np.concatenate(outcomes)
+            classes = np.unique(outcomes[:, :2], axis=0)
+            assert len(np.unique(outcomes, axis=0)) == len(classes) < 200
+
+    def test_matches_enumeration_oracle(self):
+        # 2,000 best responses: n = 1-6, the five objective kinds, steps 1
+        # and 1/2, halved (fractional) truths, and rows of another agent
+        # already misreported.
+        rng = random.Random(2024)
+        kinds = set()
+        for trial in range(400):
+            n = 1 + trial % 6
+            total = rng.choice((2, 3, 4) if n >= 5 else (2, 3, 4, 6))
+            rows = random_rows(rng, n, total=total)
+            rent = F(total)
+            if trial % 3 == 0:
+                rows = [tuple(v / 2 for v in row) for row in rows]
+                rent /= 2
+            inst, truth = make_instance(rows, total=rent)
+            step = F(1, 2) if trial % 2 or rent.denominator != 1 else F(1)
+            step, scale = _prepare_search(inst, truth, step)
+            agent, other = rng.choice(inst.agent_ids), rng.choice(inst.agent_ids)
+            a = inst.agent_index(agent)
+            matrix = truth
+            if other != agent and trial % 4 < 2:
+                units = int(rent / step)
+                cuts = sorted(rng.randint(0, units) for _ in range(n - 1))
+                row = [(hi - lo) * step for lo, hi in zip([0] + cuts, cuts + [units])]
+                matrix = truth.replace_row(inst.agent_index(other), row)
+            for objective in [
+                MinimizeOwnPayment(agent),
+                MinimizeCoalitionPayments((agent, other)),
+                MaximizeTrueUtility(rng.choice(inst.agent_ids)),
+                ExcludeFromRooms((other,), (rng.choice(inst.room_ids),)),
+                SubsidizeAgent(
+                    other, rng.choice(inst.room_ids), F(rng.randint(0, 8), rng.choice((1, 3)))
+                ),
+            ]:
+                got = _best_response(inst, truth, matrix, a, objective, step, scale)
+                want = _oracle_best_response(inst, truth, matrix, a, objective, step, scale)
+                assert got == want, (rows, agent, matrix.values, objective, step)
+                kinds.add((type(objective), n, step, matrix is truth, rent.denominator))
+        assert len({k[0] for k in kinds}) == 5
+        assert {k[1] for k in kinds} == set(range(1, 7))
+        assert {k[2] for k in kinds} == {F(1), F(1, 2)}
+        assert {k[3] for k in kinds} == {True, False}
+        assert {k[4] for k in kinds} == {1, 2}
+
+    @pytest.mark.parametrize(
+        "objective",
+        [ExcludeFromRooms(("B",), ("R1",)), SubsidizeAgent("B", "R2", 1000)],
+        ids=["exclude", "subsidize"],
+    )
+    def test_wide_grid_beats_enumeration(self, objective):
+        # 501,501 rows, most of them optimal for these predicates: finding
+        # the first must still cost less than scoring them all.
+        inst, truth = make_instance([(334, 333, 333)] * 3, total=1000)
+        step, scale = _prepare_search(inst, truth, F(1))
+        start = time.perf_counter()
+        got = _best_response(inst, truth, truth, 0, objective, step, scale)
+        search = time.perf_counter() - start
+        start = time.perf_counter()
+        want = _oracle_best_response(inst, truth, truth, 0, objective, step, scale)
+        enumeration = time.perf_counter() - start
+        assert got[:2] == want[:2]
+        assert search < enumeration
 
 # (entry point called on the baseline's (instance, truth), the message it
 # must raise as a ValueError)

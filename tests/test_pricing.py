@@ -8,12 +8,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_instance, random_rows
+from rentdiv import matching, pricing
 from rentdiv.matching import (
     all_optimal_assignments,
     brute_force_assignment,
     max_welfare_assignment,
 )
-from rentdiv.model import Assignment, PriceVector, RentDivisionError, parse_money
+from rentdiv.model import (
+    Assignment,
+    PriceVector,
+    RentDivisionError,
+    ValidationError,
+    ValuationMatrix,
+    parse_money,
+    validate_instance,
+)
 from rentdiv.pricing import (
     CERTIFICATE_EPSILON,
     EQ,
@@ -311,6 +320,49 @@ class TestMaximin:
             assert maximin_prices(inst, mat, out.assignment) == out
             routes.add(any(_envy_chains(inst, mat, out.assignment, out.welfare)))
         assert routes == {False, True}
+
+
+class TestValidateOnce:
+    # Reports that break the input contract, each as the baseline's rows
+    # with one change: a missing row, a short row, a negative value, a row
+    # that misses the rent.
+    INVALID = {
+        "missing-row": lambda rows: rows[:-1],
+        "short-row": lambda rows: [rows[0][:-1]] + rows[1:],
+        "negative": lambda rows: [(-1, *rows[0][1:-1], rows[0][-1] + 1)] + rows[1:],
+        "row-sum": lambda rows: [(rows[0][0] + 1, *rows[0][1:])] + rows[1:],
+    }
+
+    def test_solve_validates_once(self, baseline, monkeypatch):
+        inst, mat = baseline
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return validate_instance(*args)
+
+        for module in (matching, pricing):
+            monkeypatch.setattr(module, "validate_instance", counted)
+        out = solve(inst, mat)
+        assert len(calls) == 1
+        solve(inst, mat, nonnegative_prices=True)
+        assert len(calls) == 2
+        # The public pricing step still checks the reports it is given.
+        assert maximin_prices(inst, mat, out.assignment) == out
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("change", sorted(INVALID))
+    def test_invalid_reports_raise_the_contract_error(self, baseline, change):
+        inst, mat = baseline
+        bad = ValuationMatrix.from_rows(self.INVALID[change](list(mat.values)))
+        with pytest.raises(ValidationError) as expected:
+            validate_instance(inst, bad)
+        honest = solve(inst, mat).assignment
+        for call in (lambda: solve(inst, bad), lambda: maximin_prices(inst, bad, honest)):
+            with pytest.raises(ValidationError) as got:
+                call()
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
 
 
 class TestNonnegativePrices:
