@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
 
-from . import manipulation, pricing, scenarios
+# `manipulation` is imported inside the two functions that use it, so
+# `solve`, `verify` and `table` never compile it.
+from . import pricing, scenarios
 from .model import (
     Outcome,
     RentDivisionError,
+    SearchSpaceTooLarge,
     format_exact,
     render_money,
 )
@@ -180,6 +182,8 @@ OBJECTIVE_GRAMMAR = (
 
 
 def _parse_objective(spec: str):
+    from . import manipulation
+
     def bad(reason):
         return ParseError(
             f"{reason}; expected one of {OBJECTIVE_GRAMMAR}", f"objective {spec!r}"
@@ -303,6 +307,8 @@ def _deviation_text(instance, report, out):
 
 
 def cmd_manipulate(args) -> int:
+    from . import manipulation
+
     scenario = scenarios.load_scenario(args.scenario)
     instance = scenario.instance
     true_matrix = scenario.truth()
@@ -516,7 +522,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except manipulation.SearchSpaceTooLarge as exc:
+    except SearchSpaceTooLarge as exc:
         _err(str(exc))
         return EXIT_BUDGET
     except (RentDivisionError, OSError, ValueError) as exc:

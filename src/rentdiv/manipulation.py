@@ -15,9 +15,9 @@ A search also yields the mechanism's ``Outcome`` on the reports it returns,
 built from the best row's assignment and integer payments, so
 ``rentdiv manipulate --search`` solves only the truth.
 
-The module runs in pure Python.  The enumeration oracle at its end, which
-scores every report row of the grid in numpy blocks (``_FastMechanism``), is
-there for the tests, which hold the search to it; no command calls it.
+The module runs in pure Python.  The tests hold the search to the numpy
+enumeration oracle in ``rentdiv.oracles``, which scores every report row of
+the grid (``_FastMechanism``); no command imports it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .model import (
     Outcome,
     PriceVector,
     RentDivisionError,
+    SearchSpaceTooLarge,
     ValuationMatrix,
     build_outcome,
     compute_utilities,
@@ -41,15 +42,9 @@ from .model import (
     validate_instance,
 )
 
+
 class InfeasibleTemplate(RentDivisionError):
     pass
-
-
-class SearchSpaceTooLarge(RentDivisionError):
-    def __init__(self, count: int):
-        self.count = count
-        self.budget = SEARCH_BUDGET
-        super().__init__(f"{count} candidate rows exceed the budget of {SEARCH_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +468,7 @@ def _objective_margin(instance, true_matrix, objective, perm, scale):
     searching agent room r, whose assignment is ``perm[r]``.
 
     ``margin(r, pay)`` reads the payment numerators over n*scale.  A numeric
-    objective scores the margin itself, exactly as ``_scores`` does; a
+    objective scores the margin itself, exactly as ``oracles._scores`` does; a
     predicate holds where ``ok[r]`` and the margin is nonnegative.
     """
     n = instance.n
@@ -579,7 +574,8 @@ def _best_response(instance, true_matrix, matrix, agent_index, objective, step, 
     other row as in ``matrix``: the row, the objective value, and that row's
     assignment (agent -> room) and payment numerators over n*scale as lists
     of ints.  Ties go to the first row in lexicographic order.  It gives what
-    the enumeration oracle ``_priced_blocks`` gives, without scoring rows.
+    the enumeration oracle ``oracles._priced_blocks`` gives, without scoring
+    rows.
 
     Fix the room r the agent a wins; the outcome then hangs on a's row x
     through y = m_a - x_r alone: with S(y) = sum over i != a of
@@ -783,7 +779,7 @@ def _prepare_search(instance, true_matrix, step):
         raise ValueError("step must divide the total rent")
     count = math.comb(int(units) + instance.n - 1, instance.n - 1)
     if count > SEARCH_BUDGET:
-        raise SearchSpaceTooLarge(count)
+        raise SearchSpaceTooLarge(count, SEARCH_BUDGET)
     scale = math.lcm(
         step.denominator,
         instance.total_rent.denominator,
@@ -876,169 +872,3 @@ def _coalition_search(instance, true_matrix, coalition, objective, step):
         PriceVector.from_list(instance, prices),
     )
     return current, value, settled == len(members), outcome
-
-
-# ---------------------------------------------------------------------------
-# Enumeration oracle
-# ---------------------------------------------------------------------------
-
-SEARCH_BLOCK = 1024  # candidate rows scored per array pass
-
-
-def _composition_blocks(total: int, parts: int):
-    """All rows of `parts` nonnegative ints summing to `total`, in
-    lexicographic order, as int64 arrays of at most SEARCH_BLOCK rows.
-
-    Rows are unranked, so no array spans the whole grid.  Of the N(s, p) =
-    C(s + p - 1, p - 1) compositions of s into p parts, N(s, p) - N(s - h, p)
-    have a first part below h; so the first part of the row of a given rank
-    is one searchsorted over the column N(., p), and so on part by part.
-    """
-    import numpy as np
-
-    count = np.array(
-        [[math.comb(s + p - 1, p - 1) for p in range(1, parts + 1)] for s in range(total + 1)],
-        dtype=np.int64,
-    )
-    size = int(count[total, -1])
-    for start in range(0, size, SEARCH_BLOCK):
-        rank = np.arange(start, min(start + SEARCH_BLOCK, size), dtype=np.int64)
-        rest = np.full(len(rank), total, dtype=np.int64)
-        block = np.empty((len(rank), parts), dtype=np.int64)
-        for k in range(parts - 1):
-            col = count[:, parts - k - 1]
-            left = np.searchsorted(col, col[rest] - rank)
-            block[:, k] = rest - left
-            rank -= col[rest] - col[left]
-            rest = left
-        block[:, -1] = rest
-        yield block
-
-
-class _FastMechanism:
-    """The mechanism on integer-scaled values, batched over the report rows
-    x of one searching agent a while every other row stays fixed: the
-    enumeration oracle the tests hold ``_best_response`` to.
-
-    The per-room tables come from ``_room_tables``.  For a block of B rows,
-    welfare is a (B, n) array, and winners tied on welfare are settled room
-    by room on the value*n + agent keys.  Maximin utilities are u_i = (W - R
-    - sum(m))/n + m_i, with m_i the heaviest walk leaving i in the envy
-    graph.  The edge k -> a weighs v_k(r) - x[r], so other agent i's
-    heaviest walk into a is reach_r[i] - x[r]; the winner has no positive
-    envy cycle, so a heaviest walk visits a at most once, and per candidate
-        m_a = max(0, max_{k != a} (x[sigma_r(k)] - v_k(sigma_r(k)) + m'_k)),
-        m_i = max(m'_i, reach_r[i] - x[r] + m_a),
-    that is O(n) array work.
-
-    Values lie in [0, R] for the scaled rent R, envy weights in [-R, R] and
-    chains in [0, (n-1)R]; the largest intermediate, a coalition's summed
-    payment numerator over n*scale, is at most 2*n**3*R in absolute value.
-    When 4*n**3*(R + 1) does not fit in int64 the same arrays are built with
-    dtype=object, so arithmetic is exact Python integers and never wraps.
-    """
-
-    def __init__(self, instance: Instance, matrix: ValuationMatrix, agent: int, scale: int):
-        import numpy as np
-
-        n = instance.n
-        self.n = n
-        self.agent = agent
-        rent = instance.total_rent * scale
-        if rent.denominator != 1:
-            raise ValueError(f"scale {scale} does not make the rent integral")
-        self.rent = int(rent)
-        self.dtype = np.int64 if 4 * n**3 * (self.rent + 1) < 2**63 else object
-        perm, assigned, chain, reach, keys, welfare = _room_tables(
-            pricing._scaled_rows(matrix.values, scale), agent
-        )
-        self.perm = np.array(perm, dtype=np.intp)
-        self.assigned, self.chain, self.reach, self.keys = (
-            np.array(a, dtype=self.dtype) for a in (assigned, chain, reach, keys)
-        )
-        self.others_welfare = np.array(welfare, dtype=self.dtype)
-
-    def solve(self, rows):
-        """Canonical assignment and maximin utilities for a (B, n) block of
-        scaled report rows of the searching agent.
-
-        Returns (perm, assigned, u_num): agent -> room per candidate, each
-        agent's reported value of its room, and utilities as numerators over
-        n*scale.
-        """
-        import numpy as np
-
-        n, a = self.n, self.agent
-        ar = np.arange(n)
-        block = np.arange(len(rows))
-        welfare = self.others_welfare + rows
-        alive = welfare == welfare.max(axis=1, keepdims=True)
-        tied = np.flatnonzero(alive.sum(axis=1) > 1)
-        if tied.size:
-            keys = np.broadcast_to(self.keys, (tied.size, n, n)).copy()
-            keys[:, ar, ar] = rows[tied] * n + a
-            left = alive[tied]
-            for j in range(n):
-                col = np.where(left, keys[:, :, j], -1)
-                left &= col == col.max(axis=1, keepdims=True)
-            alive[tied] = left
-        room = alive.argmax(axis=1)
-
-        perm = self.perm[room]
-        own = rows[block, room]
-        assigned = self.assigned[room]
-        assigned[:, a] = own
-        chain = self.chain[room]
-        # Column a adds own - own + 0, the empty walk.
-        m_a = (rows[block[:, None], perm] - assigned + chain).max(axis=1)
-        m = np.maximum(chain, self.reach[room] + (m_a - own)[:, None])
-        m[:, a] = m_a
-        shared = welfare[block, room] - self.rent - m.sum(axis=1)
-        # u_i * n * scale = shared + n * m_i
-        return perm, assigned, shared[:, None] + n * m
-
-
-def _scores(instance, true_rows, objective, perm, pay, nscale):
-    """Exact integer score per candidate, larger is better.  ``pay`` holds
-    payment numerators over ``nscale``; ``true_rows`` is the scaled truth."""
-    import numpy as np
-
-    if isinstance(objective, ExcludeFromRooms):
-        targets = [instance.agent_index(a) for a in sorted(objective.targets)]
-        rooms = [instance.room_index(r) for r in objective.rooms]
-        return ~np.isin(perm[:, targets], rooms).any(axis=1)
-    if isinstance(objective, _MIN_PAY):
-        members = sorted(instance.agent_index(a) for a in objective.coalition)
-        return -pay[:, members].sum(axis=1)
-    if isinstance(objective, SubsidizeAgent):
-        ben = instance.agent_index(objective.beneficiary)
-        cap = math.floor(objective.max_price * nscale)
-        return (perm[:, ben] == instance.room_index(objective.room)) & (pay[:, ben] <= cap)
-    if isinstance(objective, MaximizeTrueUtility):
-        who = instance.agent_index(objective.agent)
-        return instance.n * true_rows[who][perm[:, who]] - pay[:, who]
-    raise TypeError(f"unknown objective {objective!r}")
-
-
-def _priced_blocks(instance, true_matrix, matrix, agent_index, objective, step, scale):
-    """Yield (units, scores, perm, pay) per block of one agent's candidate
-    rows, in lexicographic order: a row is ``units * step``, ``perm`` maps
-    each agent to its room and ``pay`` holds payment numerators over n*scale."""
-    import numpy as np
-
-    fast = _FastMechanism(instance, matrix, agent_index, scale)
-    n = instance.n
-    step_int = int(step * scale)
-    true_rows = np.array(pricing._scaled_rows(true_matrix.values, scale), dtype=fast.dtype)
-    for units in _composition_blocks(int(instance.total_rent / step), n):
-        perm, assigned, u_num = fast.solve(units.astype(fast.dtype) * step_int)
-        pay = n * assigned - u_num
-        yield units, _scores(instance, true_rows, objective, perm, pay, n * scale), perm, pay
-
-
-def _score_blocks(instance, true_matrix, matrix, agent_index, objective, step, scale):
-    """(units, scores) of each block of ``_priced_blocks``."""
-    for units, scores, _, _ in _priced_blocks(
-        instance, true_matrix, matrix, agent_index, objective, step, scale
-    ):
-        yield units, scores

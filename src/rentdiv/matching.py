@@ -1,53 +1,50 @@
 """Welfare-maximizing agent->room assignment.
 
-Two independent routes are provided: an O(n^3) Hungarian method over exact
-rationals, and a factorial brute-force enumeration used as its oracle.  Both
-break welfare ties the same way: rooms are claimed in index order, each going
-to the agent with the highest reported value for it among those who can still
-take it without sacrificing total welfare, with the later roster position
-winning exact value ties.  Equivalently: among all optima, pick the one whose
-room-ordered sequence of (value, agent-index) pairs is lexicographically
-greatest.  This rule reproduces the observed tie choices of the live platform.
+An O(n^3) Hungarian method over exact rationals finds the optimum welfare,
+and ties between optima are broken the same way every time: rooms are claimed
+in index order, each going to the agent with the highest reported value for
+it among those who can still take it without sacrificing total welfare, with
+the later roster position winning exact value ties.  Equivalently: among all
+optima, pick the one whose room-ordered sequence of (value, agent-index)
+pairs is lexicographically greatest.  This rule reproduces the observed tie
+choices of the live platform.
+
+The factorial enumerators that check this route (``brute_force_assignment``,
+``all_optimal_assignments``, ``tie_break_key``) live in ``rentdiv.oracles``,
+which no command imports; their names still resolve here on first use.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
     Assignment,
     Instance,
-    RentDivisionError,
     ValuationMatrix,
     validate_instance,
 )
 
-BRUTE_FORCE_LIMIT = 9
+# Test-only names that moved to ``rentdiv.oracles``.
+_ORACLES = frozenset(
+    ("BRUTE_FORCE_LIMIT", "InstanceTooLarge", "tie_break_key",
+     "brute_force_assignment", "all_optimal_assignments")
+)
 
 
-class InstanceTooLarge(RentDivisionError):
-    def __init__(self, n: int):
-        self.n = n
-        super().__init__(f"n={n} exceeds the enumeration limit of {BRUTE_FORCE_LIMIT}")
+def __getattr__(name):
+    if name in _ORACLES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
 class WelfareResult:
     assignment: Assignment
     welfare: Fraction
-
-
-def tie_break_key(perm, rows) -> tuple:
-    """Sort key for the canonical tie-break: the optimum MAXIMIZING this key
-    wins.  ``perm`` maps agent index -> room index; ``rows`` is the value
-    matrix the assignment was optimized against."""
-    n = len(perm)
-    inv = [0] * n
-    for agent, room in enumerate(perm):
-        inv[room] = agent
-    return tuple((rows[inv[j]][j], inv[j]) for j in range(n))
 
 
 def _hungarian_value(values):
@@ -155,35 +152,3 @@ def max_welfare_assignment(
     validate_instance(instance, matrix)
     perm, best = canonical_optimum(matrix.values)
     return WelfareResult(Assignment.from_indices(instance, perm), best)
-
-
-def brute_force_assignment(
-    instance: Instance, matrix: ValuationMatrix
-) -> WelfareResult:
-    """Exhaustive oracle: the first of ``all_optimal_assignments`` (n <= 9)."""
-    best = all_optimal_assignments(instance, matrix)[0]
-    sigma = best.to_indices(instance)
-    return WelfareResult(best, sum(matrix.value(i, j) for i, j in enumerate(sigma)))
-
-
-def all_optimal_assignments(
-    instance: Instance, matrix: ValuationMatrix
-) -> list:
-    """Every welfare-maximizing assignment, in canonical tie-break order
-    (n <= 9).  The first element is the assignment the solver returns."""
-    validate_instance(instance, matrix)
-    n = instance.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLarge(n)
-    rows = matrix.values
-    best_w = None
-    optima: list[tuple[int, ...]] = []
-    for perm in itertools.permutations(range(n)):
-        w = sum(rows[i][perm[i]] for i in range(n))
-        if best_w is None or w > best_w:
-            best_w = w
-            optima = [perm]
-        elif w == best_w:
-            optima.append(perm)
-    optima.sort(key=lambda p: tie_break_key(p, rows), reverse=True)
-    return [Assignment.from_indices(instance, perm) for perm in optima]

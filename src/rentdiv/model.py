@@ -7,6 +7,7 @@ exact rational 46/5 and only rendered back to cents for display.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -42,6 +43,31 @@ class RowSumMismatch(ValidationError):
         super().__init__(
             f"agent {agent}'s values sum to {actual_sum}, expected {expected_sum}"
         )
+
+
+class SearchSpaceTooLarge(RentDivisionError):
+    """A misreport search grid has more candidate rows than its budget.
+
+    The count is exact and unbounded, so the message spells it out below
+    10**30 and gives its order of magnitude above: Python refuses to turn an
+    integer of more than 4300 digits into a string.
+    """
+
+    def __init__(self, count: int, budget: int):
+        self.count = count
+        self.budget = budget
+        if count < 10**30:
+            shown = str(count)
+        else:
+            # The largest k with 10**k <= count: estimated from the bit
+            # length, then corrected in exact integers.
+            k = int((count.bit_length() - 1) * math.log10(2))
+            while 10**k > count:
+                k -= 1
+            while 10 ** (k + 1) <= count:
+                k += 1
+            shown = f"at least 10^{k}"
+        super().__init__(f"{shown} candidate rows exceed the budget of {budget}")
 
 
 def to_rational(x) -> Fraction:

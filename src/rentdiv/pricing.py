@@ -28,7 +28,8 @@ assignment at the resulting prices:
 assignment (``matching.max_welfare_assignment``).
 
 A Fourier-Motzkin feasibility oracle (``min_utility_feasible``), sharing no
-code with either, is kept as a test-only cross-check.
+code with either, is a test-only cross-check in ``rentdiv.oracles``, which no
+command imports; its public names still resolve here on first use.
 """
 
 from __future__ import annotations
@@ -51,20 +52,24 @@ from .model import (
     validate_instance,
 )
 
-FM_VARIABLE_LIMIT = 6
-CERTIFICATE_EPSILON = Fraction(1, 1000)
+# Test-only names that moved to ``rentdiv.oracles``.
+_ORACLES = frozenset(
+    ("FM_VARIABLE_LIMIT", "CERTIFICATE_EPSILON", "TooManyVariables",
+     "EFConstraintSystem", "ef_constraint_system", "with_min_utility",
+     "fm_feasible", "min_utility_feasible")
+)
+
+
+def __getattr__(name):
+    if name in _ORACLES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotWelfareMaximizing(RentDivisionError):
     """Envy-free prices only exist for welfare-maximizing assignments."""
-
-
-class TooManyVariables(RentDivisionError):
-    def __init__(self, n: int):
-        self.n = n
-        super().__init__(
-            f"{n} variables exceeds the Fourier-Motzkin limit of {FM_VARIABLE_LIMIT}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -272,150 +277,6 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     for c, xv in zip(lp.objective, x):
         value += to_rational(c) * xv
     return SimplexResult(status="optimal", x=x, objective_value=value)
-
-
-# ---------------------------------------------------------------------------
-# Envy-free constraint systems
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EFConstraintSystem:
-    """Envy-freeness constraints in price space p_0..p_{n-1}.
-
-    Holds exactly n*(n-1) envy inequalities (coeffs, '<=', rhs) plus the
-    budget equality sum(p) = R.
-    """
-
-    n: int
-    constraints: tuple  # tuple of (coeffs: tuple, relation, rhs)
-
-
-def ef_constraint_system(
-    instance: Instance,
-    matrix: ValuationMatrix,
-    assignment: Assignment,
-) -> EFConstraintSystem:
-    n = instance.n
-    sigma = assignment.to_indices(instance)
-    cons = []
-    zero = Fraction(0)
-    for i in range(n):
-        si = sigma[i]
-        for j in range(n):
-            if j == si:
-                continue
-            coeffs = [zero] * n
-            coeffs[si] += 1
-            coeffs[j] -= 1
-            cons.append(
-                (tuple(coeffs), LE, matrix.value(i, si) - matrix.value(i, j))
-            )
-    cons.append((tuple([Fraction(1)] * n), EQ, instance.total_rent))
-    return EFConstraintSystem(n=n, constraints=tuple(cons))
-
-
-def with_min_utility(
-    system: EFConstraintSystem,
-    instance: Instance,
-    matrix: ValuationMatrix,
-    assignment: Assignment,
-    floor: Fraction,
-) -> EFConstraintSystem:
-    """Add u_i >= floor for every agent, expressed on the price variables."""
-    sigma = assignment.to_indices(instance)
-    extra = []
-    zero = Fraction(0)
-    for i in range(system.n):
-        coeffs = [zero] * system.n
-        coeffs[sigma[i]] = Fraction(1)
-        extra.append((tuple(coeffs), LE, matrix.value(i, sigma[i]) - to_rational(floor)))
-    return EFConstraintSystem(n=system.n, constraints=system.constraints + tuple(extra))
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin feasibility oracle (shares no solver code with the simplex)
-# ---------------------------------------------------------------------------
-
-
-def _fm_normalize(coeffs, rhs):
-    """Scale a row by a positive rational so entries are coprime integers."""
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    denom = denom * rhs.denominator // math.gcd(denom, rhs.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    rint = int(rhs * denom)
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    g = math.gcd(g, abs(rint))
-    if g > 1:
-        ints = [v // g for v in ints]
-        rint //= g
-    return tuple(Fraction(v) for v in ints), Fraction(rint)
-
-
-def fm_feasible(constraints, num_vars: int) -> bool:
-    """Decide feasibility of linear constraints by exact variable elimination.
-
-    ``constraints`` is an iterable of (coeffs, '<='|'==', rhs) over at most
-    ``num_vars`` <= 6 variables.  Equalities are expanded into inequality
-    pairs; variables are eliminated greedily (fewest positive*negative
-    combinations first) with duplicate/dominated row pruning.
-    """
-    if num_vars > FM_VARIABLE_LIMIT:
-        raise TooManyVariables(num_vars)
-
-    rows = []
-    for coeffs, rel, rhs in constraints:
-        coeffs = tuple(to_rational(c) for c in coeffs)
-        rhs = to_rational(rhs)
-        rows.append((coeffs, rhs))
-        if rel == EQ:
-            rows.append((tuple(-c for c in coeffs), -rhs))
-        elif rel != LE:
-            raise ValueError(f"unknown relation {rel!r}")
-
-    remaining = list(range(num_vars))
-    while remaining:
-        # Prune duplicates, keeping the tightest rhs per coefficient vector.
-        pruned = {}
-        for coeffs, rhs in rows:
-            key, r = _fm_normalize(coeffs, rhs)
-            if key not in pruned or r < pruned[key]:
-                pruned[key] = r
-        rows = [(k, v) for k, v in pruned.items()]
-
-        def cost(var):
-            pos = sum(1 for c, _ in rows if c[var] > 0)
-            neg = sum(1 for c, _ in rows if c[var] < 0)
-            return pos * neg
-
-        var = min(remaining, key=cost)
-        remaining.remove(var)
-
-        pos_rows, neg_rows, zero_rows = [], [], []
-        for coeffs, rhs in rows:
-            a = coeffs[var]
-            if a > 0:
-                pos_rows.append((coeffs, rhs))
-            elif a < 0:
-                neg_rows.append((coeffs, rhs))
-            else:
-                zero_rows.append((coeffs, rhs))
-        new_rows = list(zero_rows)
-        for (cp, rp) in pos_rows:
-            ap = cp[var]
-            for (cn, rn) in neg_rows:
-                an = -cn[var]
-                coeffs = tuple(
-                    cn[j] / an + cp[j] / ap for j in range(num_vars)
-                )
-                new_rows.append((coeffs, rn / an + rp / ap))
-        rows = new_rows
-
-    return all(rhs >= 0 for _, rhs in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +518,3 @@ def solve(
     The reports are validated once, by ``max_welfare_assignment``."""
     assignment = matching.max_welfare_assignment(instance, matrix).assignment
     return maximin_prices(instance, matrix, assignment, nonnegative_prices, _validated=True)
-
-
-def min_utility_feasible(
-    instance: Instance,
-    matrix: ValuationMatrix,
-    assignment: Assignment,
-    floor: Fraction,
-) -> bool:
-    """Fourier-Motzkin probe: is there an EF price vector with all u_i >= floor?"""
-    system = ef_constraint_system(instance, matrix, assignment)
-    system = with_min_utility(system, instance, matrix, assignment, floor)
-    return fm_feasible(system.constraints, instance.n)

@@ -177,49 +177,59 @@ class TestHotPath:
 
 
 # Runs cli.main on its arguments in a fresh interpreter; prints the exit code
-# and whether numpy was imported.
-NUMPY_PROBE = """
+# and every rentdiv module, and numpy, loaded by then.
+MODULE_PROBE = """
 import contextlib, io, sys
 from rentdiv import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, *sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "rentdiv"))
 """
+# What `import rentdiv.cli` loads: the mechanism, the scenarios and the CLI.
+# The builtin scenarios add the `rentdiv.fixtures` data package.
+CLI_MODULES = [
+    "rentdiv", "rentdiv.cli", "rentdiv.matching", "rentdiv.model",
+    "rentdiv.pricing", "rentdiv.scenarios",
+]
 
 
 class TestNumpyImport:
-    """No command imports numpy; only the tests and the benchmark use it."""
+    """Each command loads only the modules it runs: none loads numpy or the
+    test-only ``rentdiv.oracles``, and only ``manipulate`` loads
+    ``rentdiv.manipulation``."""
 
     @pytest.mark.parametrize(
-        "argv,expected",
+        "argv,code,extra",
         [
-            (["solve", "{baseline}"], "0 False"),
-            (["verify", "--all-builtin"], "1 False"),
-            (["table"], "0 False"),
+            (["solve", "{baseline}"], EXIT_OK, []),
+            (["verify", "--all-builtin"], EXIT_MISMATCH, ["rentdiv.fixtures"]),
+            (["table"], EXIT_OK, ["rentdiv.fixtures"]),
             (
                 ["manipulate", "{baseline}", "--coalition", "D,E", "--objective",
                  "min-pay:D,E", "--template", "flatten"],
-                "0 False",
+                EXIT_OK,
+                ["rentdiv.manipulation"],
             ),
             (
                 ["manipulate", "{baseline}", "--coalition", "D", "--objective",
                  "min-pay:D", "--search"],
-                "0 False",
+                EXIT_OK,
+                ["rentdiv.manipulation"],
             ),
         ],
         ids=["solve", "verify", "table", "template", "search"],
     )
-    def test_numpy_loaded_only_by_search(self, baseline_file, argv, expected):
+    def test_command_loads_only_its_modules(self, baseline_file, argv, code, extra):
         argv = [a.format(baseline=baseline_file) for a in argv]
         proc = subprocess.run(
-            [sys.executable, "-c", NUMPY_PROBE, *argv],
+            [sys.executable, "-c", MODULE_PROBE, *argv],
             env=subprocess_env(),
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == expected
+        assert proc.stdout.split() == [str(code), *sorted(CLI_MODULES + extra)]
 
 
 # (manipulate arguments after the objective, the whole stderr line after
@@ -338,6 +348,16 @@ class TestManipulate:
             ]
         )
         assert code == EXIT_BUDGET
+
+    def test_search_exit_budget_beyond_printable_counts(self, baseline_file, capsys):
+        # C(36 * 10**1100 + 4, 4) has 4405 digits, more than Python converts
+        # to a string by default; the refusal gives its order of magnitude.
+        argv = ["manipulate", baseline_file, "--coalition", "A", "--objective",
+                "min-pay:A", "--search", "--step", "1e-1100"]
+        assert main(argv) == EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            "rentdiv: at least 10^4404 candidate rows exceed the budget of 10000000\n"
+        )
 
     def test_bad_objective_grammar(self, baseline_file):
         code = main(

@@ -1,4 +1,4 @@
-"""Misreport templates, deviation scoring and exhaustive best-response search."""
+"""Misreport templates, deviation scoring and the closed-form best-response search."""
 
 import hashlib
 import itertools
@@ -11,7 +11,6 @@ import pytest
 from conftest import make_instance, random_rows
 from rentdiv import manipulation
 from rentdiv.manipulation import (
-    SEARCH_BLOCK,
     ExcludeFromRooms,
     InfeasibleTemplate,
     MaximizeTrueUtility,
@@ -20,13 +19,9 @@ from rentdiv.manipulation import (
     SearchSpaceTooLarge,
     SubsidizeAgent,
     _best_response,
-    _composition_blocks,
-    _FastMechanism,
     _occupants,
     _prepare_search,
-    _priced_blocks,
     _room_tables,
-    _score_blocks,
     _score_value,
     best_response_search,
     coalition_search,
@@ -42,6 +37,13 @@ from rentdiv.matching import (
     all_optimal_assignments,
     brute_force_assignment,
     max_welfare_assignment,
+)
+from rentdiv.oracles import (
+    SEARCH_BLOCK,
+    _composition_blocks,
+    _FastMechanism,
+    _priced_blocks,
+    _score_blocks,
 )
 from rentdiv.pricing import _scaled_rows, envy_closure, envy_matrix, maximin_prices, solve
 from rentdiv.scenarios import builtin_scenario, builtin_scenarios

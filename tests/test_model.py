@@ -12,6 +12,7 @@ from rentdiv.model import (
     NegativeValue,
     PriceVector,
     RowSumMismatch,
+    SearchSpaceTooLarge,
     ValidationError,
     ValuationMatrix,
     build_outcome,
@@ -146,3 +147,24 @@ class TestOutcome:
         p = PriceVector.from_list(inst, [Fraction(3, 2), Fraction(1, 2)])
         u = compute_utilities(inst, mat, a, p)
         assert u == {"A": Fraction(-1, 2), "B": Fraction(-3, 2)}
+
+
+class TestSearchSpaceTooLarge:
+    # (a, k, b) stands for the count a * 10**k + b, which pytest cannot print
+    # as a test id past 4300 digits.
+    @pytest.mark.parametrize(
+        "a,k,b,shown",
+        [
+            (1, 7, 1, "10000001"),
+            (1, 30, -1, "9" * 30),
+            (1, 30, 0, "at least 10^30"),
+            (1, 4500, -1, "at least 10^4499"),
+            (1, 4500, 0, "at least 10^4500"),
+            (7, 9000, 3, "at least 10^9000"),
+        ],
+    )
+    def test_message_is_short_for_any_count(self, a, k, b, shown):
+        count = a * 10**k + b
+        exc = SearchSpaceTooLarge(count, 10**7)
+        assert (exc.count, exc.budget) == (count, 10**7)
+        assert str(exc) == f"{shown} candidate rows exceed the budget of 10000000"
