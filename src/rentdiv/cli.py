@@ -14,7 +14,7 @@ Objective grammar (OBJECTIVE_GRAMMAR): ``exclude:D,E@R1,R2,R3`` |
 ``min-pay:D[,E]`` | ``subsidize:E@R1<=7`` | ``max-util:A``.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 search
-budget exceeded.
+budget exceeded (n**3 * rent/step over ``manipulation.SEARCH_BUDGET``).
 """
 
 from __future__ import annotations

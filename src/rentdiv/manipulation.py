@@ -8,8 +8,9 @@ through one integer, its chain offset y, and the rows that reach each room
 and offset form boxes with closed-form bounds (``_best_response``).  The
 per-room tables behind it, the others' canonical optima and envy chains,
 come once per best response from ``matching.canonical_optimum`` and
-``pricing.envy_closure`` (``_room_tables``).  The arithmetic is exact Python
-integers on the values scaled by their common denominator.
+``pricing.envy_closure`` (``_room_tables``), and the payments from
+``pricing.payment_numerators``, as in ``pricing.maximin_prices``.  All of it
+is exact integer arithmetic on one integer form per search (``_Grid``).
 
 A search also yields the mechanism's ``Outcome`` on the reports it returns,
 built from the best row's assignment and integer payments, so
@@ -32,11 +33,9 @@ from .model import (
     Assignment,
     Instance,
     Outcome,
-    PriceVector,
     RentDivisionError,
     SearchSpaceTooLarge,
     ValuationMatrix,
-    build_outcome,
     compute_utilities,
     to_rational,
     validate_instance,
@@ -405,8 +404,22 @@ def _fill_defensive_rest(row, rest, true_values, remainder):
 # Misreport search
 # ---------------------------------------------------------------------------
 
-SEARCH_BUDGET = 10**7  # candidate rows per member; beyond it a search refuses
+SEARCH_BUDGET = 10**6  # n**3 * grid steps per row; beyond it a search refuses
 MAX_ROUNDS = 10  # coalition rounds before a search gives up on convergence
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """A search's ``pricing.integer_form`` with the step folded in: the true
+    rows and the rent times ``scale``, one grid step ``unit`` = step*scale,
+    and the ``steps`` = rent/step in a row."""
+
+    step: Fraction
+    scale: int
+    truth: list
+    rent: int
+    unit: int
+    steps: int
 
 
 def _room_tables(rows, agent):
@@ -463,7 +476,7 @@ def _occupants(sigma):
     return occupant
 
 
-def _objective_margin(instance, true_matrix, objective, perm, scale):
+def _objective_margin(instance, objective, perm, grid):
     """(ok, margin, numeric): the objective on the candidates that give the
     searching agent room r, whose assignment is ``perm[r]``.
 
@@ -483,11 +496,11 @@ def _objective_margin(instance, true_matrix, objective, perm, scale):
     if isinstance(objective, SubsidizeAgent):
         ben = instance.agent_index(objective.beneficiary)
         room = instance.room_index(objective.room)
-        cap = math.floor(objective.max_price * n * scale)
+        cap = math.floor(objective.max_price * n * grid.scale)
         return [p[ben] == room for p in perm], lambda r, pay: cap - pay[ben], False
     if isinstance(objective, MaximizeTrueUtility):
         who = instance.agent_index(objective.agent)
-        truth = pricing._scaled_rows(true_matrix.values, scale)[who]
+        truth = grid.truth[who]
         return [True] * n, lambda r, pay: n * truth[perm[r][who]] - pay[who], True
     raise TypeError(f"unknown objective {objective!r}")
 
@@ -569,19 +582,19 @@ def _merge(spans):
     return merged
 
 
-def _best_response(instance, true_matrix, matrix, agent_index, objective, step, scale):
-    """(row, value, perm, pay) of the best report row of one agent, every
-    other row as in ``matrix``: the row, the objective value, and that row's
-    assignment (agent -> room) and payment numerators over n*scale as lists
-    of ints.  Ties go to the first row in lexicographic order.  It gives what
-    the enumeration oracle ``oracles._priced_blocks`` gives, without scoring
-    rows.
+def _best_response(instance, objective, grid, rows, agent_index):
+    """(units, value, perm, pay) of the best report row of one agent, every
+    other row as in ``rows``, the integer rows of ``grid``: the row in grid
+    units, the objective value, and that row's assignment (agent -> room)
+    and payment numerators over n*scale as lists of ints.  Ties go to the
+    first row in lexicographic order.  It gives what the enumeration oracle
+    ``oracles._priced_blocks`` gives, without scoring rows.
 
     Fix the room r the agent a wins; the outcome then hangs on a's row x
-    through y = m_a - x_r alone: with S(y) = sum over i != a of
-    m_i = max(m'_i, reach_r[i] + y), every u_i*n*scale is shared + n*m_i
-    with shared = W_-r - R - S(y) - y, so pay_a = -shared - n*y and every
-    payment is piecewise linear in y with breakpoints at m'_i - reach_r[i].
+    through y = m_a - x_r alone: each other agent i has m_i = max(m'_i,
+    reach_r[i] + y), and with d_i = v_i(sigma_r(i)) - m_i and d_a = -y the
+    payments are ``pricing.payment_numerators(d)``, piecewise linear in y
+    with breakpoints at m'_i - reach_r[i].
 
     The rows in which a wins r with q units on it cap every other room s,
     x_s <= x_r + W_-r - W_-s, strictly when a welfare tie goes to s (the
@@ -600,21 +613,14 @@ def _best_response(instance, true_matrix, matrix, agent_index, objective, step, 
     against the C(T + n - 1, n - 1) rows of the grid.
     """
     n, a = instance.n, agent_index
-    unit = int(step * scale)  # one grid step on the scaled values
-    total = int(instance.total_rent / step)  # grid steps in a row
-    rent = int(instance.total_rent * scale)
-    perm, assigned, chain, reach, keys, welfare = _room_tables(
-        pricing._scaled_rows(matrix.values, scale), a
-    )
-    ok, margin, numeric = _objective_margin(instance, true_matrix, objective, perm, scale)
+    unit, total = grid.unit, grid.steps
+    perm, assigned, chain, reach, keys, welfare = _room_tables(rows, a)
+    ok, margin, numeric = _objective_margin(instance, objective, perm, grid)
 
     def payments(r, y):
-        m = [max(c, h + y) for c, h in zip(chain[r], reach[r])]
-        m[a] = 0
-        shared = welfare[r] - rent - y - sum(m)
-        pay = [n * (v - mi) - shared for v, mi in zip(assigned[r], m)]
-        pay[a] = -shared - n * y
-        return pay
+        d = [v - max(c, h + y) for v, c, h in zip(assigned[r], chain[r], reach[r])]
+        d[a] = -y
+        return pricing.payment_numerators(d, grid.rent)
 
     margins = {}
 
@@ -765,27 +771,23 @@ def _best_response(instance, true_matrix, matrix, agent_index, objective, step, 
                     first, pick = row, (r, (v - q) * unit - c[s])
 
     r, y = pick
-    row = tuple(u * step for u in first)
-    return row, _score_value(objective, best, n * scale), perm[r], payments(r, y)
+    return first, _score_value(objective, best, n * grid.scale), perm[r], payments(r, y)
 
 
 def _prepare_search(instance, true_matrix, step):
+    """The search's ``_Grid``; a best response costs about n**3 * steps."""
     validate_instance(instance, true_matrix)
     step = to_rational(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    units = instance.total_rent / step
-    if units.denominator != 1:
+    scale, truth, rent = pricing.integer_form(true_matrix.values, instance.total_rent, step)
+    unit = int(step * scale)
+    steps, left = divmod(rent, unit)
+    if left:
         raise ValueError("step must divide the total rent")
-    count = math.comb(int(units) + instance.n - 1, instance.n - 1)
-    if count > SEARCH_BUDGET:
-        raise SearchSpaceTooLarge(count, SEARCH_BUDGET)
-    scale = math.lcm(
-        step.denominator,
-        instance.total_rent.denominator,
-        *(v.denominator for row in true_matrix.values for v in row),
-    )
-    return step, scale
+    if instance.n**3 * steps > SEARCH_BUDGET:
+        raise SearchSpaceTooLarge(instance.n, SEARCH_BUDGET)
+    return _Grid(step, scale, truth, rent, unit, steps)
 
 
 def best_response_search(
@@ -840,35 +842,27 @@ def _coalition_search(instance, true_matrix, coalition, objective, step):
     _check_objective(instance, objective)
     coalition = set(coalition)
     _check_labels(instance, "coalition", coalition)
-    step, scale = _prepare_search(instance, true_matrix, step)
+    grid = _prepare_search(instance, true_matrix, step)
     members = [i for i, a in enumerate(instance.agent_ids) if a in coalition]
     if not members:
         raise ValueError("coalition is empty")
 
-    current = true_matrix
+    current, rows = true_matrix, list(grid.truth)  # the same reports, twice
     settled = 0  # members, up to this one, whose rows are best responses
     for turn in range(MAX_ROUNDS * len(members)):
         agent_index = members[turn % len(members)]
         # The value is that of `current` once this row is in place.
-        row, value, perm, pay = _best_response(
-            instance, true_matrix, current, agent_index, objective, step, scale
-        )
-        if row == current.row(agent_index):
+        units, value, perm, pay = _best_response(instance, objective, grid, rows, agent_index)
+        row = [u * grid.unit for u in units]
+        if row == rows[agent_index]:
             settled += 1
         else:
-            current = current.replace_row(agent_index, row)
+            rows[agent_index] = row
+            current = current.replace_row(agent_index, [u * grid.step for u in units])
             settled = 1
         if settled == len(members):
             break
 
-    nscale = instance.n * scale
-    prices = [Fraction(0)] * instance.n
-    for room, numerator in zip(perm, pay):
-        prices[room] = Fraction(numerator, nscale)
-    outcome = build_outcome(
-        instance,
-        current,
-        Assignment.from_indices(instance, perm),
-        PriceVector.from_list(instance, prices),
-    )
+    assignment = Assignment.from_indices(instance, perm)
+    outcome = pricing.priced_outcome(instance, current, assignment, pay, instance.n * grid.scale)
     return current, value, settled == len(members), outcome

@@ -58,7 +58,6 @@ def _hungarian_value(values):
     shift = max(max(row) for row in values)
     cost = [[shift - v for v in row] for row in values]
 
-    INF = float("inf")
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     p = [0] * (n + 1)  # p[j] = row matched to column j (1-based, 0 = free)
@@ -66,21 +65,22 @@ def _hungarian_value(values):
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [INF] * (n + 1)
+        minv = [None] * (n + 1)  # None: no bound yet, as if infinite
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = INF
+            delta = None
             j1 = -1
             for j in range(1, n + 1):
                 if not used[j]:
                     cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
+                    low = minv[j]
+                    if low is None or cur < low:
+                        minv[j] = low = cur
                         way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
+                    if delta is None or low < delta:
+                        delta = low
                         j1 = j
             for j in range(n + 1):
                 if used[j]:

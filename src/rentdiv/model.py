@@ -7,7 +7,6 @@ exact rational 46/5 and only rendered back to cents for display.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -46,28 +45,21 @@ class RowSumMismatch(ValidationError):
 
 
 class SearchSpaceTooLarge(RentDivisionError):
-    """A misreport search grid has more candidate rows than its budget.
+    """A misreport search grid has more steps per row than its budget allows.
 
-    The count is exact and unbounded, so the message spells it out below
-    10**30 and gives its order of magnitude above: Python refuses to turn an
-    integer of more than 4300 digits into a string.
+    A best response costs about n**3 * T integer steps for n agents and T =
+    rent/step grid steps per row, so the budget caps T at budget // n**3; the
+    message names that cap, never the (unbounded) T itself.
     """
 
-    def __init__(self, count: int, budget: int):
-        self.count = count
+    def __init__(self, n: int, budget: int):
+        self.n = n
         self.budget = budget
-        if count < 10**30:
-            shown = str(count)
-        else:
-            # The largest k with 10**k <= count: estimated from the bit
-            # length, then corrected in exact integers.
-            k = int((count.bit_length() - 1) * math.log10(2))
-            while 10**k > count:
-                k -= 1
-            while 10 ** (k + 1) <= count:
-                k += 1
-            shown = f"at least 10^{k}"
-        super().__init__(f"{shown} candidate rows exceed the budget of {budget}")
+        self.max_steps = budget // n**3
+        super().__init__(
+            f"a search with n = {n} allows at most {self.max_steps} grid steps "
+            f"per row (rent/step): n^3 * steps may not exceed {budget}"
+        )
 
 
 def to_rational(x) -> Fraction:

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import pricing
 from .manipulation import (
     _MIN_PAY,
     ExcludeFromRooms,
@@ -309,8 +308,9 @@ class _FastMechanism:
     x of one searching agent a while every other row stays fixed: the
     enumeration oracle the tests hold ``manipulation._best_response`` to.
 
-    The per-room tables come from ``manipulation._room_tables``.  For a block
-    of B rows, welfare is a (B, n) array, and winners tied on welfare are
+    It reads the reports and the rent in integer form (``pricing.integer_form``),
+    and the per-room tables from ``manipulation._room_tables``.  For a block of
+    B rows, welfare is a (B, n) array, and winners tied on welfare are
     settled room by room on the value*n + agent keys.  Maximin utilities are
     u_i = (W - R - sum(m))/n + m_i, with m_i the heaviest walk leaving i in
     the envy graph.  The edge k -> a weighs v_k(r) - x[r], so other agent i's
@@ -327,20 +327,15 @@ class _FastMechanism:
     dtype=object, so arithmetic is exact Python integers and never wraps.
     """
 
-    def __init__(self, instance: Instance, matrix: ValuationMatrix, agent: int, scale: int):
+    def __init__(self, rows, agent: int, rent: int):
         import numpy as np
 
-        n = instance.n
+        n = len(rows)
         self.n = n
         self.agent = agent
-        rent = instance.total_rent * scale
-        if rent.denominator != 1:
-            raise ValueError(f"scale {scale} does not make the rent integral")
-        self.rent = int(rent)
-        self.dtype = np.int64 if 4 * n**3 * (self.rent + 1) < 2**63 else object
-        perm, assigned, chain, reach, keys, welfare = _room_tables(
-            pricing._scaled_rows(matrix.values, scale), agent
-        )
+        self.rent = rent
+        self.dtype = np.int64 if 4 * n**3 * (rent + 1) < 2**63 else object
+        perm, assigned, chain, reach, keys, welfare = _room_tables(rows, agent)
         self.perm = np.array(perm, dtype=np.intp)
         self.assigned, self.chain, self.reach, self.keys = (
             np.array(a, dtype=self.dtype) for a in (assigned, chain, reach, keys)
@@ -409,25 +404,18 @@ def _scores(instance, true_rows, objective, perm, pay, nscale):
     raise TypeError(f"unknown objective {objective!r}")
 
 
-def _priced_blocks(instance, true_matrix, matrix, agent_index, objective, step, scale):
+def _priced_blocks(instance, objective, grid, rows, agent_index):
     """Yield (units, scores, perm, pay) per block of one agent's candidate
-    rows, in lexicographic order: a row is ``units * step``, ``perm`` maps
-    each agent to its room and ``pay`` holds payment numerators over n*scale."""
+    rows, every other row as in ``rows``, the integer rows of the search's
+    ``manipulation._Grid``, in lexicographic order: a row is ``units * step``,
+    ``perm`` maps each agent to its room and ``pay`` holds payment numerators
+    over n*scale."""
     import numpy as np
 
-    fast = _FastMechanism(instance, matrix, agent_index, scale)
+    fast = _FastMechanism(rows, agent_index, grid.rent)
     n = instance.n
-    step_int = int(step * scale)
-    true_rows = np.array(pricing._scaled_rows(true_matrix.values, scale), dtype=fast.dtype)
-    for units in _composition_blocks(int(instance.total_rent / step), n):
-        perm, assigned, u_num = fast.solve(units.astype(fast.dtype) * step_int)
+    true_rows = np.array(grid.truth, dtype=fast.dtype)
+    for units in _composition_blocks(grid.steps, n):
+        perm, assigned, u_num = fast.solve(units.astype(fast.dtype) * grid.unit)
         pay = n * assigned - u_num
-        yield units, _scores(instance, true_rows, objective, perm, pay, n * scale), perm, pay
-
-
-def _score_blocks(instance, true_matrix, matrix, agent_index, objective, step, scale):
-    """(units, scores) of each block of ``_priced_blocks``."""
-    for units, scores, _, _ in _priced_blocks(
-        instance, true_matrix, matrix, agent_index, objective, step, scale
-    ):
-        yield units, scores
+        yield units, _scores(instance, true_rows, objective, perm, pay, n * grid.scale), perm, pay

@@ -5,15 +5,19 @@ polytope: one budget equality plus n*(n-1) envy inequalities.  The price
 vector returned here maximizes the minimum utility and then applies a leximin
 refinement so the result is canonical.
 
+The exact routes run on one integer form per operation (``integer_form``):
+the values and the rent scaled by their common denominator, and by a
+misreport search's step.  ``Fraction``s are built once, with the ``Outcome``.
+
 The envy graph gives both certificates in closed form.  Its edge i -> k
-weighs v_i(room of k) - v_k(room of k); one exact Floyd-Warshall closure
-(``envy_closure``, on lists of Python integers: the values scaled by their
-common denominator) yields m_i, the heaviest envy chain leaving agent i.  The
-assignment is welfare-maximizing iff no envy cycle is positive, and the
-largest minimum utility of any envy-free price vector is
+weighs v_i(room of k) - v_k(room of k); one Floyd-Warshall closure
+(``envy_closure``) on the integer form yields m_i, the heaviest envy chain
+leaving agent i.  The assignment is welfare-maximizing iff no envy cycle is
+positive, and the largest minimum utility of any envy-free price vector is
 t* = (W - R - sum(m))/n (``maximin_level``).  ``rentdiv verify`` certifies
 maximin optimality with it.  The misreport search (``manipulation``) runs the
-same closure once per room of the searching agent.
+same closure once per room of the searching agent, and prices with the same
+formula (``payment_numerators``).
 
 ``maximin_prices`` checks the assignment with the closure, takes one of two
 routes to the utilities, and returns the mechanism's ``Outcome`` for the
@@ -308,26 +312,23 @@ def envy_matrix(rows, sigma):
     return [[row[room] - v for room, v in zip(sigma, own)] for row in rows]
 
 
-def _scaled_rows(rows, scale):
-    """Rows of Fractions times ``scale``, a common multiple of their
-    denominators, as Python integers."""
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+def integer_form(rows, rent, step=1):
+    """(scale, int rows, int rent): the values and the rent times ``scale``,
+    the least common multiple of their denominators and the ``step``'s, so a
+    grid of that step is integral too.  The only place values are scaled."""
+    scale = math.lcm(
+        rent.denominator, step.denominator, *(v.denominator for row in rows for v in row)
+    )
+    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    return scale, rows, rent.numerator * (scale // rent.denominator)
 
 
-def _envy_chains(instance, matrix, assignment, welfare):
-    """m_i per agent; raises NotWelfareMaximizing on a positive envy cycle,
-    since rotating rooms along it would raise welfare by its weight.
-
-    The closure runs on the values scaled by their common denominator, so it
-    adds Python integers instead of Fractions.
-    """
-    scale = math.lcm(*(v.denominator for row in matrix.values for v in row))
-    rows = _scaled_rows(matrix.values, scale)
-    closed = envy_closure(envy_matrix(rows, assignment.to_indices(instance)))
-    if any(closed[i][i] > 0 for i in range(instance.n)):
-        best = matching.max_welfare_assignment(instance, matrix).welfare
-        raise NotWelfareMaximizing(f"assignment welfare {welfare} < optimum {best}")
-    return [Fraction(max(row), scale) for row in closed]
+def payment_numerators(d, rent):
+    """Payments times n*scale at the utilities u = t* + m, from d_i =
+    v_i(sigma_i) - m_i on the integer form: n*t* = sum(d) - R, so agent i
+    pays d_i - t*, that is n*d_i - (sum(d) - R) over n*scale."""
+    excess = sum(d) - rent
+    return [len(d) * di - excess for di in d]
 
 
 def maximin_level(
@@ -341,15 +342,25 @@ def maximin_level(
     attains it.  Raises NotWelfareMaximizing when no envy-free prices exist.
     """
     validate_instance(instance, matrix)
-    return _maximin_level(instance, matrix, assignment)[0]
+    (scale, _, _), _, level, _ = _maximin_level(instance, matrix, assignment)
+    return Fraction(level, instance.n * scale)
 
 
 def _maximin_level(instance, matrix, assignment):
-    """(t*, chains m_i) for the assignment, on reports already validated."""
+    """(form, sigma, n*t*, chains m_i) on validated reports, all on their
+    ``integer_form``; raises NotWelfareMaximizing on a positive envy cycle,
+    since rotating rooms along it would raise welfare by its weight."""
+    form = scale, rows, rent = integer_form(matrix.values, instance.total_rent)
     sigma = assignment.to_indices(instance)
-    welfare = sum(matrix.value(i, sigma[i]) for i in range(instance.n))
-    chains = _envy_chains(instance, matrix, assignment, welfare)
-    return (welfare - instance.total_rent - sum(chains)) / instance.n, chains
+    welfare = sum(row[j] for row, j in zip(rows, sigma))
+    closed = envy_closure(envy_matrix(rows, sigma))
+    if any(closed[i][i] > 0 for i in range(instance.n)):
+        best = matching.max_welfare_assignment(instance, matrix).welfare
+        raise NotWelfareMaximizing(
+            f"assignment welfare {Fraction(welfare, scale)} < optimum {best}"
+        )
+    chains = [max(row) for row in closed]
+    return form, sigma, welfare - rent - sum(chains), chains
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +453,24 @@ def maximin_prices(
     """
     if not _validated:
         validate_instance(instance, matrix)
-    sigma = assignment.to_indices(instance)
-    level, chains = _maximin_level(instance, matrix, assignment)
+    (scale, rows, rent), sigma, _, chains = _maximin_level(instance, matrix, assignment)
     if nonnegative_prices or any(chains):
         utilities = _leximin_utilities(instance, matrix, sigma, nonnegative_prices)
-    else:
-        # u = t* + m, here the equal split of the surplus.
-        utilities = [level + m for m in chains]
+        pay = [matrix.value(i, j) - u for i, (j, u) in enumerate(zip(sigma, utilities))]
+        return priced_outcome(instance, matrix, assignment, pay, 1)
+    # u = t* + m, here the equal split of the surplus.
+    d = [row[j] - m for row, j, m in zip(rows, sigma, chains)]
+    pay = payment_numerators(d, rent)
+    return priced_outcome(instance, matrix, assignment, pay, instance.n * scale)
 
-    plist = [Fraction(0)] * instance.n
-    for i, room in enumerate(sigma):
-        plist[room] = matrix.value(i, room) - utilities[i]
-    prices = PriceVector.from_list(instance, plist)
-    return build_outcome(instance, matrix, assignment, prices)
+
+def priced_outcome(instance, matrix, assignment, pay, denominator):
+    """The ``Outcome`` of ``assignment`` when agent i pays pay[i]/denominator:
+    where exact payments on the integer form become ``Fraction``s."""
+    prices = [Fraction(0)] * instance.n
+    for j, p in zip(assignment.to_indices(instance), pay):
+        prices[j] = Fraction(p, denominator)
+    return build_outcome(instance, matrix, assignment, PriceVector.from_list(instance, prices))
 
 
 def _leximin_utilities(instance, matrix, sigma, nonnegative_prices):

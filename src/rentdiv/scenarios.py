@@ -317,11 +317,14 @@ def run_scenario(s: Scenario):
     )
     expected_min = min(expected_utilities.values())
     # Envy-free prices exist only for welfare-maximizing assignments, so
-    # maximin_level meets no positive envy cycle here; solve validated the
+    # _maximin_level meets no positive envy cycle here; solve validated the
     # reports.
-    expected_maximin = expected_ef and expected_min == pricing._maximin_level(
-        s.instance, s.reported_matrix, exp.assignment
-    )[0]
+    expected_maximin = False
+    if expected_ef:
+        (scale, _, _), _, level, _ = pricing._maximin_level(
+            s.instance, s.reported_matrix, exp.assignment
+        )
+        expected_maximin = expected_min == Fraction(level, s.instance.n * scale)
 
     prices_ok = all(abs(d) <= exp.tolerance for d in diffs.values())
     if prices_ok and outcome.assignment == exp.assignment:

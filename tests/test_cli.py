@@ -344,19 +344,21 @@ class TestManipulate:
                 "min-pay:A",
                 "--search",
                 "--step",
-                "1/100",
+                "1/1000",
             ]
         )
+        # 36,000 steps per row; five agents are allowed 8,000.
         assert code == EXIT_BUDGET
 
     def test_search_exit_budget_beyond_printable_counts(self, baseline_file, capsys):
-        # C(36 * 10**1100 + 4, 4) has 4405 digits, more than Python converts
-        # to a string by default; the refusal gives its order of magnitude.
+        # 36 * 10**1100 steps per row: the refusal names the cap, not that
+        # count, and its C(36 * 10**1100 + 4, 4) rows.
         argv = ["manipulate", baseline_file, "--coalition", "A", "--objective",
                 "min-pay:A", "--search", "--step", "1e-1100"]
         assert main(argv) == EXIT_BUDGET
         assert capsys.readouterr().err == (
-            "rentdiv: at least 10^4404 candidate rows exceed the budget of 10000000\n"
+            "rentdiv: a search with n = 5 allows at most 8000 grid steps per row "
+            "(rent/step): n^3 * steps may not exceed 1000000\n"
         )
 
     def test_bad_objective_grammar(self, baseline_file):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_instance, random_rows
-from rentdiv import manipulation
+from rentdiv import manipulation, pricing
 from rentdiv.manipulation import (
     ExcludeFromRooms,
     InfeasibleTemplate,
@@ -43,12 +43,18 @@ from rentdiv.oracles import (
     _composition_blocks,
     _FastMechanism,
     _priced_blocks,
-    _score_blocks,
 )
-from rentdiv.pricing import _scaled_rows, envy_closure, envy_matrix, maximin_prices, solve
+from rentdiv.pricing import envy_closure, envy_matrix, integer_form, maximin_prices, solve
 from rentdiv.scenarios import builtin_scenario, builtin_scenarios
 
 F = Fraction
+
+
+def _fast(inst, mat, agent):
+    """``_FastMechanism`` for one agent of reports with integer values."""
+    scale, rows, rent = integer_form(mat.values, inst.total_rent)
+    assert scale == 1
+    return _FastMechanism(rows, agent, rent)
 
 
 class TestObjectives:
@@ -205,7 +211,7 @@ class TestFastMechanism:
             inst, mat = make_instance(rows)
             agent = rng.randrange(n)
             block = [rows[agent]] + random_rows(rng, n)[:2]
-            fast = _FastMechanism(inst, mat, agent, scale=1)
+            fast = _fast(inst, mat, agent)
             perm, _, u_num = fast.solve(
                 np.array([[int(v) for v in row] for row in block], dtype=np.int64)
             )
@@ -236,7 +242,7 @@ class TestFastMechanism:
                 rows = random_rows(rng, n, total=total)
                 inst, mat = make_instance(rows)
                 for agent in range(n):
-                    fast = _FastMechanism(inst, mat, agent, scale=1)
+                    fast = _fast(inst, mat, agent)
                     forcing, picked = [], []
                     for r in range(n):
                         row = [F(0)] * n
@@ -278,7 +284,7 @@ class TestFastMechanism:
                 rows = [[int(v) for v in row] for row in random_rows(rng, n, total=total)]
                 inst, mat = make_instance(rows, total=total)
                 for agent in range(n):
-                    fast = _FastMechanism(inst, mat, agent, scale=1)
+                    fast = _fast(inst, mat, agent)
                     block = [rows[agent]] + [
                         [int(v) for v in row] for row in random_rows(rng, n, total=total)
                     ]
@@ -380,14 +386,13 @@ BASELINE_DIGESTS = [
 
 def _grid_scores(inst, truth, agent, objective, step):
     """[(units, score)] over the whole grid, and the payment denominator."""
-    step, scale = _prepare_search(inst, truth, step)
-    agent_index = inst.agent_index(agent)
-    blocks = _score_blocks(inst, truth, truth, agent_index, objective, step, scale)
+    grid = _prepare_search(inst, truth, step)
+    blocks = _priced_blocks(inst, objective, grid, grid.truth, inst.agent_index(agent))
     return [
         (units, score)
-        for block_units, block_scores in blocks
+        for block_units, block_scores, _, _ in blocks
         for units, score in zip(block_units.tolist(), block_scores.tolist())
-    ], inst.n * scale
+    ], inst.n * grid.scale
 
 
 class TestSearchKernel:
@@ -476,19 +481,18 @@ class TestSearchKernel:
                 )
 
 
-def _oracle_best_response(inst, truth, matrix, agent_index, objective, step, scale):
+def _oracle_best_response(inst, objective, grid, rows, agent_index):
     """``_best_response`` by enumeration: the first row of best score among
-    ``_priced_blocks``, with its assignment and payment numerators."""
+    ``_priced_blocks``, in grid units, with its assignment and payment
+    numerators."""
     best = None
-    for units, scores, perm, pay in _priced_blocks(
-        inst, truth, matrix, agent_index, objective, step, scale
-    ):
+    for units, scores, perm, pay in _priced_blocks(inst, objective, grid, rows, agent_index):
         k = int(scores.argmax())
         if best is None or scores[k] > best[1]:
             best = units[k], scores[k], perm[k], pay[k]
     units, score, perm, pay = best
-    row = tuple(int(u) * step for u in units)
-    return row, _score_value(objective, score, inst.n * scale), perm.tolist(), pay.tolist()
+    value = _score_value(objective, score, inst.n * grid.scale)
+    return units.tolist(), value, perm.tolist(), pay.tolist()
 
 
 class TestClosedForm:
@@ -501,20 +505,20 @@ class TestClosedForm:
         import numpy as np
 
         inst, truth = baseline
-        step, scale = _prepare_search(inst, truth, F(1))
+        grid = _prepare_search(inst, truth, F(1))
         n = inst.n
         for agent in sorted({a for a, _, _ in BASELINE_DIGESTS}):
             a = inst.agent_index(agent)
-            perm, assigned, chain, _, _, _ = _room_tables(_scaled_rows(truth.values, scale), a)
+            perm, assigned, chain, _, _, _ = _room_tables(grid.truth, a)
             c = np.array(
                 [[assigned[r][k] - chain[r][k] for k in _occupants(perm[r])] for r in range(n)]
             )
             c[np.arange(n), np.arange(n)] = 10**9  # a's own room is no chain step
-            grid = _priced_blocks(inst, truth, truth, a, MinimizeOwnPayment(agent), step, scale)
+            blocks = _priced_blocks(inst, MinimizeOwnPayment(agent), grid, grid.truth, a)
             outcomes = []
-            for units, _, block_perm, pay in grid:
+            for units, _, block_perm, pay in blocks:
                 room = block_perm[:, a]
-                x = units * int(step * scale)
+                x = units * grid.unit
                 m_a = np.maximum(0, (x - c[room]).max(axis=1))
                 y = m_a - x[np.arange(len(x)), room]
                 outcomes.append(np.column_stack([room, y, block_perm, pay]))
@@ -538,15 +542,16 @@ class TestClosedForm:
                 rent /= 2
             inst, truth = make_instance(rows, total=rent)
             step = F(1, 2) if trial % 2 or rent.denominator != 1 else F(1)
-            step, scale = _prepare_search(inst, truth, step)
+            grid = _prepare_search(inst, truth, step)
             agent, other = rng.choice(inst.agent_ids), rng.choice(inst.agent_ids)
             a = inst.agent_index(agent)
-            matrix = truth
+            matrix = grid.truth
             if other != agent and trial % 4 < 2:
-                units = int(rent / step)
-                cuts = sorted(rng.randint(0, units) for _ in range(n - 1))
-                row = [(hi - lo) * step for lo, hi in zip([0] + cuts, cuts + [units])]
-                matrix = truth.replace_row(inst.agent_index(other), row)
+                cuts = sorted(rng.randint(0, grid.steps) for _ in range(n - 1))
+                matrix = list(grid.truth)
+                matrix[inst.agent_index(other)] = [
+                    (hi - lo) * grid.unit for lo, hi in zip([0] + cuts, cuts + [grid.steps])
+                ]
             for objective in [
                 MinimizeOwnPayment(agent),
                 MinimizeCoalitionPayments((agent, other)),
@@ -556,10 +561,10 @@ class TestClosedForm:
                     other, rng.choice(inst.room_ids), F(rng.randint(0, 8), rng.choice((1, 3)))
                 ),
             ]:
-                got = _best_response(inst, truth, matrix, a, objective, step, scale)
-                want = _oracle_best_response(inst, truth, matrix, a, objective, step, scale)
-                assert got == want, (rows, agent, matrix.values, objective, step)
-                kinds.add((type(objective), n, step, matrix is truth, rent.denominator))
+                got = _best_response(inst, objective, grid, matrix, a)
+                want = _oracle_best_response(inst, objective, grid, matrix, a)
+                assert got == want, (rows, agent, matrix, objective, step)
+                kinds.add((type(objective), n, step, matrix is grid.truth, rent.denominator))
         assert len({k[0] for k in kinds}) == 5
         assert {k[1] for k in kinds} == set(range(1, 7))
         assert {k[2] for k in kinds} == {F(1), F(1, 2)}
@@ -575,12 +580,12 @@ class TestClosedForm:
         # 501,501 rows, most of them optimal for these predicates: finding
         # the first must still cost less than scoring them all.
         inst, truth = make_instance([(334, 333, 333)] * 3, total=1000)
-        step, scale = _prepare_search(inst, truth, F(1))
+        grid = _prepare_search(inst, truth, F(1))
         start = time.perf_counter()
-        got = _best_response(inst, truth, truth, 0, objective, step, scale)
+        got = _best_response(inst, objective, grid, grid.truth, 0)
         search = time.perf_counter() - start
         start = time.perf_counter()
-        want = _oracle_best_response(inst, truth, truth, 0, objective, step, scale)
+        want = _oracle_best_response(inst, objective, grid, grid.truth, 0)
         enumeration = time.perf_counter() - start
         assert got[:2] == want[:2]
         assert search < enumeration
@@ -621,12 +626,32 @@ def test_unknown_labels_are_named(baseline, entry):
 
 class TestSearch:
     def test_budget_guard(self, baseline):
+        # The budget caps n**3 * rent/step: 8,000 steps per row for five
+        # agents, so rent 36 allows step 36/8000 and refuses step 36/8001.
         inst, truth = baseline
+        assert _prepare_search(inst, truth, F(36, 8000)).steps == 8000
         with pytest.raises(SearchSpaceTooLarge) as ei:
-            best_response_search(
-                inst, truth, "A", MinimizeOwnPayment("A"), step=F(1, 100)
-            )
-        assert ei.value.count > ei.value.budget
+            _prepare_search(inst, truth, F(36, 8001))
+        assert (ei.value.n, ei.value.budget, ei.value.max_steps) == (5, 10**6, 8000)
+        with pytest.raises(SearchSpaceTooLarge):
+            best_response_search(inst, truth, "A", MinimizeOwnPayment("A"), step=F(1, 1000))
+
+    def test_eight_agents_at_step_one(self):
+        # C(43, 7) = 3.2 * 10**7 rows, over the old budget of 10**7 rows;
+        # the work, n**3 * 36 = 18,432, is far under this one.
+        rng = random.Random(8)
+        inst, truth = make_instance(random_rows(rng, 8, total=36))
+        row, value = best_response_search(inst, truth, "D", MinimizeOwnPayment("D"))
+        assert value == solve(inst, truth.replace_row(3, row)).payment_of("D")
+        assert value <= solve(inst, truth).payment_of("D")
+
+    def test_baseline_at_step_one_hundredth(self, baseline):
+        # 7.0 * 10**12 rows at step 1/100, n**3 * 3600 = 450,000 steps of work.
+        inst, truth = baseline
+        objective = MinimizeOwnPayment("A")
+        row, value = best_response_search(inst, truth, "A", objective, step=F(1, 100))
+        assert row == (F(701, 100), 10, F(899, 100), 6, 4)
+        assert value == F(17, 5)
 
     def test_step_must_divide_rent(self, baseline):
         inst, truth = baseline
@@ -677,7 +702,7 @@ class TestSearch:
         real = manipulation._best_response
 
         def counted(*args):
-            calls.append(inst.agent_ids[args[3]])
+            calls.append(inst.agent_ids[args[4]])
             return real(*args)
 
         monkeypatch.setattr(manipulation, "_best_response", counted)
@@ -766,6 +791,42 @@ class TestSearchOutcome:
         for objective in _one_of_each_kind(inst, "A", "C"):
             self.search(inst, truth, ("A",), objective, F(1, 2))
             self.search(inst, truth, ("A", "C"), objective, F(1, 2))
+
+    def test_mixed_denominators(self):
+        # Rent 73/2 and values in eighths: one scale makes the truth, the
+        # grid and the rent integral.  Step 1/4 leaves it at 8; step 73/6
+        # folds in a 3 the values lack, so the scale is 24.
+        rows = [
+            (F(100, 8), F(97, 8), F(95, 8)),
+            (F(73, 8), F(120, 8), F(99, 8)),
+            (F(91, 8), F(91, 8), F(110, 8)),
+        ]
+        inst, truth = make_instance(rows, total=F(73, 2))
+        for step, form in [(F(1, 4), (8, 2, 146, 292)), (F(73, 6), (24, 292, 3, 876))]:
+            grid = _prepare_search(inst, truth, step)
+            assert (grid.scale, grid.unit, grid.steps, grid.rent) == form
+            for objective in _one_of_each_kind(inst, "B", "C"):
+                self.search(inst, truth, ("B",), objective, step)
+                got = _best_response(inst, objective, grid, grid.truth, 1)
+                assert got == _oracle_best_response(inst, objective, grid, grid.truth, 1)
+
+    def test_one_payment_formula(self, baseline, monkeypatch):
+        # maximin_prices' closed form and the search kernel price with the
+        # same function.
+        calls = []
+        real = pricing.payment_numerators
+
+        def counted(d, rent):
+            calls.append(len(d))
+            return real(d, rent)
+
+        monkeypatch.setattr(pricing, "payment_numerators", counted)
+        inst, truth = baseline
+        solve(inst, truth)  # every chain is 0: the closed form
+        assert calls == [5]
+        calls.clear()
+        self.search(inst, truth, ("A",), MinimizeOwnPayment("A"))
+        assert len(calls) > 1
 
     def test_exact_integer_fallback(self):
         # Past the int64 bound the kernel's arrays hold Python integers.

@@ -150,21 +150,13 @@ class TestOutcome:
 
 
 class TestSearchSpaceTooLarge:
-    # (a, k, b) stands for the count a * 10**k + b, which pytest cannot print
-    # as a test id past 4300 digits.
-    @pytest.mark.parametrize(
-        "a,k,b,shown",
-        [
-            (1, 7, 1, "10000001"),
-            (1, 30, -1, "9" * 30),
-            (1, 30, 0, "at least 10^30"),
-            (1, 4500, -1, "at least 10^4499"),
-            (1, 4500, 0, "at least 10^4500"),
-            (7, 9000, 3, "at least 10^9000"),
-        ],
-    )
-    def test_message_is_short_for_any_count(self, a, k, b, shown):
-        count = a * 10**k + b
-        exc = SearchSpaceTooLarge(count, 10**7)
-        assert (exc.count, exc.budget) == (count, 10**7)
-        assert str(exc) == f"{shown} candidate rows exceed the budget of 10000000"
+    def test_message_names_the_step_cap(self):
+        # The message names the cap on grid steps per row for n agents,
+        # never a grid's own step count, which has no bound.
+        for n, cap in [(1, 10**6), (5, 8000), (8, 1953), (100, 1), (101, 0)]:
+            exc = SearchSpaceTooLarge(n, 10**6)
+            assert (exc.n, exc.budget, exc.max_steps) == (n, 10**6, cap)
+            assert str(exc) == (
+                f"a search with n = {n} allows at most {cap} grid steps per row "
+                "(rent/step): n^3 * steps may not exceed 1000000"
+            )

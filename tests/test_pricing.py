@@ -31,7 +31,6 @@ from rentdiv.pricing import (
     LinearProgram,
     NotWelfareMaximizing,
     TooManyVariables,
-    _envy_chains,
     _leximin_utilities,
     _maximin_level,
     ef_constraint_system,
@@ -48,6 +47,12 @@ from rentdiv.pricing import (
 )
 
 F = Fraction
+
+
+def _level_and_chains(inst, mat, assignment):
+    """(t*, [m_i]) as Fractions, from the integer form of ``_maximin_level``."""
+    (scale, _, _), _, level, chains = _maximin_level(inst, mat, assignment)
+    return F(level, inst.n * scale), [F(m, scale) for m in chains]
 
 
 class TestSimplex:
@@ -249,7 +254,7 @@ class TestMaximin:
         result = max_welfare_assignment(inst, mat)
         sigma = result.assignment
         # Every chain is 0, so maximin_prices takes the equal split.
-        assert _envy_chains(inst, mat, sigma, result.welfare) == [0] * inst.n
+        assert _level_and_chains(inst, mat, sigma)[1] == [0] * inst.n
         shortcut = _equal_split_prices(inst, mat, sigma)
         assert is_envy_free(inst, mat, sigma, shortcut) == []
         by_lp = _leximin_utilities(
@@ -267,7 +272,7 @@ class TestMaximin:
         inst, mat = sc.instance, sc.reported_matrix
         result = max_welfare_assignment(inst, mat)
         sigma = result.assignment
-        assert any(_envy_chains(inst, mat, sigma, result.welfare))
+        assert any(_level_and_chains(inst, mat, sigma)[1])
         assert is_envy_free(inst, mat, sigma, _equal_split_prices(inst, mat, sigma))
 
     def test_zero_chains_iff_equal_split_envy_free(self):
@@ -277,7 +282,7 @@ class TestMaximin:
             n = 2 + trial % 5
             inst, mat = make_instance(random_rows(rng, n, total=rng.choice((6, 36))))
             result = max_welfare_assignment(inst, mat)
-            chains = _envy_chains(inst, mat, result.assignment, result.welfare)
+            chains = _level_and_chains(inst, mat, result.assignment)[1]
             equal = _equal_split_prices(inst, mat, result.assignment)
             envy_free = is_envy_free(inst, mat, result.assignment, equal) == []
             assert envy_free == (not any(chains))
@@ -298,7 +303,7 @@ class TestMaximin:
             n = 2 + trial % 6
             inst, mat = make_instance(random_rows(rng, n, total=rng.choice((6, 36))))
             sigma = max_welfare_assignment(inst, mat).assignment
-            level, chains = _maximin_level(inst, mat, sigma)
+            level, chains = _level_and_chains(inst, mat, sigma)
             if not any(chains):
                 continue
             positive += 1
@@ -318,7 +323,7 @@ class TestMaximin:
             inst, mat = make_instance(random_rows(rng, n, total=rng.choice((6, 36))))
             out = solve(inst, mat)
             assert maximin_prices(inst, mat, out.assignment) == out
-            routes.add(any(_envy_chains(inst, mat, out.assignment, out.welfare)))
+            routes.add(any(_level_and_chains(inst, mat, out.assignment)[1]))
         assert routes == {False, True}
 
 
@@ -464,7 +469,7 @@ class TestEnvyClosure:
                 inst, mat = make_instance(rows, total=2 * n)
                 out = solve(inst, mat)
                 closed = envy_closure(envy_matrix(mat.values, out.assignment.to_indices(inst)))
-                chains = _envy_chains(inst, mat, out.assignment, out.welfare)
+                chains = _level_and_chains(inst, mat, out.assignment)[1]
                 assert chains == [max(row) for row in closed]
                 assert maximin_level(inst, mat, out.assignment) == out.min_utility
 
