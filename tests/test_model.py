@@ -23,6 +23,7 @@ from rentdiv.model import (
     to_rational,
     validate_instance,
 )
+from rentdiv.manipulation import _prepare_search
 
 
 def small_instance():
@@ -160,3 +161,31 @@ class TestSearchSpaceTooLarge:
                 f"a search with n = {n} allows at most {cap} grid steps per row "
                 "(rent/step): n^3 * steps may not exceed 1000000"
             )
+
+    # (a, k, b) stands for a grid of a * 10**k + b steps per row, which pytest
+    # cannot print as a test id past 4300 digits; `shown` is how the refusal
+    # once rendered that count.
+    @pytest.mark.parametrize(
+        "a,k,b,shown",
+        [
+            (1, 7, 1, "10000001"),
+            (1, 30, -1, "9" * 30),
+            (1, 30, 0, "at least 10^30"),
+            (1, 4500, -1, "at least 10^4499"),
+            (1, 4500, 0, "at least 10^4500"),
+            (7, 9000, 3, "at least 10^9000"),
+        ],
+    )
+    def test_message_is_short_for_any_count(self, a, k, b, shown):
+        # One agent pays the whole rent on a grid of step 1; however many
+        # steps that makes, the refusal names only the cap for n = 1.
+        count = a * 10**k + b
+        inst = Instance(("R",), ("A",), Fraction(count))
+        with pytest.raises(SearchSpaceTooLarge) as ei:
+            _prepare_search(inst, ValuationMatrix.from_rows([(count,)]), 1)
+        assert (ei.value.n, ei.value.budget, ei.value.max_steps) == (1, 10**6, 10**6)
+        assert str(ei.value) == (
+            "a search with n = 1 allows at most 1000000 grid steps per row "
+            "(rent/step): n^3 * steps may not exceed 1000000"
+        )
+        assert shown not in str(ei.value)
