@@ -14,7 +14,9 @@ Objective grammar (OBJECTIVE_GRAMMAR): ``exclude:D,E@R1,R2,R3`` |
 ``min-pay:D[,E]`` | ``subsidize:E@R1<=7`` | ``max-util:A``.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 search
-budget exceeded (n**3 * rent/step over ``manipulation.SEARCH_BUDGET``).
+budget exceeded (n**3 * rent/step over ``manipulation.SEARCH_BUDGET``).  The
+budget bounds one best response; a k-member search runs at most
+``manipulation.MAX_ROUNDS`` * k of them.
 """
 
 from __future__ import annotations
@@ -373,11 +375,11 @@ def cmd_manipulate(args) -> int:
             instance, true_matrix, reported, objective
         )
     elif args.search:
-        # The search already solved the mechanism on the reports it returns.
-        reported, _, _, manipulated = manipulation._coalition_search(
+        # The search solves the mechanism on the truth and on the reports it
+        # returns, both on its own integer form.
+        reported, _, _, honest, manipulated = manipulation._coalition_search(
             instance, true_matrix, coalition, objective, step
         )
-        honest = pricing.solve(instance, true_matrix)
         report = manipulation._deviation_report(
             instance, true_matrix, honest, manipulated, objective
         )

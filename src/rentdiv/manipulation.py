@@ -13,8 +13,9 @@ come once per best response from ``matching.canonical_optimum`` and
 is exact integer arithmetic on one integer form per search (``_Grid``).
 
 A search also yields the mechanism's ``Outcome`` on the reports it returns,
-built from the best row's assignment and integer payments, so
-``rentdiv manipulate --search`` solves only the truth.
+built from the best row's assignment and integer payments, and the honest
+``Outcome``, priced on the canonical optimum of the same integer form, so
+``rentdiv manipulate --search`` runs no ``Fraction`` Hungarian.
 
 The module runs in pure Python.  The tests hold the search to the numpy
 enumeration oracle in ``rentdiv.oracles``, which scores every report row of
@@ -404,7 +405,9 @@ def _fill_defensive_rest(row, rest, true_values, remainder):
 # Misreport search
 # ---------------------------------------------------------------------------
 
-SEARCH_BUDGET = 10**6  # n**3 * grid steps per row; beyond it a search refuses
+# n**3 * grid steps per row, the cost of one best response, beyond which a
+# search refuses.  A k-member search runs at most MAX_ROUNDS * k of them.
+SEARCH_BUDGET = 10**6
 MAX_ROUNDS = 10  # coalition rounds before a search gives up on convergence
 
 
@@ -775,7 +778,11 @@ def _best_response(instance, objective, grid, rows, agent_index):
 
 
 def _prepare_search(instance, true_matrix, step):
-    """The search's ``_Grid``; a best response costs about n**3 * steps."""
+    """The search's ``_Grid``; a best response costs about n**3 * steps.
+
+    Refuses a grid whose one best response exceeds ``SEARCH_BUDGET``; a
+    k-member search runs at most MAX_ROUNDS * k best responses.
+    """
     validate_instance(instance, true_matrix)
     step = to_rational(step)
     if step <= 0:
@@ -827,17 +834,40 @@ def coalition_search(
     As in ``best_response_search``, the value can be worse than honesty's
     when ``step`` does not divide every member's true values.
     """
-    return _coalition_search(instance, true_matrix, coalition, objective, step)[:3]
+    return _search(instance, true_matrix, coalition, objective, step)[1:4]
 
 
 def _coalition_search(instance, true_matrix, coalition, objective, step):
-    """``coalition_search``'s result plus the mechanism's ``Outcome`` on the
-    returned reports.
+    """``coalition_search``'s result plus the mechanism's ``Outcome``s on the
+    truth and on the returned reports: (reported_matrix, achieved_value,
+    converged, honest, manipulated).
+
+    Both come from the search's integer form, with no ``Fraction`` Hungarian.
+    The honest assignment is the canonical optimum of the scaled truth
+    ``grid.truth``: scaling by a positive integer keeps every comparison and
+    every tie, so it is ``pricing.solve``'s; ``pricing.maximin_prices``
+    prices it.
+    """
+    grid, reported, value, converged, manipulated = _search(
+        instance, true_matrix, coalition, objective, step
+    )
+    perm, _ = matching.canonical_optimum(grid.truth)
+    honest = pricing.maximin_prices(
+        instance, true_matrix, Assignment.from_indices(instance, perm), _validated=True
+    )
+    return reported, value, converged, honest, manipulated
+
+
+def _search(instance, true_matrix, coalition, objective, step):
+    """(grid, reported_matrix, achieved_value, converged, manipulated): the
+    coordinate ascent of ``coalition_search`` on its ``_Grid``, and the
+    mechanism's ``Outcome`` on the returned reports.
 
     The last best response was scored with every other row at its value in
     the returned matrix, so its winning candidate's assignment and payments
     are those of ``pricing.solve`` on that matrix, converged or not; the
-    outcome is built from them without solving again.
+    outcome is built from them without solving again.  ``coalition_search``
+    stops here: the honest outcome's leximin LP can cost more than a search.
     """
     _check_objective(instance, objective)
     coalition = set(coalition)
@@ -865,4 +895,4 @@ def _coalition_search(instance, true_matrix, coalition, objective, step):
 
     assignment = Assignment.from_indices(instance, perm)
     outcome = pricing.priced_outcome(instance, current, assignment, pay, instance.n * grid.scale)
-    return current, value, settled == len(members), outcome
+    return grid, current, value, settled == len(members), outcome

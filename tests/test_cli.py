@@ -150,18 +150,29 @@ class TestHotPath:
 
     @pytest.mark.parametrize("agent", "ABCDE")
     def test_search_solves_truth_only(self, baseline_file, monkeypatch, agent):
-        # The manipulated outcome comes from the search's winning candidate:
-        # one solve, of the truth, and no simplex on the way.
-        calls = {"simplex_solve": 0, "solve": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(pricing, name), _name=name, **kwargs):
+        # The manipulated outcome comes from the search's winning candidate,
+        # and the honest one from pricing the canonical optimum of the
+        # search's integer truth: no solve, no Fraction Hungarian, one
+        # maximin_prices, and no simplex on the way.
+        calls = {}
+        for module, name in (
+            (pricing, "solve"),
+            (matching, "max_welfare_assignment"),
+            (pricing, "maximin_prices"),
+            (pricing, "simplex_solve"),
+        ):
+            calls[name] = 0
+
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(pricing, name, counted)
+            monkeypatch.setattr(module, name, counted)
         argv = ["manipulate", baseline_file, "--coalition", agent]
         assert main(argv + ["--objective", f"min-pay:{agent}", "--search"]) == EXIT_OK
-        assert calls == {"simplex_solve": 0, "solve": 1}
+        assert calls == {
+            "solve": 0, "max_welfare_assignment": 0, "maximin_prices": 1, "simplex_solve": 0
+        }
 
     def test_solve_runs_without_oracles(self, baseline_file, capsys):
         assert main(["solve", baseline_file]) == EXIT_OK

@@ -748,14 +748,17 @@ def _one_of_each_kind(inst, agent, other):
 
 class TestSearchOutcome:
     """The outcome the search builds from its winning candidate is the
-    mechanism's outcome on the reports it returns: equal as Outcomes, so in
-    assignment, prices, utilities, welfare and min_utility."""
+    mechanism's outcome on the reports it returns, and its honest outcome,
+    priced on its own integer form, is the mechanism's outcome on the truth:
+    equal as Outcomes, so in assignment, prices, utilities, welfare and
+    min_utility."""
 
     @staticmethod
     def search(inst, truth, coalition, objective, step=F(1)):
-        reported, value, converged, outcome = manipulation._coalition_search(
+        reported, value, converged, honest, outcome = manipulation._coalition_search(
             inst, truth, coalition, objective, step
         )
+        assert honest == solve(inst, truth)
         assert outcome == solve(inst, reported)
         assert value == objective_value(inst, truth, outcome, objective)
         return converged
@@ -839,6 +842,17 @@ class TestSearchOutcome:
         # (D, E) needs a third best response to settle; one round stops
         # after E's, with the outcome of the rows in place then.
         monkeypatch.setattr(manipulation, "MAX_ROUNDS", 1)
+        calls = []
+        real = manipulation._best_response
+
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(manipulation, "_best_response", counted)
         inst, truth = baseline
         objective = MinimizeCoalitionPayments(("D", "E"))
         assert not self.search(inst, truth, ("D", "E"), objective)
+        # The budget bounds one best response; a k-member search runs at
+        # most MAX_ROUNDS * k of them.
+        assert calls == [3, 4]
