@@ -1,8 +1,10 @@
-"""Hunt for profitable misreports by exhaustive search.
+"""Hunt for profitable misreports with the closed-form best-response search.
 
-Every integer-valued report row is tried for one agent at a time (all other
-agents honest), asking: how low can this agent drive their own rent?  Then a
-two-member coalition runs coordinate ascent on the same grid.
+For one agent at a time (all other agents honest), the search returns the
+integer-valued report row that drives the agent's own rent lowest, the first
+such row in lexicographic order, as if every row had been tried; it bounds
+the rows per won room and chain offset instead of scoring them one by one.
+Then a two-member coalition runs coordinate ascent on the same grid.
 
 Usage: python3 demos/03_search_for_manipulations.py
 """
@@ -12,7 +14,6 @@ from fractions import Fraction
 from rentdiv import render_money, solve
 from rentdiv.manipulation import (
     MinimizeCoalitionPayments,
-    MinimizeOwnPayment,
     best_response_search,
     coalition_search,
 )
@@ -28,7 +29,7 @@ def main():
     print(f"{'agent':<6} {'honest rent':>12} {'best rent':>10}  best report row")
     for agent in inst.agent_ids:
         row, value = best_response_search(
-            inst, truth, agent, MinimizeOwnPayment(agent), step=Fraction(1)
+            inst, truth, agent, MinimizeCoalitionPayments((agent,)), step=Fraction(1)
         )
         cells = " ".join(f"{int(v):>2}" for v in row)
         print(

@@ -53,7 +53,6 @@ _LAZY = {
             "ExcludeFromRooms",
             "MaximizeTrueUtility",
             "MinimizeCoalitionPayments",
-            "MinimizeOwnPayment",
             "SubsidizeAgent",
             "best_response_search",
             "coalition_search",

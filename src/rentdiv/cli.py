@@ -202,10 +202,7 @@ def _parse_objective(spec: str):
             agents_part.split(","), rooms_part.split(",")
         )
     if kind == "min-pay":
-        agents = rest.split(",")
-        if len(agents) == 1:
-            return manipulation.MinimizeOwnPayment(agents[0])
-        return manipulation.MinimizeCoalitionPayments(agents)
+        return manipulation.MinimizeCoalitionPayments(rest.split(","))
     if kind == "subsidize":
         agent, at, rest = rest.partition("@")
         room, le, cap = rest.partition("<=")

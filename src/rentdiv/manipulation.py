@@ -1,5 +1,17 @@
 """Coalition modelling: strategy templates, misreport search, deviation scoring.
 
+An objective scores an outcome against the true values.  There are four
+kinds, one class each, with the CLI spelling and the sense:
+
+- ``ExcludeFromRooms`` (``exclude:``), a predicate: no target agent gets any
+  of the rooms;
+- ``SubsidizeAgent`` (``subsidize:``), a predicate: the beneficiary gets the
+  room and pays at most the cap;
+- ``MinimizeCoalitionPayments`` (``min-pay:``), minimised: the members'
+  total payment, one member's own payment for a coalition of one;
+- ``MaximizeTrueUtility`` (``max-util:``), maximised: the agent's utility
+  under its true values.
+
 Templates construct the three archetypal coordinated misreports (room capture,
 defensive inflation, preference flattening).  The search finds one agent's
 best report row on a value grid without scoring rows one by one: once the
@@ -52,32 +64,55 @@ class InfeasibleTemplate(RentDivisionError):
 # ---------------------------------------------------------------------------
 
 
+# An objective kind states its own rules: ``labels()``, the (agents, rooms) it
+# names; ``value(instance, true_matrix, outcome)``, measured against the true
+# values; ``sense``, 0 for a predicate, -1 if minimised, +1 if maximised; and
+# ``margin(instance, grid, perm)``, margin(r, pay) on a search's _Grid where
+# the searcher wins room r, under assignment perm[r] and payment numerators
+# pay over n*scale.  A predicate holds where the margin is nonnegative; a
+# numeric objective's margin is sense * value * n*scale, as in oracles._scores.
+
+
 @dataclass(frozen=True)
 class ExcludeFromRooms:
     targets: frozenset
     rooms: frozenset
+    sense = 0
 
     def __init__(self, targets: Iterable[str], rooms: Iterable[str]):
         object.__setattr__(self, "targets", frozenset(targets))
         object.__setattr__(self, "rooms", frozenset(rooms))
 
+    def labels(self):
+        return self.targets, self.rooms
 
-@dataclass(frozen=True)
-class MinimizeOwnPayment:
-    agent: str
+    def value(self, instance, true_matrix, outcome) -> bool:
+        return exclusion_check(outcome, self.targets, self.rooms)
 
-    @property
-    def coalition(self) -> frozenset:
-        """The coalition of one, so both min-pay objectives share a formula."""
-        return frozenset((self.agent,))
+    def margin(self, instance, grid, perm):
+        targets = [instance.agent_index(a) for a in self.targets]
+        rooms = {instance.room_index(r) for r in self.rooms}
+        ok = [all(p[t] not in rooms for t in targets) for p in perm]
+        return lambda r, pay: 0 if ok[r] else -1
 
 
 @dataclass(frozen=True)
 class MinimizeCoalitionPayments:
     coalition: frozenset
+    sense = -1
 
     def __init__(self, coalition: Iterable[str]):
         object.__setattr__(self, "coalition", frozenset(coalition))
+
+    def labels(self):
+        return self.coalition, ()
+
+    def value(self, instance, true_matrix, outcome) -> Fraction:
+        return sum(outcome.payment_of(a) for a in sorted(self.coalition))
+
+    def margin(self, instance, grid, perm):
+        members = [instance.agent_index(a) for a in self.coalition]
+        return lambda r, pay: -sum(pay[i] for i in members)
 
 
 @dataclass(frozen=True)
@@ -85,18 +120,46 @@ class SubsidizeAgent:
     beneficiary: str
     room: str
     max_price: Fraction
+    sense = 0
 
     def __post_init__(self):
         object.__setattr__(self, "max_price", to_rational(self.max_price))
+
+    def labels(self):
+        return (self.beneficiary,), (self.room,)
+
+    def value(self, instance, true_matrix, outcome) -> bool:
+        return (
+            outcome.assignment.room_of(self.beneficiary) == self.room
+            and outcome.payment_of(self.beneficiary) <= self.max_price
+        )
+
+    def margin(self, instance, grid, perm):
+        ben = instance.agent_index(self.beneficiary)
+        room = instance.room_index(self.room)
+        cap = math.floor(self.max_price * instance.n * grid.scale)
+        return lambda r, pay: cap - pay[ben] if perm[r][ben] == room else -1
 
 
 @dataclass(frozen=True)
 class MaximizeTrueUtility:
     agent: str
+    sense = 1
+
+    def labels(self):
+        return (self.agent,), ()
+
+    def value(self, instance, true_matrix, outcome) -> Fraction:
+        utilities = compute_utilities(instance, true_matrix, outcome.assignment, outcome.prices)
+        return utilities[self.agent]
+
+    def margin(self, instance, grid, perm):
+        who = instance.agent_index(self.agent)
+        truth = grid.truth[who]
+        return lambda r, pay: instance.n * truth[perm[r][who]] - pay[who]
 
 
-Objective = object  # any of the five dataclasses above
-_MIN_PAY = (MinimizeOwnPayment, MinimizeCoalitionPayments)
+_OBJECTIVES = (ExcludeFromRooms, MinimizeCoalitionPayments, SubsidizeAgent, MaximizeTrueUtility)
 
 
 def _check_labels(instance: Instance, what: str, agents, rooms=()) -> None:
@@ -107,43 +170,15 @@ def _check_labels(instance: Instance, what: str, agents, rooms=()) -> None:
 
 
 def _check_objective(instance: Instance, objective) -> None:
-    if isinstance(objective, ExcludeFromRooms):
-        agents, rooms = objective.targets, objective.rooms
-    elif isinstance(objective, _MIN_PAY):
-        agents, rooms = objective.coalition, ()
-    elif isinstance(objective, SubsidizeAgent):
-        agents, rooms = (objective.beneficiary,), (objective.room,)
-    elif isinstance(objective, MaximizeTrueUtility):
-        agents, rooms = (objective.agent,), ()
-    else:
+    if not isinstance(objective, _OBJECTIVES):
         raise TypeError(f"unknown objective {objective!r}")
-    _check_labels(instance, "objective", agents, rooms)
+    _check_labels(instance, "objective", *objective.labels())
 
 
 def exclusion_check(outcome: Outcome, targets: Iterable[str], rooms: Iterable[str]) -> bool:
     """True iff no target agent is assigned any of the listed rooms."""
     rooms = set(rooms)
     return all(outcome.assignment.room_of(a) not in rooms for a in targets)
-
-
-def objective_value(
-    instance: Instance, true_matrix: ValuationMatrix, outcome: Outcome, objective
-):
-    """The quantity the objective cares about, always measured against true
-    values (payments are report-independent facts)."""
-    if isinstance(objective, ExcludeFromRooms):
-        return exclusion_check(outcome, objective.targets, objective.rooms)
-    if isinstance(objective, _MIN_PAY):
-        return sum(outcome.payment_of(a) for a in sorted(objective.coalition))
-    if isinstance(objective, SubsidizeAgent):
-        return (
-            outcome.assignment.room_of(objective.beneficiary) == objective.room
-            and outcome.payment_of(objective.beneficiary) <= objective.max_price
-        )
-    if isinstance(objective, MaximizeTrueUtility):
-        utilities = compute_utilities(instance, true_matrix, outcome.assignment, outcome.prices)
-        return utilities[objective.agent]
-    raise TypeError(f"unknown objective {objective!r}")
 
 
 def objective_satisfied(
@@ -155,13 +190,10 @@ def objective_satisfied(
 ) -> bool:
     """Predicate objectives: did the condition hold.  Optimization objectives:
     did the manipulation strictly improve on the honest outcome."""
-    value = objective_value(instance, true_matrix, manipulated, objective)
-    if isinstance(objective, (ExcludeFromRooms, SubsidizeAgent)):
+    value = objective.value(instance, true_matrix, manipulated)
+    if not objective.sense:
         return bool(value)
-    baseline = objective_value(instance, true_matrix, honest, objective)
-    if isinstance(objective, _MIN_PAY):
-        return value < baseline
-    return value > baseline
+    return objective.sense * (value - objective.value(instance, true_matrix, honest)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +266,7 @@ def _deviation_report(
         objective_satisfied=objective_satisfied(
             instance, true_matrix, honest, manipulated, objective
         ),
-        objective_value=objective_value(instance, true_matrix, manipulated, objective),
+        objective_value=objective.value(instance, true_matrix, manipulated),
     )
 
 
@@ -479,44 +511,6 @@ def _occupants(sigma):
     return occupant
 
 
-def _objective_margin(instance, objective, perm, grid):
-    """(ok, margin, numeric): the objective on the candidates that give the
-    searching agent room r, whose assignment is ``perm[r]``.
-
-    ``margin(r, pay)`` reads the payment numerators over n*scale.  A numeric
-    objective scores the margin itself, exactly as ``oracles._scores`` does; a
-    predicate holds where ``ok[r]`` and the margin is nonnegative.
-    """
-    n = instance.n
-    if isinstance(objective, ExcludeFromRooms):
-        targets = [instance.agent_index(a) for a in objective.targets]
-        rooms = {instance.room_index(r) for r in objective.rooms}
-        ok = [all(p[t] not in rooms for t in targets) for p in perm]
-        return ok, lambda r, pay: 0, False
-    if isinstance(objective, _MIN_PAY):
-        members = [instance.agent_index(a) for a in objective.coalition]
-        return [True] * n, lambda r, pay: -sum(pay[i] for i in members), True
-    if isinstance(objective, SubsidizeAgent):
-        ben = instance.agent_index(objective.beneficiary)
-        room = instance.room_index(objective.room)
-        cap = math.floor(objective.max_price * n * grid.scale)
-        return [p[ben] == room for p in perm], lambda r, pay: cap - pay[ben], False
-    if isinstance(objective, MaximizeTrueUtility):
-        who = instance.agent_index(objective.agent)
-        truth = grid.truth[who]
-        return [True] * n, lambda r, pay: n * truth[perm[r][who]] - pay[who], True
-    raise TypeError(f"unknown objective {objective!r}")
-
-
-def _score_value(objective, score, nscale):
-    """The objective value a score stands for, as ``objective_value`` gives it."""
-    if isinstance(objective, (ExcludeFromRooms, SubsidizeAgent)):
-        return bool(score)
-    if isinstance(objective, MaximizeTrueUtility):
-        return Fraction(int(score), nscale)
-    return Fraction(-int(score), nscale)
-
-
 def _tie_rule(keys, r, s):
     """Whether room r beats room s on a welfare tie when that does not hang
     on the searching agent's row, else None.  The winner's key vector,
@@ -586,11 +580,12 @@ def _merge(spans):
 
 
 def _best_response(instance, objective, grid, rows, agent_index):
-    """(units, value, perm, pay) of the best report row of one agent, every
+    """(units, score, perm, pay) of the best report row of one agent, every
     other row as in ``rows``, the integer rows of ``grid``: the row in grid
-    units, the objective value, and that row's assignment (agent -> room)
-    and payment numerators over n*scale as lists of ints.  Ties go to the
-    first row in lexicographic order.  It gives what the enumeration oracle
+    units, its score (a numeric objective's margin, or whether a predicate
+    holds), and that row's assignment (agent -> room) and payment numerators
+    over n*scale as lists of ints.  Ties go to the first row in lexicographic
+    order.  It gives what the enumeration oracle
     ``oracles._priced_blocks`` gives, without scoring rows.
 
     Fix the room r the agent a wins; the outcome then hangs on a's row x
@@ -618,19 +613,12 @@ def _best_response(instance, objective, grid, rows, agent_index):
     n, a = instance.n, agent_index
     unit, total = grid.unit, grid.steps
     perm, assigned, chain, reach, keys, welfare = _room_tables(rows, a)
-    ok, margin, numeric = _objective_margin(instance, objective, perm, grid)
+    margin = objective.margin(instance, grid, perm)
 
     def payments(r, y):
         d = [v - max(c, h + y) for v, c, h in zip(assigned[r], chain[r], reach[r])]
         d[a] = -y
         return pricing.payment_numerators(d, grid.rent)
-
-    margins = {}
-
-    def margin_at(r, y):
-        if (r, y) not in margins:
-            margins[r, y] = margin(r, payments(r, y))
-        return margins[r, y]
 
     # The boxes of each room r: per own units q, the caps on the other
     # rooms, the bounds of the box where m_a = 0 (None if empty), and the
@@ -700,9 +688,8 @@ def _best_response(instance, objective, grid, rows, agent_index):
 
     # The best score: each margin is linear in y between breakpoints.
     def score(r, y):
-        if numeric:
-            return margin_at(r, y)
-        return int(ok[r] and margin_at(r, y) >= 0)
+        m = margin(r, payments(r, y))
+        return m if objective.sense else int(m >= 0)
 
     best = max(
         score(r, rho + unit * t)
@@ -711,11 +698,12 @@ def _best_response(instance, objective, grid, rows, agent_index):
         for run in points
         for t in run
     )
-    if numeric:
+    if objective.sense:
         def gap(r, y):
-            return margin_at(r, y) - best
+            return margin(r, payments(r, y)) - best
     elif best:
-        gap = margin_at
+        def gap(r, y):
+            return margin(r, payments(r, y))
     else:
         def gap(r, y):
             return 0
@@ -725,8 +713,6 @@ def _best_response(instance, objective, grid, rows, agent_index):
     optimal = []
     for r, runs in enumerate(reached):
         optimal.append({})
-        if not numeric and best and not ok[r]:
-            continue
         for rho, points in runs.items():
             spans = []
             for run in points:
@@ -774,7 +760,7 @@ def _best_response(instance, objective, grid, rows, agent_index):
                     first, pick = row, (r, (v - q) * unit - c[s])
 
     r, y = pick
-    return first, _score_value(objective, best, n * grid.scale), perm[r], payments(r, y)
+    return first, best, perm[r], payments(r, y)
 
 
 def _prepare_search(instance, true_matrix, step):
@@ -881,8 +867,7 @@ def _search(instance, true_matrix, coalition, objective, step):
     settled = 0  # members, up to this one, whose rows are best responses
     for turn in range(MAX_ROUNDS * len(members)):
         agent_index = members[turn % len(members)]
-        # The value is that of `current` once this row is in place.
-        units, value, perm, pay = _best_response(instance, objective, grid, rows, agent_index)
+        units, _, perm, pay = _best_response(instance, objective, grid, rows, agent_index)
         row = [u * grid.unit for u in units]
         if row == rows[agent_index]:
             settled += 1
@@ -895,4 +880,5 @@ def _search(instance, true_matrix, coalition, objective, step):
 
     assignment = Assignment.from_indices(instance, perm)
     outcome = pricing.priced_outcome(instance, current, assignment, pay, instance.n * grid.scale)
+    value = objective.value(instance, true_matrix, outcome)
     return grid, current, value, settled == len(members), outcome

@@ -66,15 +66,16 @@ def to_rational(x) -> Fraction:
     """Coerce ints, Fractions and exact decimal/ratio strings to Fraction.
 
     Floats are rejected: they would silently poison the exact solve path.
+    Booleans are no amounts either, though ``bool`` subclasses ``int``.
     """
-    if isinstance(x, float):
-        raise TypeError(f"refusing float {x!r}; pass an int, Fraction or string")
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"refusing {type(x).__name__} {x!r}; pass an int, Fraction or string")
     return Fraction(x)
 
 
 def parse_money(s: str) -> Fraction:
     """Parse a decimal string like "9.20" (or "46/5") to its exact rational."""
-    if not isinstance(s, (str, int)):
+    if not isinstance(s, (str, int)) or isinstance(s, bool):
         raise TypeError(f"expected a decimal string, got {type(s).__name__}")
     return Fraction(s)
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .manipulation import (
-    _MIN_PAY,
     ExcludeFromRooms,
     MaximizeTrueUtility,
+    MinimizeCoalitionPayments,
     SubsidizeAgent,
     _room_tables,
 )
@@ -391,7 +391,7 @@ def _scores(instance, true_rows, objective, perm, pay, nscale):
         targets = [instance.agent_index(a) for a in sorted(objective.targets)]
         rooms = [instance.room_index(r) for r in objective.rooms]
         return ~np.isin(perm[:, targets], rooms).any(axis=1)
-    if isinstance(objective, _MIN_PAY):
+    if isinstance(objective, MinimizeCoalitionPayments):
         members = sorted(instance.agent_index(a) for a in objective.coalition)
         return -pay[:, members].sum(axis=1)
     if isinstance(objective, SubsidizeAgent):

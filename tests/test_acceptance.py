@@ -13,7 +13,6 @@ from conftest import ACCEPTANCE_LINES, make_instance, random_rows
 from rentdiv.cli import main as cli_main
 from rentdiv.manipulation import (
     MinimizeCoalitionPayments,
-    MinimizeOwnPayment,
     best_response_search,
     coalition_search,
     exclusion_check,
@@ -191,7 +190,7 @@ def test_8_search_soundness():
         honest = solve(inst, truth)
         for agent in inst.agent_ids:
             _, value = best_response_search(
-                inst, truth, agent, MinimizeOwnPayment(agent), step=F(1)
+                inst, truth, agent, MinimizeCoalitionPayments((agent,)), step=F(1)
             )
             assert value <= honest.payment_of(agent)
         _, total, _ = coalition_search(

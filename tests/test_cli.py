@@ -487,6 +487,11 @@ GOLDEN_COMMANDS = {
     "search one member": MANIPULATE + ["D", "--objective", "max-util:D", "--search"],
     "search two members": MANIPULATE
     + ["D,E", "--objective", "min-pay:D,E", "--search", "--format", "json"],
+    "search exclude": MANIPULATE
+    + ["A", "--objective", "exclude:D@R1", "--search", "--format", "json"],
+    "search subsidize": MANIPULATE
+    + ["D", "--objective", "subsidize:E@R1<=7", "--search", "--format", "csv"],
+    "search min-pay one member": MANIPULATE + ["D", "--objective", "min-pay:D", "--search"],
     # Exit 2, one per invalid-input message of cmd_verify and cmd_manipulate.
     "verify unknown builtin": ["verify", "--builtin", "nope"],
     "verify no source": ["verify"],
@@ -514,7 +519,10 @@ GOLDEN_DIGESTS = {
     "exclusionary needs exclude": "cd04798e443bfd9a882815af3102829395ca3b91c665e048959f04f36fff854a",
     "exclusionary size mismatch": "37426f0c038ee5895dec2a686e5fec57631ec03b4e8b493e0350996055e2e24f",
     "objective unknown label": "7156c8e8bf433ba78ed74d6a97c6a65817c79c3265c91044b0a4c0505253c710",
+    "search exclude": "eb00939c959541db9ec18d05cf7e0a817da73553419ce135640b7e6fc7990895",
+    "search min-pay one member": "6f4a44c19f51c07d4d5623f06152532b813be12dfa6921ffb760380d5c09215e",
     "search one member": "b263ff50c3d7af24e10f31e614564342d21132da9bff6abd2dabe4e8685561b1",
+    "search subsidize": "6a327fea934cc0d37eb87df59ffe0580989fb5e3aefd9e3a1822ff7e89684cb8",
     "search two members": "db6d29e0569e1e8234fcb3b9e1bb76e17d4826adb6367930554369dd836e5e08",
     "solve baseline csv": "8a0f26d9b0e8af4031b4953c51abb975efc6fe1363ce9c74933b51fdb40007dc",
     "solve baseline json": "150c5497720620a45f7aadae2c4e6570f52d888a0062858831d8aa1a14c8522b",

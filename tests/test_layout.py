@@ -10,7 +10,8 @@ from conftest import subprocess_env
 from rentdiv import manipulation, matching, model, oracles, pricing
 
 # Every name `rentdiv/__init__.py` exported before the manipulation lab and
-# the oracles became lazy.
+# the oracles became lazy, less ``MinimizeOwnPayment``: min-pay for one member
+# is ``MinimizeCoalitionPayments`` of that member.
 EXPORTED = (
     "Assignment", "Instance", "Outcome", "PriceVector", "Rational",
     "RentDivisionError", "ValidationError", "ValuationMatrix", "build_outcome",
@@ -19,7 +20,7 @@ EXPORTED = (
     "max_welfare_assignment", "fm_feasible", "is_envy_free", "maximin_level",
     "maximin_prices", "min_utility_feasible", "simplex_solve", "solve",
     "DeviationReport", "ExcludeFromRooms", "MaximizeTrueUtility",
-    "MinimizeCoalitionPayments", "MinimizeOwnPayment", "SubsidizeAgent",
+    "MinimizeCoalitionPayments", "SubsidizeAgent",
     "best_response_search", "coalition_search", "evaluate_deviation",
     "exclusion_check", "template_defensive", "template_exclusionary",
     "template_flatten", "Scenario", "builtin_scenario", "builtin_scenarios",

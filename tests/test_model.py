@@ -47,6 +47,22 @@ class TestMoney:
         with pytest.raises(TypeError):
             parse_money(9.2)
 
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            to_rational,
+            parse_money,
+            lambda x: Instance(("R1",), ("A",), x),
+            lambda x: ValuationMatrix.from_rows([(1, x), (0, 1)]),
+        ],
+        ids=["to_rational", "parse_money", "total_rent", "matrix_entry"],
+    )
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rejected(self, convert, flag):
+        # bool subclasses int, so only an explicit check keeps it out.
+        with pytest.raises(TypeError, match="bool"):
+            convert(flag)
+
     def test_render_two_places(self):
         assert render_money(Fraction(46, 5)) == "9.20"
         assert render_money(Fraction(0)) == "0.00"
