@@ -183,6 +183,16 @@ OBJECTIVE_GRAMMAR = (
 )
 
 
+def _split_labels(spec: str, bad) -> list:
+    """The comma-separated labels of ``spec``; ``bad(reason)`` is raised for
+    a label named twice."""
+    labels = spec.split(",")
+    repeated = next((x for x in labels if labels.count(x) > 1), None)
+    if repeated is not None:
+        raise bad(f"{repeated!r} appears twice")
+    return labels
+
+
 def _parse_objective(spec: str):
     from . import manipulation
 
@@ -199,10 +209,10 @@ def _parse_objective(spec: str):
         if not at:
             raise bad("missing '@' before the rooms")
         return manipulation.ExcludeFromRooms(
-            agents_part.split(","), rooms_part.split(",")
+            _split_labels(agents_part, bad), _split_labels(rooms_part, bad)
         )
     if kind == "min-pay":
-        return manipulation.MinimizeCoalitionPayments(rest.split(","))
+        return manipulation.MinimizeCoalitionPayments(_split_labels(rest, bad))
     if kind == "subsidize":
         agent, at, rest = rest.partition("@")
         room, le, cap = rest.partition("<=")
@@ -311,13 +321,13 @@ def cmd_manipulate(args) -> int:
     scenario = scenarios.load_scenario(args.scenario)
     instance = scenario.instance
     true_matrix = scenario.truth()
-    coalition = args.coalition.split(",") if args.coalition else []
-    repeated = next((a for a in coalition if coalition.count(a) > 1), None)
-    if repeated is not None:
-        raise ParseError(
-            f"{repeated!r} appears twice; expected {COALITION_GRAMMAR}",
-            f"--coalition {args.coalition!r}",
+
+    def bad(reason):
+        return ParseError(
+            f"{reason}; expected {COALITION_GRAMMAR}", f"--coalition {args.coalition!r}"
         )
+
+    coalition = _split_labels(args.coalition, bad) if args.coalition else []
     unknown = [a for a in coalition if a not in instance.agent_ids]
     if unknown:
         raise ParseError(f"unknown coalition agent(s): {', '.join(unknown)}")
@@ -414,13 +424,11 @@ def cmd_table(args) -> int:
                 {
                     "name": s.name,
                     "slug": s.slug,
-                    "verdict": r.verdict if r else None,
+                    "verdict": r.verdict,
                     "expected_prices": {
                         room: _rational_json(s.expected.prices.price_of(room))
                         for room in s.instance.room_ids
-                    }
-                    if s.expected
-                    else None,
+                    },
                     "computed": _outcome_json(s.instance, o),
                 }
                 for s, o, r in blocks
@@ -441,8 +449,8 @@ def cmd_table(args) -> int:
                         room,
                         o.assignment.agent_of(room),
                         render_money(o.prices.price_of(room)),
-                        render_money(s.expected.prices.price_of(room)) if s.expected else "",
-                        r.verdict if r else "",
+                        render_money(s.expected.prices.price_of(room)),
+                        r.verdict,
                     ]
                 )
         return EXIT_OK
@@ -453,14 +461,12 @@ def cmd_table(args) -> int:
             f"{'room':<6} {'agent':<6} {'computed':>9} {'expected':>9}\n"
         )
         for room in s.instance.room_ids:
-            expected = (
-                render_money(s.expected.prices.price_of(room)) if s.expected else "-"
-            )
+            expected = render_money(s.expected.prices.price_of(room))
             sys.stdout.write(
                 f"{room:<6} {o.assignment.agent_of(room):<6} "
                 f"{render_money(o.prices.price_of(room)):>9} {expected:>9}\n"
             )
-        sys.stdout.write(f"verdict: {r.verdict if r else 'n/a'}\n\n")
+        sys.stdout.write(f"verdict: {r.verdict}\n\n")
     return EXIT_OK
 
 

@@ -555,19 +555,6 @@ def _lex_first(n, fixed, free, need):
     return row
 
 
-def _linear_run(t, g, t2, g2):
-    """The t-interval of [t, t2] on which an integer-linear function with
-    values g at t and g2 at t2 is nonnegative, or None."""
-    if g >= 0 and g2 >= 0:
-        return t, t2
-    if g < 0 and g2 < 0:
-        return None
-    slope = (g2 - g) // (t2 - t)
-    if g >= 0:
-        return t, t + g // -slope
-    return t - g // slope, t2
-
-
 def _merge(spans):
     """Sorted [t1, t2] integer spans with overlapping or adjacent ones joined."""
     merged = []
@@ -591,8 +578,7 @@ def _best_response(instance, objective, grid, rows, agent_index):
     Fix the room r the agent a wins; the outcome then hangs on a's row x
     through y = m_a - x_r alone: each other agent i has m_i = max(m'_i,
     reach_r[i] + y), and with d_i = v_i(sigma_r(i)) - m_i and d_a = -y the
-    payments are ``pricing.payment_numerators(d)``, piecewise linear in y
-    with breakpoints at m'_i - reach_r[i].
+    payments are ``pricing.payment_numerators(d)``.
 
     The rows in which a wins r with q units on it cap every other room s,
     x_s <= x_r + W_-r - W_-s, strictly when a welfare tie goes to s (the
@@ -601,14 +587,18 @@ def _best_response(instance, objective, grid, rows, agent_index):
     one box where m_a = 0 and, for each room s* that attains the chain, boxes
     indexed by v = u_s*, where y = v*step - c_s* - x_r and each free room k
     holds u_k <= min(cap_k, v + e_k), e_k = floor((c_k - c_s*)/step).
-    Feasibility grows with v, so each family's v form one interval.  The
-    best value is the maximum over the ends of each y interval and the grid
-    points next to each breakpoint; the first optimal row is the least, over
-    the optimal boxes, of a box's first row.  Over a family, that row falls
-    in lexicographic order as v rises until the free rooms before s* are
-    empty, and rises with v after, so one v per family is a candidate.
-    With T grid steps in a row, that is O(n**3 * T * log n) integer work
-    against the C(T + n - 1, n - 1) rows of the grid.
+    Feasibility grows with v, so each family's v form one interval.
+
+    With T grid steps in a row, the boxes of room r reach the points y =
+    rho + unit*t on runs of t, per residue rho: T + 1 points where m_a = 0
+    and at most 2T + 1 per family, so at most (n - 1)(2T + 1) + T + 1.  Each
+    reachable point is scored once, in O(n), so the best score costs
+    O(n**3 * T).  The first optimal row is the least, over the optimal
+    boxes, of a box's first row.  Over a family, that row falls in
+    lexicographic order as v rises until the free rooms before s* are empty,
+    and rises with v after, so one v per family is a candidate.  Laying out
+    the boxes is O(n**3 * T * log n) integer work, against the C(T + n - 1,
+    n - 1) rows of the grid.
     """
     n, a = instance.n, agent_index
     unit, total = grid.unit, grid.steps
@@ -616,7 +606,9 @@ def _best_response(instance, objective, grid, rows, agent_index):
     margin = objective.margin(instance, grid, perm)
 
     def payments(r, y):
-        d = [v - max(c, h + y) for v, c, h in zip(assigned[r], chain[r], reach[r])]
+        # d_i = v_i(sigma_r(i)) - max(m'_i, reach_r[i] + y), inlined: this
+        # runs once per reachable point
+        d = [v - (c if c > h + y else h + y) for v, c, h in zip(assigned[r], chain[r], reach[r])]
         d[a] = -y
         return pricing.payment_numerators(d, grid.rent)
 
@@ -674,71 +666,30 @@ def _best_response(instance, objective, grid, rows, agent_index):
                     spans.setdefault(residue[s], []).append((lo + shift, hi + shift))
             boxes.append((q, caps, zero, families))
         layout.append((other, c, e, residue, offset, boxes))
-        breaks = [chain[r][i] - reach[r][i] for i in range(n) if i != a]
-        runs = {}
-        for rho, found in spans.items():
-            runs[rho] = []
-            for t1, t2 in _merge(sorted(found)):
-                points = {t1, t2}
-                for b in breaks:
-                    tb = (b - rho) // unit
-                    points.update(t for t in (tb, tb + 1) if t1 < t < t2)
-                runs[rho].append(sorted(points))
-        reached.append(runs)
+        reached.append({rho: _merge(sorted(found)) for rho, found in spans.items()})
 
-    # The best score: each margin is linear in y between breakpoints.
-    def score(r, y):
-        m = margin(r, payments(r, y))
-        return m if objective.sense else int(m >= 0)
-
-    best = max(
-        score(r, rho + unit * t)
-        for r, runs in enumerate(reached)
-        for rho, points in runs.items()
-        for run in points
-        for t in run
-    )
-    if objective.sense:
-        def gap(r, y):
-            return margin(r, payments(r, y)) - best
-    elif best:
-        def gap(r, y):
-            return margin(r, payments(r, y))
-    else:
-        def gap(r, y):
-            return 0
-
-    # Optimal t-spans per room and residue: a run between neighbouring
-    # points is linear, so its optimal part is one span.
-    optimal = []
+    # Score each reachable point once, keeping the points of the best score
+    # so far by room and residue; a predicate scores whether it holds.
+    best = top = None
     for r, runs in enumerate(reached):
-        optimal.append({})
-        for rho, points in runs.items():
-            spans = []
-            for run in points:
-                gs = [gap(r, rho + unit * t) for t in run]
-                if len(run) == 1 and gs[0] >= 0:
-                    spans.append((run[0], run[0]))
-                for t, g, t2, g2 in zip(run, gs, run[1:], gs[1:]):
-                    span = _linear_run(t, g, t2, g2)
-                    if span:
-                        spans.append(span)
-            if spans:
-                optimal[r][rho] = _merge(spans)
+        for rho, found in runs.items():
+            for t1, t2 in found:
+                for t in range(t1, t2 + 1):
+                    m = margin(r, payments(r, rho + unit * t))
+                    m = m if objective.sense else int(m >= 0)
+                    if best is None or m > best:
+                        best, top = m, [{} for _ in range(n)]
+                    if m == best:
+                        top[r].setdefault(rho, []).append(t)
+    optimal = [{rho: _merge((t, t) for t in ts) for rho, ts in room.items()} for room in top]
 
-    # The first optimal row.  A box whose every row follows the best row
-    # found so far is skipped.
+    # The first optimal row.
     first = pick = None
     for r, (other, c, e, residue, offset, boxes) in enumerate(layout):
         if not optimal[r]:
             continue
         for q, caps, zero, families in boxes:
             need = total - q
-            if first is not None:
-                if first[: r + 1] < [0] * r + [q]:
-                    break  # every later box of r starts after the best row
-                if _lex_first(n, [(r, q)], [(k, caps[k]) for k in other], need) >= first:
-                    continue
             if zero is not None and any(t1 <= -q <= t2 for t1, t2 in optimal[r].get(0, ())):
                 row = _lex_first(n, [(r, q)], zero, need)
                 if first is None or row < first:

@@ -393,6 +393,10 @@ class TestManipulate:
             ("exclude:D", "missing '@' before the rooms"),
             ("subsidize:A@R1", "missing '@' before the room or '<=' before the cap"),
             ("subsidize:A@R1<=x", "cap 'x' is not an exact amount"),
+            ("min-pay:D,D", "'D' appears twice"),
+            ("exclude:D,E,D@R1", "'D' appears twice"),
+            ("exclude:D@R1,R2,R1", "'R1' appears twice"),
+            ("exclude:D,D@R1,R1", "'D' appears twice"),
         ],
     )
     def test_malformed_objective_quotes_grammar(self, baseline_file, capsys, spec, reason):

@@ -579,6 +579,41 @@ class TestClosedForm:
         assert {k[3] for k in kinds} == {True, False}
         assert {k[4] for k in kinds} == {1, 2}
 
+    def test_matches_enumeration_oracle_above_two_units(self):
+        # 1,500 best responses on grids with unit = step*scale above 2, so a
+        # room's reachable offsets fall in up to `unit` residues: truths in
+        # thirds or fifths, steps 1, 2 and 3 wherever the step divides the
+        # rent, n = 2-5 and the four objective kinds.
+        rng = random.Random(19)
+        kinds, sizes, steps, units = set(), set(), set(), set()
+        for trial in range(375):
+            n = 2 + trial % 4
+            total = rng.choice((2, 3, 4, 6))
+            den = rng.choice((3, 5))
+            rows = [tuple(v / den for v in row) for row in random_rows(rng, n, total=total * den)]
+            inst, truth = make_instance(rows, total=total)
+            step = F(rng.choice([s for s in (1, 2, 3) if total % s == 0]))
+            grid = _prepare_search(inst, truth, step)
+            agent, other = rng.choice(inst.agent_ids), rng.choice(inst.agent_ids)
+            a = inst.agent_index(agent)
+            for objective in [
+                MinimizeCoalitionPayments((agent,)),
+                MaximizeTrueUtility(rng.choice(inst.agent_ids)),
+                ExcludeFromRooms((other,), (rng.choice(inst.room_ids),)),
+                SubsidizeAgent(other, rng.choice(inst.room_ids), F(rng.randint(0, 8 * den), den)),
+            ]:
+                got = _best_response(inst, objective, grid, grid.truth, a)
+                want = _oracle_best_response(inst, objective, grid, grid.truth, a)
+                assert got == want, (rows, agent, objective, step)
+                kinds.add(type(objective))
+            sizes.add(n)
+            steps.add(step)
+            units.add(grid.unit)
+        assert len(kinds) == 4
+        assert sizes == {2, 3, 4, 5}
+        assert steps == {1, 2, 3}
+        assert {3, 5, 6, 9, 10, 15} <= units
+
     @pytest.mark.parametrize(
         "objective",
         [ExcludeFromRooms(("B",), ("R1",)), SubsidizeAgent("B", "R2", 1000)],
@@ -595,7 +630,7 @@ class TestClosedForm:
         start = time.perf_counter()
         want = _oracle_best_response(inst, objective, grid, grid.truth, 0)
         enumeration = time.perf_counter() - start
-        assert got[:2] == want[:2]
+        assert got == want
         assert search < enumeration
 
 # (entry point called on the baseline's (instance, truth), the message it
