@@ -34,7 +34,9 @@ from .model import (
     Outcome,
     RentDivisionError,
     SearchSpaceTooLarge,
+    ValidationError,
     format_exact,
+    parse_money,
     render_money,
 )
 from .scenarios import BUILTIN_SLUGS, ParseError
@@ -219,7 +221,9 @@ def _parse_objective(spec: str):
         if not (at and le):
             raise bad("missing '@' before the room or '<=' before the cap")
         try:
-            cap = Fraction(cap)
+            cap = parse_money(cap)
+        except ValidationError as exc:
+            raise ParseError(str(exc), "objective") from None
         except (ValueError, ZeroDivisionError):
             raise bad(f"cap {cap!r} is not an exact amount") from None
         return manipulation.SubsidizeAgent(agent, room, cap)
@@ -266,7 +270,9 @@ def _parse_member_rooms(flag, spec, grammar, instance, coalition, width) -> dict
 
 def _parse_step(spec: str) -> Fraction:
     try:
-        step = Fraction(spec)
+        step = parse_money(spec)
+    except ValidationError as exc:
+        raise ParseError(str(exc), "--step") from None
     except (ValueError, ZeroDivisionError):
         step = None
     if step is None or step <= 0:
@@ -340,6 +346,7 @@ def cmd_manipulate(args) -> int:
     if args.template:
         if not coalition:
             raise ParseError("--template needs --coalition")
+        honest = None  # solved once, before the template if flatten needs it
         if args.template == "exclusionary":
             if not isinstance(objective, manipulation.ExcludeFromRooms):
                 raise ParseError("the exclusionary template needs an exclude:... objective")
@@ -378,8 +385,11 @@ def cmd_manipulate(args) -> int:
             reported = manipulation.template_defensive(
                 instance, true_matrix, coalition, contested
             )
-        report = manipulation.evaluate_deviation(
-            instance, true_matrix, reported, objective
+        if honest is None:
+            honest = pricing.solve(instance, true_matrix)
+        manipulated = pricing.solve(instance, reported)
+        report = manipulation._deviation_report(
+            instance, true_matrix, honest, manipulated, objective
         )
     elif args.search:
         # The search solves the mechanism on the truth and on the reports it

@@ -523,21 +523,69 @@ def _tie_rule(keys, r, s):
     return None
 
 
-def _least_level(need, bounds):
-    """The least integer v with v + sum(min(cap, v + e)) >= need over the
-    (cap, e) pairs in ``bounds``.
+def _cap_runs(keys, welfare, r, a, unit, total):
+    """The caps of room r on the other rooms as (q0, delta) runs in q0
+    order: while a holds q own units, from q0 up to the next run's q0 (up to
+    ``total`` after the last), a wins r only with x_s <= q + delta[s] grid
+    units on each other room s.
+
+    With D = W_-r - W_-s, the cap is the tied x_s = q*unit + D, one less
+    when a welfare tie goes to s, so delta[s] is D // unit or (D - 1) //
+    unit.  Unless a key before both rooms decides (``_tie_rule``), the tie
+    goes to the larger key at room min(r, s), where one side is a's: for r <
+    s, a's key q*unit*n + a beats keys[s][r] from some q on, and for r > s,
+    keys[r][s] beats the tied key (q*unit + D)*n + a below some q.  Each
+    room switches at most once, so room r has at most n runs.
+    """
+    n = len(keys)
+    other = [s for s in range(n) if s != r]
+    rule = {s: _tie_rule(keys, r, s) for s in other}
+    starts = {0}
+    for s in other:
+        if rule[s] is None and r < s:  # the least q where a's key is larger
+            starts.add((keys[s][r] - a) // (unit * n) + 1)
+        elif rule[s] is None:  # the least q where the tied key is as large
+            starts.add(-(((welfare[r] - welfare[s]) * n + a - keys[r][s]) // (unit * n)))
+    runs = []
+    for q0 in sorted(q for q in starts if 0 <= q <= total):
+        delta = [0] * n
+        for s in other:
+            tied = q0 * unit + welfare[r] - welfare[s]  # the x_s of a welfare tie
+            wins = rule[s]
+            if wins is None and r < s:
+                wins = q0 * unit * n + a > keys[s][r]
+            elif wins is None:
+                wins = keys[r][s] > tied * n + a
+            delta[s] = (welfare[r] - welfare[s] - (not wins)) // unit
+        if not runs or runs[-1][1] != delta:
+            runs.append((q0, delta))
+    return runs
+
+
+def _level_terms(total, bounds):
+    """Terms (b, k, m) of the least level over the (delta, e) pairs in
+    ``bounds``: at q own units, the least integer v with v + sum(min(q +
+    delta, v + e)) >= total - q is the largest (b - k*q) // m.
 
     The sum is the least, over the ways to pick one term per pair, of
-    sum(cap) + sum(e - cap) + m*v over the m pairs that take v + e; for each
-    m the m smallest (e - cap) bind, so v needs (m + 1)*v >= need - sum(cap)
-    - (their sum) for every m.
+    sum(q + delta) + sum(e - delta - q) + j*v over the j pairs that take v +
+    e; for each j the j smallest (e - delta) bind, so v needs (j + 1)*v >=
+    total - sum(delta) - (their sum) - (len(bounds) + 1 - j)*q for every j.
+    Each term is that ceiling, with m = j + 1 and b = the right side's
+    constant plus j.
     """
-    deficit = need - sum(cap for cap, _ in bounds)
-    least = deficit
-    for m, d in enumerate(sorted(e - cap for cap, e in bounds), 1):
+    k = len(bounds) + 1
+    deficit = total - sum(delta for delta, _ in bounds)
+    terms = [(deficit, k, 1)]
+    for m, d in enumerate(sorted(e - delta for delta, e in bounds), 2):
         deficit -= d
-        least = max(least, -(-deficit // (m + 1)))
-    return least
+        terms.append((deficit + m - 1, k + 1 - m, m))
+    return terms
+
+
+def _level_at(terms, q):
+    """The least level of ``_level_terms`` at q own units."""
+    return max((b - k * q) // m for b, k, m in terms)
 
 
 def _lex_first(n, fixed, free, need):
@@ -587,7 +635,10 @@ def _best_response(instance, objective, grid, rows, agent_index):
     one box where m_a = 0 and, for each room s* that attains the chain, boxes
     indexed by v = u_s*, where y = v*step - c_s* - x_r and each free room k
     holds u_k <= min(cap_k, v + e_k), e_k = floor((c_k - c_s*)/step).
-    Feasibility grows with v, so each family's v form one interval.
+    Feasibility grows with v, so each family's v form one interval.  Each
+    cap is q + delta_s, with delta constant on the at most n runs of q of
+    ``_cap_runs``, so the least v of a family at q is a maximum of n - 1
+    terms linear in q (``_level_terms``), built once per run.
 
     With T grid steps in a row, the boxes of room r reach the points y =
     rho + unit*t on runs of t, per residue rho: T + 1 points where m_a = 0
@@ -597,8 +648,10 @@ def _best_response(instance, objective, grid, rows, agent_index):
     boxes, of a box's first row.  Over a family, that row falls in
     lexicographic order as v rises until the free rooms before s* are empty,
     and rises with v after, so one v per family is a candidate.  Laying out
-    the boxes is O(n**3 * T * log n) integer work, against the C(T + n - 1,
-    n - 1) rows of the grid.
+    the boxes is O(n**3 * T) integer work with no sort, against the C(T + n
+    - 1, n - 1) rows of the grid.  Per q, only the family bounds and whether
+    the box where m_a = 0 is nonempty are kept; the first-row pass rebuilds
+    the caps of the boxes it visits.
     """
     n, a = instance.n, agent_index
     unit, total = grid.unit, grid.steps
@@ -612,17 +665,18 @@ def _best_response(instance, objective, grid, rows, agent_index):
         d[a] = -y
         return pricing.payment_numerators(d, grid.rent)
 
-    # The boxes of each room r: per own units q, the caps on the other
-    # rooms, the bounds of the box where m_a = 0 (None if empty), and the
-    # (s*, lowest v, highest v) of each nonempty family.  Grid points y =
-    # rho + unit*t reached in r, as t-spans per residue rho.
+    # The boxes of each room r, by cap run (``_cap_runs``): the run's
+    # deltas and, per own units q, whether the box where m_a = 0 is nonempty
+    # and the (s*, lowest v, highest v) of each nonempty family.  Grid points
+    # y = rho + unit*t reached in r, as t-spans per residue rho.
     layout, reached = [], []
     for r in range(n):
         occupant = _occupants(perm[r])
         other = [s for s in range(n) if s != r]
         c = [assigned[r][k] - chain[r][k] for k in occupant]
         e = [[(ck - cs) // unit for ck in c] for cs in c]
-        rule = {s: _tie_rule(keys, r, s) for s in other}
+        zero_caps = [c[k] // unit for k in other]
+        zero_ok = all(z >= 0 for z in zero_caps)
         # Family s* reaches y = residue + unit*t at t = v + offset - q, and
         # its chain alone asks v*unit >= c_s* and v + e_k >= 0.
         residue = [-cs % unit for cs in c]
@@ -630,42 +684,38 @@ def _best_response(instance, objective, grid, rows, agent_index):
         lowest = [
             max(0, -offset[s], *(-e[s][k] for k in other if k != s)) for s in range(n)
         ]
-        boxes, spans = [], {}
-        for q in range(total + 1):
-            need = total - q
-            caps = [0] * n
-            for s in other:
-                tied = q * unit + welfare[r] - welfare[s]  # the x_s of a welfare tie
-                # Unless a key before both rooms decides, the tie goes to
-                # the larger key at room min(r, s), where one side is a's.
-                wins = rule[s]
-                if wins is None and r < s:
-                    wins = q * unit * n + a > keys[s][r]
-                elif wins is None:
-                    wins = keys[r][s] > tied * n + a
-                caps[s] = (tied - (not wins)) // unit
-            if any(caps[s] < 0 for s in other):
-                continue
-            if sum(min(caps[s], need) for s in other) < need:
-                continue
-            zero = [(k, min(caps[k], c[k] // unit)) for k in other]
-            if all(b >= 0 for _, b in zero) and sum(b for _, b in zero) >= need:
-                spans.setdefault(0, []).append((-q, -q))
-            else:
-                zero = None
-            families = []
-            for s in other:
-                hi = min(caps[s], need)
-                if lowest[s] > hi:
+        runs, spans = [], {0: []}
+        reached_by = [spans.setdefault(residue[s], []) for s in other]
+        cap_runs = _cap_runs(keys, welfare, r, a, unit, total)
+        for (q0, delta), (q1, _) in zip(cap_runs, cap_runs[1:] + [(total + 1, None)]):
+            deltas = [delta[s] for s in other]
+            terms = [
+                _level_terms(total, [(delta[k], e[s][k]) for k in other if k != s])
+                for s in other
+            ]
+            boxes = []
+            # No cap falls below 0.
+            for q in range(max(q0, -min(deltas, default=0)), q1):
+                need = total - q
+                if sum(min(q + d, need) for d in deltas) < need:
                     continue
-                free = [(caps[k], e[s][k]) for k in other if k != s]
-                lo = max(lowest[s], _least_level(need, free))
-                if lo <= hi:
-                    families.append((s, lo, hi))
-                    shift = offset[s] - q
-                    spans.setdefault(residue[s], []).append((lo + shift, hi + shift))
-            boxes.append((q, caps, zero, families))
-        layout.append((other, c, e, residue, offset, boxes))
+                zero = zero_ok and sum(min(q + d, z) for d, z in zip(deltas, zero_caps)) >= need
+                if zero:
+                    spans[0].append((-q, -q))
+                families = []
+                for s, d, bound, into in zip(other, deltas, terms, reached_by):
+                    hi = min(q + d, need)
+                    if lowest[s] > hi:
+                        continue
+                    lo = max(lowest[s], _level_at(bound, q))
+                    if lo <= hi:
+                        families.append((s, lo, hi))
+                        shift = offset[s] - q
+                        into.append((lo + shift, hi + shift))
+                if zero or families:
+                    boxes.append((q, zero, families))
+            runs.append((delta, boxes))
+        layout.append((other, c, e, residue, offset, runs))
         reached.append({rho: _merge(sorted(found)) for rho, found in spans.items()})
 
     # Score each reachable point once, keeping the points of the best score
@@ -683,32 +733,40 @@ def _best_response(instance, objective, grid, rows, agent_index):
                         top[r].setdefault(rho, []).append(t)
     optimal = [{rho: _merge((t, t) for t in ts) for rho, ts in room.items()} for room in top]
 
-    # The first optimal row.
+    # The first optimal row, with each visited box's caps rebuilt.
     first = pick = None
-    for r, (other, c, e, residue, offset, boxes) in enumerate(layout):
+    for r, (other, c, e, residue, offset, runs) in enumerate(layout):
         if not optimal[r]:
             continue
-        for q, caps, zero, families in boxes:
-            need = total - q
-            if zero is not None and any(t1 <= -q <= t2 for t1, t2 in optimal[r].get(0, ())):
-                row = _lex_first(n, [(r, q)], zero, need)
-                if first is None or row < first:
-                    first, pick = row, (r, -q * unit)
-            for s, lo, hi in families:
-                shift = q - offset[s]  # v = t + shift
-                spans = [
-                    (max(lo, t1 + shift), min(hi, t2 + shift))
-                    for t1, t2 in optimal[r].get(residue[s], ())
-                ]
-                spans = [(v1, v2) for v1, v2 in spans if v1 <= v2]
-                if not spans:
-                    continue
-                empty = _least_level(need, [(caps[k], e[s][k]) for k in other if k > s])
-                v = next((max(v1, empty) for v1, v2 in spans if v2 >= empty), spans[-1][1])
-                free = [(k, min(caps[k], v + e[s][k])) for k in other if k != s]
-                row = _lex_first(n, [(r, q), (s, v)], free, need - v)
-                if first is None or row < first:
-                    first, pick = row, (r, (v - q) * unit - c[s])
+        for delta, boxes in runs:
+            # The least level of a family's free rooms after s*.
+            after = {
+                s: _level_terms(total, [(delta[k], e[s][k]) for k in other if k > s])
+                for s in other
+            }
+            for q, zero, families in boxes:
+                need = total - q
+                caps = [q + d for d in delta]
+                if zero and any(t1 <= -q <= t2 for t1, t2 in optimal[r].get(0, ())):
+                    free = [(k, min(caps[k], c[k] // unit)) for k in other]
+                    row = _lex_first(n, [(r, q)], free, need)
+                    if first is None or row < first:
+                        first, pick = row, (r, -q * unit)
+                for s, lo, hi in families:
+                    shift = q - offset[s]  # v = t + shift
+                    spans = [
+                        (max(lo, t1 + shift), min(hi, t2 + shift))
+                        for t1, t2 in optimal[r].get(residue[s], ())
+                    ]
+                    spans = [(v1, v2) for v1, v2 in spans if v1 <= v2]
+                    if not spans:
+                        continue
+                    empty = _level_at(after[s], q)
+                    v = next((max(v1, empty) for v1, v2 in spans if v2 >= empty), spans[-1][1])
+                    free = [(k, min(caps[k], v + e[s][k])) for k in other if k != s]
+                    row = _lex_first(n, [(r, q), (s, v)], free, need - v)
+                    if first is None or row < first:
+                        first, pick = row, (r, (v - q) * unit - c[s])
 
     r, y = pick
     return first, best, perm[r], payments(r, y)

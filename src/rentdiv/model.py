@@ -67,16 +67,45 @@ def to_rational(x) -> Fraction:
 
     Floats are rejected: they would silently poison the exact solve path.
     Booleans are no amounts either, though ``bool`` subclasses ``int``.
+    Strings go through ``parse_money``.
     """
     if isinstance(x, (float, bool)):
         raise TypeError(f"refusing {type(x).__name__} {x!r}; pass an int, Fraction or string")
-    return Fraction(x)
+    return parse_money(x) if isinstance(x, str) else Fraction(x)
+
+
+# The longest amount string, and the largest decimal exponent, that
+# ``parse_money`` reads: Fraction("1e-10000000") alone takes seconds, and an
+# amount past 4300 digits cannot be printed back.
+MAX_AMOUNT_CHARS = 4000
+MAX_AMOUNT_EXPONENT = 4000
 
 
 def parse_money(s: str) -> Fraction:
-    """Parse a decimal string like "9.20" (or "46/5") to its exact rational."""
+    """Parse a decimal string like "9.20" (or "46/5") to its exact rational.
+
+    Raises TypeError for anything but a string or an int, ValidationError
+    for a string longer than MAX_AMOUNT_CHARS or with a decimal exponent
+    beyond MAX_AMOUNT_EXPONENT, and ``Fraction``'s ValueError or
+    ZeroDivisionError for a string it cannot read.
+    """
     if not isinstance(s, (str, int)) or isinstance(s, bool):
         raise TypeError(f"expected a decimal string, got {type(s).__name__}")
+    if isinstance(s, str):
+        _, e, exponent = s.lower().partition("e")
+        refuse = len(s) > MAX_AMOUNT_CHARS
+        if e and not refuse:
+            try:
+                refuse = abs(int(exponent)) > MAX_AMOUNT_EXPONENT
+            except ValueError:
+                pass  # Fraction names the malformed amount
+        if refuse:
+            shown = repr(s[:20]) + ("..." if len(s) > 20 else "")
+            raise ValidationError(
+                f"refusing amount {shown}: an exact amount has at most "
+                f"{MAX_AMOUNT_CHARS} characters and a decimal exponent between "
+                f"-{MAX_AMOUNT_EXPONENT} and {MAX_AMOUNT_EXPONENT}"
+            )
     return Fraction(s)
 
 

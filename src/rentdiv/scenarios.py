@@ -37,9 +37,11 @@ from .model import (
     Outcome,
     PriceVector,
     RentDivisionError,
+    ValidationError,
     ValuationMatrix,
     compute_utilities,
     format_exact,
+    parse_money,
     validate_instance,
 )
 
@@ -101,10 +103,10 @@ class DiscrepancyReport:
 def _money(value, where):
     if isinstance(value, float):
         raise ParseError("float values are not exact; use decimal strings", where)
-    if not isinstance(value, (str, int)) or isinstance(value, bool):
-        raise ParseError(f"expected a decimal string, got {type(value).__name__}", where)
     try:
-        return Fraction(value)
+        return parse_money(value)
+    except (TypeError, ValidationError) as exc:
+        raise ParseError(str(exc), where) from None
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse {value!r} as an exact amount: {exc}", where)
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,16 @@ class TestSolve:
 
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_INVALID
+
+    def test_huge_amount_refused(self, baseline_file, tmp_path, capsys):
+        # Once read, 10**5000 could not even be printed in an error message.
+        doc = json.loads(open(baseline_file).read())
+        doc["total_rent"] = "1e5000"
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        assert main(["solve", str(huge)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "refusing amount '1e5000'" in err
 
     def test_invalid_document(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -173,6 +184,23 @@ class TestHotPath:
         assert calls == {
             "solve": 0, "max_welfare_assignment": 0, "maximin_prices": 1, "simplex_solve": 0
         }
+
+    @pytest.mark.parametrize(
+        "target", [[], ["--target-rooms", "D:R4,E:R5"]], ids=["honest-rooms", "target-rooms"]
+    )
+    def test_template_solves_truth_once(self, baseline_file, monkeypatch, target):
+        # One solve of the truth, which also gives flatten its honest rooms,
+        # and one of the reports.
+        calls = []
+
+        def counted(*args, _real=pricing.solve, **kwargs):
+            calls.append(args[1])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pricing, "solve", counted)
+        argv = ["manipulate", baseline_file, "--coalition", "D,E", "--objective", "min-pay:D,E"]
+        assert main(argv + ["--template", "flatten"] + target) == EXIT_OK
+        assert len(calls) == 2
 
     def test_solve_runs_without_oracles(self, baseline_file, capsys):
         assert main(["solve", baseline_file]) == EXIT_OK
@@ -370,6 +398,27 @@ class TestManipulate:
         assert capsys.readouterr().err == (
             "rentdiv: a search with n = 5 allows at most 8000 grid steps per row "
             "(rent/step): n^3 * steps may not exceed 1000000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags,where,shown",
+        [
+            (["--step", "1e-10000000"], "--step", "'1e-10000000'"),
+            (["--step", "1" * 4001], "--step", "'11111111111111111111'..."),
+            (["--objective", "subsidize:A@R1<=1e5000"], "objective", "'1e5000'"),
+        ],
+        ids=["step-exponent", "step-length", "cap-exponent"],
+    )
+    def test_huge_amount_refused_fast(self, baseline_file, capsys, flags, where, shown):
+        argv = ["manipulate", baseline_file, "--coalition", "A", "--search"]
+        if "--objective" not in flags:
+            argv += ["--objective", "min-pay:A"]
+        start = time.perf_counter()
+        assert main(argv + flags) == EXIT_INVALID
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"rentdiv: {where}: refusing amount {shown}: an exact amount has at most "
+            "4000 characters and a decimal exponent between -4000 and 4000\n"
         )
 
     def test_bad_objective_grammar(self, baseline_file):

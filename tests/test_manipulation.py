@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_instance, random_rows
 from rentdiv import manipulation, pricing
@@ -18,6 +19,9 @@ from rentdiv.manipulation import (
     SearchSpaceTooLarge,
     SubsidizeAgent,
     _best_response,
+    _cap_runs,
+    _level_at,
+    _level_terms,
     _occupants,
     _prepare_search,
     _room_tables,
@@ -500,6 +504,62 @@ def _oracle_best_response(inst, objective, grid, rows, agent_index):
             best = units[k], scores[k], perm[k], pay[k]
     units, score, perm, pay = best
     return units.tolist(), int(score), perm.tolist(), pay.tolist()
+
+
+class TestLayoutTerms:
+    """The q-free parts of the box layout against their definitions."""
+
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=6
+        ),
+        s=st.integers(0, 5),
+        total=st.integers(0, 24),
+        q=st.integers(0, 24),
+    )
+    def test_least_level_is_the_least_feasible_v(self, pairs, s, total, q):
+        # A family s* over the free rooms k != s* with (delta_k, e_k), and the
+        # first-row bound over the rooms after s*, as in _best_response.
+        q = min(q, total)
+        need = total - q
+        s = min(s, len(pairs) - 1)
+        family = pairs[:s] + pairs[s + 1 :]
+        for bounds in (family, pairs[s + 1 :]):
+            got = _level_at(_level_terms(total, bounds), q)
+            want = next(
+                v
+                for v in range(-200, 200)
+                if v + sum(min(q + delta, v + e) for delta, e in bounds) >= need
+            )
+            assert got == want, (bounds, total, q)
+
+    def test_cap_runs_follow_the_tie_break(self):
+        # At every q, a's key vector of room r (the others' keys with a's own
+        # key at r) against that of room s with x_s at the welfare tie
+        # decides whether r keeps the tie.
+        rng = random.Random(7)
+        for trial in range(300):
+            n = 2 + trial % 5
+            rows = [[rng.randint(0, 3) * 2 for _ in range(n)] for _ in range(n)]
+            unit = rng.choice((1, 2, 3))
+            total = 4 * n
+            a = rng.randrange(n)
+            _, _, _, _, keys, welfare = _room_tables(rows, a)
+            for r in range(n):
+                runs = _cap_runs(keys, welfare, r, a, unit, total)
+                assert runs[0][0] == 0 and len(runs) <= n
+                for q in range(total + 1):
+                    delta = [d for q0, d in runs if q0 <= q][-1]
+                    for s in range(n):
+                        if s == r:
+                            continue
+                        tied = q * unit + welfare[r] - welfare[s]
+                        mine = list(keys[r])
+                        mine[r] = q * unit * n + a
+                        theirs = list(keys[s])
+                        theirs[s] = tied * n + a
+                        cap = (tied - (mine < theirs)) // unit
+                        assert q + delta[s] == cap, (rows, a, r, s, q, unit)
 
 
 class TestClosedForm:

@@ -1,5 +1,6 @@
 """Domain model: exact money parsing, validation, assignments and outcomes."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,29 @@ class TestMoney:
         # bool subclasses int, so only an explicit check keeps it out.
         with pytest.raises(TypeError, match="bool"):
             convert(flag)
+
+    @pytest.mark.parametrize(
+        "text", ["1e-10000000", "1E4001", "2.5e+4001", "9" * 4001, "1/" + "3" * 3999]
+    )
+    @pytest.mark.parametrize("convert", [to_rational, parse_money], ids=["to_rational", "parse_money"])
+    def test_huge_amount_refused_fast(self, convert, text):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as info:
+            convert(text)
+        assert time.perf_counter() - start < 1
+        shown = repr(text[:20]) + ("..." if len(text) > 20 else "")
+        assert str(info.value) == (
+            f"refusing amount {shown}: an exact amount has at most 4000 characters "
+            "and a decimal exponent between -4000 and 4000"
+        )
+
+    def test_amounts_at_the_caps_parse(self):
+        assert parse_money("1e-4000") == Fraction(1, 10**4000)
+        assert parse_money("2.5E+4000") == 25 * 10**3999
+        assert parse_money("7" * 4000) == int("7" * 4000)
+        # A malformed exponent keeps Fraction's own message.
+        with pytest.raises(ValueError, match="Invalid literal for Fraction: '1e'"):
+            parse_money("1e")
 
     def test_render_two_places(self):
         assert render_money(Fraction(46, 5)) == "9.20"
