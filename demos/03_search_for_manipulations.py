@@ -12,11 +12,7 @@ Usage: python3 demos/03_search_for_manipulations.py
 from fractions import Fraction
 
 from rentdiv import render_money, solve
-from rentdiv.manipulation import (
-    MinimizeCoalitionPayments,
-    best_response_search,
-    coalition_search,
-)
+from rentdiv.manipulation import MinimizeCoalitionPayments, coalition_search
 from rentdiv.scenarios import builtin_scenario
 
 
@@ -28,10 +24,10 @@ def main():
     print("Single-agent best responses (step 1):")
     print(f"{'agent':<6} {'honest rent':>12} {'best rent':>10}  best report row")
     for agent in inst.agent_ids:
-        row, value = best_response_search(
-            inst, truth, agent, MinimizeCoalitionPayments((agent,)), step=Fraction(1)
+        reported, value, _ = coalition_search(
+            inst, truth, (agent,), MinimizeCoalitionPayments((agent,)), step=Fraction(1)
         )
-        cells = " ".join(f"{int(v):>2}" for v in row)
+        cells = " ".join(f"{int(v):>2}" for v in reported.row(inst.agent_index(agent)))
         print(
             f"{agent:<6} {render_money(honest.payment_of(agent)):>12} "
             f"{render_money(value):>10}  [{cells}]"

@@ -1,9 +1,9 @@
 """Exact maximin envy-free rent division with a manipulation laboratory.
 
 The mechanism's names are imported eagerly.  The names of the manipulation
-lab (``rentdiv.manipulation``) and of the test-only oracles
-(``rentdiv.oracles``) resolve on first use, so importing the package, as
-every command does, compiles neither module.
+lab (``rentdiv.manipulation``) resolve on first use, and the test-only
+oracles only from ``rentdiv.oracles``, so importing the package, as every
+command does, compiles neither module.
 """
 
 import importlib
@@ -13,7 +13,6 @@ from .model import (
     Instance,
     Outcome,
     PriceVector,
-    Rational,
     RentDivisionError,
     ValidationError,
     ValuationMatrix,
@@ -46,34 +45,21 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 # Name -> the submodule that defines it, imported on first access (PEP 562).
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "DeviationReport",
-            "ExcludeFromRooms",
-            "MaximizeTrueUtility",
-            "MinimizeCoalitionPayments",
-            "SubsidizeAgent",
-            "best_response_search",
-            "coalition_search",
-            "evaluate_deviation",
-            "exclusion_check",
-            "template_defensive",
-            "template_exclusionary",
-            "template_flatten",
-        ),
-        "manipulation",
+_LAZY = dict.fromkeys(
+    (
+        "DeviationReport",
+        "ExcludeFromRooms",
+        "MaximizeTrueUtility",
+        "MinimizeCoalitionPayments",
+        "SubsidizeAgent",
+        "coalition_search",
+        "evaluate_deviation",
+        "template_defensive",
+        "template_exclusionary",
+        "template_flatten",
     ),
-    **dict.fromkeys(
-        (
-            "all_optimal_assignments",
-            "brute_force_assignment",
-            "fm_feasible",
-            "min_utility_feasible",
-        ),
-        "oracles",
-    ),
-}
+    "manipulation",
+)
 
 
 def __getattr__(name):

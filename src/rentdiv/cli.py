@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -45,6 +46,21 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+
+
+def _write_json(doc, out) -> None:
+    """Write ``doc`` as indented JSON, or refuse it whole: the exact
+    numerators and denominators of an answer can pass the digits that Python
+    converts to text, where the text formats still round to cents."""
+    try:
+        text = json.dumps(doc, indent=2)
+    except ValueError:
+        raise RentDivisionError(
+            "--format json cannot print this answer: an exact amount in it has "
+            "more digits than Python converts to text; --format text and csv "
+            "round it to cents"
+        ) from None
+    out.write(text + "\n")
 
 
 def _rational_json(x: Fraction) -> dict:
@@ -86,16 +102,15 @@ def _print_outcome_csv(instance, outcome: Outcome, out):
         )
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, out) -> int:
     scenario = scenarios.load_scenario(args.scenario)
     outcome = pricing.solve(scenario.instance, scenario.reported_matrix)
     if args.format == "json":
-        json.dump(_outcome_json(scenario.instance, outcome), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(_outcome_json(scenario.instance, outcome), out)
     elif args.format == "csv":
-        _print_outcome_csv(scenario.instance, outcome, sys.stdout)
+        _print_outcome_csv(scenario.instance, outcome, out)
     else:
-        _print_outcome_text(scenario.instance, outcome, sys.stdout)
+        _print_outcome_text(scenario.instance, outcome, out)
     return EXIT_OK
 
 
@@ -132,7 +147,7 @@ def _report_text(scenario, outcome, report, out):
         out.write(f"   computed minimum utility: {render_money(outcome.min_utility)}\n")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     sources = {"a scenario file": args.scenario, "--builtin": args.builtin,
                "--all-builtin": args.all_builtin}
     given = [name for name, value in sources.items() if value]
@@ -164,18 +179,15 @@ def cmd_verify(args) -> int:
         results.append((s, outcome, report))
 
     if args.format == "json":
-        json.dump(
-            [_report_json(s, o, r) for s, o, r in results], sys.stdout, indent=2
-        )
-        sys.stdout.write("\n")
+        _write_json([_report_json(s, o, r) for s, o, r in results], out)
     elif args.format == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
+        w = csv.writer(out, lineterminator="\n")
         w.writerow(["scenario", "verdict", "assignment_equivalent"])
         for s, _, r in results:
             w.writerow([s.slug, r.verdict, r.assignment_equivalent])
     else:
         for s, o, r in results:
-            _report_text(s, o, r, sys.stdout)
+            _report_text(s, o, r, out)
     any_mismatch = any(r.verdict == "mismatch" for _, _, r in results)
     return EXIT_MISMATCH if any_mismatch else EXIT_OK
 
@@ -321,7 +333,7 @@ def _deviation_text(instance, report, out):
     out.write(f"objective satisfied: {'yes' if report.objective_satisfied else 'no'}\n")
 
 
-def cmd_manipulate(args) -> int:
+def cmd_manipulate(args, out) -> int:
     from . import manipulation
 
     scenario = scenarios.load_scenario(args.scenario)
@@ -404,10 +416,9 @@ def cmd_manipulate(args) -> int:
         raise ParseError("pick one of --template or --search")
 
     if args.format == "json":
-        json.dump(_deviation_json(instance, report, reported), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(_deviation_json(instance, report, reported), out)
     elif args.format == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
+        w = csv.writer(out, lineterminator="\n")
         w.writerow(["agent", "payment_delta", "true_utility_delta"])
         for a in instance.agent_ids:
             w.writerow(
@@ -418,18 +429,18 @@ def cmd_manipulate(args) -> int:
                 ]
             )
     else:
-        _deviation_text(instance, report, sys.stdout)
+        _deviation_text(instance, report, out)
     return EXIT_OK
 
 
-def cmd_table(args) -> int:
+def cmd_table(args, out) -> int:
     blocks = []
     for s in scenarios.builtin_scenarios():
         outcome, report = scenarios.run_scenario(s)
         blocks.append((s, outcome, report))
 
     if args.format == "json":
-        json.dump(
+        _write_json(
             [
                 {
                     "name": s.name,
@@ -443,13 +454,11 @@ def cmd_table(args) -> int:
                 }
                 for s, o, r in blocks
             ],
-            sys.stdout,
-            indent=2,
+            out,
         )
-        sys.stdout.write("\n")
         return EXIT_OK
     if args.format == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
+        w = csv.writer(out, lineterminator="\n")
         w.writerow(["scenario", "room", "agent", "computed_price", "expected_price", "verdict"])
         for s, o, r in blocks:
             for room in s.instance.room_ids:
@@ -466,21 +475,23 @@ def cmd_table(args) -> int:
         return EXIT_OK
 
     for s, o, r in blocks:
-        sys.stdout.write(f"== {s.name}\n")
-        sys.stdout.write(
+        out.write(f"== {s.name}\n")
+        out.write(
             f"{'room':<6} {'agent':<6} {'computed':>9} {'expected':>9}\n"
         )
         for room in s.instance.room_ids:
             expected = render_money(s.expected.prices.price_of(room))
-            sys.stdout.write(
+            out.write(
                 f"{room:<6} {o.assignment.agent_of(room):<6} "
                 f"{render_money(o.prices.price_of(room)):>9} {expected:>9}\n"
             )
-        sys.stdout.write(f"verdict: {r.verdict}\n\n")
+        out.write(f"verdict: {r.verdict}\n\n")
     return EXIT_OK
 
 
 def _err(msg: str) -> None:
+    # One line, whatever line breaks a label in the message holds.
+    msg = "\\n".join(msg.splitlines())
     print(f"rentdiv: {msg}", file=sys.stderr)
 
 
@@ -535,14 +546,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The whole output is rendered first, so a refusal writes none of it.
+    out = io.StringIO()
     try:
-        return args.func(args)
+        code = args.func(args, out)
     except SearchSpaceTooLarge as exc:
         _err(str(exc))
         return EXIT_BUDGET
     except (RentDivisionError, OSError, ValueError) as exc:
         _err(str(exc))
         return EXIT_INVALID
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 def entry() -> None:  # console-script shim

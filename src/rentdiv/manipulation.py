@@ -49,6 +49,7 @@ from .model import (
     RentDivisionError,
     SearchSpaceTooLarge,
     ValuationMatrix,
+    abbreviate,
     compute_utilities,
     to_rational,
     validate_instance,
@@ -87,7 +88,7 @@ class ExcludeFromRooms:
         return self.targets, self.rooms
 
     def value(self, instance, true_matrix, outcome) -> bool:
-        return exclusion_check(outcome, self.targets, self.rooms)
+        return all(outcome.assignment.room_of(a) not in self.rooms for a in self.targets)
 
     def margin(self, instance, grid, perm):
         targets = [instance.agent_index(a) for a in self.targets]
@@ -173,12 +174,6 @@ def _check_objective(instance: Instance, objective) -> None:
     if not isinstance(objective, _OBJECTIVES):
         raise TypeError(f"unknown objective {objective!r}")
     _check_labels(instance, "objective", *objective.labels())
-
-
-def exclusion_check(outcome: Outcome, targets: Iterable[str], rooms: Iterable[str]) -> bool:
-    """True iff no target agent is assigned any of the listed rooms."""
-    rooms = set(rooms)
-    return all(outcome.assignment.room_of(a) not in rooms for a in targets)
 
 
 def objective_satisfied(
@@ -306,7 +301,7 @@ def template_exclusionary(
     remainder = instance.total_rent - CLAIM_VALUE - FILLER_VALUE * len(victim_rooms)
     if remainder < 0:
         raise InfeasibleTemplate(
-            f"claim {CLAIM_VALUE} plus fillers exceed the rent by {-remainder}"
+            f"claim {CLAIM_VALUE} plus fillers exceed the rent by {abbreviate(-remainder)}"
         )
     k = len(coalition) - 1
     if k == 0 and remainder != 0:
@@ -386,7 +381,7 @@ def template_defensive(
     remainder = instance.total_rent - 2 * INFLATE_VALUE
     if remainder < 0:
         raise InfeasibleTemplate(
-            f"two bids of {INFLATE_VALUE} exceed the rent {instance.total_rent}"
+            f"two bids of {INFLATE_VALUE} exceed the rent {abbreviate(instance.total_rent)}"
         )
     for agent in defenders:
         if agent not in contested:
@@ -792,25 +787,6 @@ def _prepare_search(instance, true_matrix, step):
     return _Grid(step, scale, truth, rent, unit, steps)
 
 
-def best_response_search(
-    instance: Instance,
-    true_matrix: ValuationMatrix,
-    agent: str,
-    objective,
-    step=Fraction(1),
-):
-    """The best of all one agent's report rows on the grid, all others
-    truthful: ``coalition_search`` for the coalition of one.
-
-    Returns (best_row, achieved_value) where the value is measured against
-    true preferences.  Ties go to the lexicographically smallest row.  The
-    true row is a candidate only when ``step`` divides each of the agent's
-    true values; only then can the result never score worse than honesty.
-    """
-    reported, value, _ = coalition_search(instance, true_matrix, (agent,), objective, step)
-    return reported.row(instance.agent_index(agent)), value
-
-
 def coalition_search(
     instance: Instance,
     true_matrix: ValuationMatrix,
@@ -825,9 +801,11 @@ def coalition_search(
     rows, so a member's row stays one until another member's row changes.
     The search stops, converged, as soon as every member's row is a best
     response to the current rows of the others, or unconverged after
-    MAX_ROUNDS rounds.  Returns (reported_matrix, achieved_value, converged).
-    As in ``best_response_search``, the value can be worse than honesty's
-    when ``step`` does not divide every member's true values.
+    MAX_ROUNDS rounds.  Returns (reported_matrix, achieved_value, converged),
+    the value measured against the true values.  A member's ties go to its
+    lexicographically smallest row.  The true rows are candidates only when
+    ``step`` divides every member's true values; only then can the value
+    never be worse than honesty's.
     """
     return _search(instance, true_matrix, coalition, objective, step)[1:4]
 
@@ -856,7 +834,8 @@ def _coalition_search(instance, true_matrix, coalition, objective, step):
 def _search(instance, true_matrix, coalition, objective, step):
     """(grid, reported_matrix, achieved_value, converged, manipulated): the
     coordinate ascent of ``coalition_search`` on its ``_Grid``, and the
-    mechanism's ``Outcome`` on the returned reports.
+    mechanism's ``Outcome`` on the returned reports.  The reports live as
+    the grid's integer rows; the returned matrix is built from them once.
 
     The last best response was scored with every other row at its value in
     the returned matrix, so its winning candidate's assignment and payments
@@ -872,7 +851,7 @@ def _search(instance, true_matrix, coalition, objective, step):
     if not members:
         raise ValueError("coalition is empty")
 
-    current, rows = true_matrix, list(grid.truth)  # the same reports, twice
+    rows = list(grid.truth)
     settled = 0  # members, up to this one, whose rows are best responses
     for turn in range(MAX_ROUNDS * len(members)):
         agent_index = members[turn % len(members)]
@@ -882,12 +861,14 @@ def _search(instance, true_matrix, coalition, objective, step):
             settled += 1
         else:
             rows[agent_index] = row
-            current = current.replace_row(agent_index, [u * grid.step for u in units])
             settled = 1
         if settled == len(members):
             break
 
+    reported = ValuationMatrix.from_rows(
+        [Fraction(v, grid.scale) for v in row] for row in rows
+    )
     assignment = Assignment.from_indices(instance, perm)
-    outcome = pricing.priced_outcome(instance, current, assignment, pay, instance.n * grid.scale)
+    outcome = pricing.priced_outcome(instance, reported, assignment, pay, instance.n * grid.scale)
     value = objective.value(instance, true_matrix, outcome)
-    return grid, current, value, settled == len(members), outcome
+    return grid, reported, value, settled == len(members), outcome

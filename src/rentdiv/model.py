@@ -11,9 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-# Exact rational money type used throughout the package.
-Rational = Fraction
-
 
 class RentDivisionError(Exception):
     """Base class for all errors raised by this package."""
@@ -40,7 +37,8 @@ class RowSumMismatch(ValidationError):
         self.actual_sum = actual_sum
         self.expected_sum = expected_sum
         super().__init__(
-            f"agent {agent}'s values sum to {actual_sum}, expected {expected_sum}"
+            f"agent {agent}'s values sum to {abbreviate(actual_sum)}, "
+            f"expected {abbreviate(expected_sum)}"
         )
 
 
@@ -74,11 +72,47 @@ def to_rational(x) -> Fraction:
     return parse_money(x) if isinstance(x, str) else Fraction(x)
 
 
-# The longest amount string, and the largest decimal exponent, that
-# ``parse_money`` reads: Fraction("1e-10000000") alone takes seconds, and an
-# amount past 4300 digits cannot be printed back.
+# The longest amount string, the largest decimal exponent, and the most
+# digits in a numerator or denominator, that ``parse_money`` reads:
+# Fraction("1e-10000000") alone takes seconds, and Python refuses to print
+# an integer past 4300 digits.
 MAX_AMOUNT_CHARS = 4000
 MAX_AMOUNT_EXPONENT = 4000
+MAX_AMOUNT_DIGITS = 4000
+_DIGITS_LIMIT = 10**MAX_AMOUNT_DIGITS
+
+# The most digits a message prints of one integer (``abbreviate``).
+MESSAGE_DIGITS = 100
+_MESSAGE_LIMIT = 10**MESSAGE_DIGITS
+
+
+def _abbreviate_int(n: int) -> str:
+    if -_MESSAGE_LIMIT < n < _MESSAGE_LIMIT:
+        return str(n)
+    sign, n = "-" if n < 0 else "", abs(n)
+    # A lower bound on the digit count from the bit length, then exact.
+    digits = max(1, int((n.bit_length() - 1) * 0.30102999566398))
+    while n >= 10**digits:
+        digits += 1
+    return f"{sign}{n // 10 ** (digits - 12)}...({digits} digits)"
+
+
+def abbreviate(x) -> str:
+    """``str(x)`` of an int or a ``Fraction`` for a message, with a numerator
+    or denominator past MESSAGE_DIGITS digits shown as its first 12 digits
+    and its length: Python refuses ``str`` past 4300 digits, and an ordinary
+    amount prints as before."""
+    x = Fraction(x)
+    num, den = _abbreviate_int(x.numerator), _abbreviate_int(x.denominator)
+    return num if den == "1" else f"{num}/{den}"
+
+
+def _shown(s) -> str:
+    """A refused amount as a message shows it: a string's first 20
+    characters, an integer abbreviated."""
+    if isinstance(s, str):
+        return repr(s[:20]) + ("..." if len(s) > 20 else "")
+    return abbreviate(s)
 
 
 def parse_money(s: str) -> Fraction:
@@ -86,8 +120,9 @@ def parse_money(s: str) -> Fraction:
 
     Raises TypeError for anything but a string or an int, ValidationError
     for a string longer than MAX_AMOUNT_CHARS or with a decimal exponent
-    beyond MAX_AMOUNT_EXPONENT, and ``Fraction``'s ValueError or
-    ZeroDivisionError for a string it cannot read.
+    beyond MAX_AMOUNT_EXPONENT, or for an amount whose numerator or
+    denominator has more than MAX_AMOUNT_DIGITS digits, and ``Fraction``'s
+    ValueError or ZeroDivisionError for a string it cannot read.
     """
     if not isinstance(s, (str, int)) or isinstance(s, bool):
         raise TypeError(f"expected a decimal string, got {type(s).__name__}")
@@ -100,13 +135,18 @@ def parse_money(s: str) -> Fraction:
             except ValueError:
                 pass  # Fraction names the malformed amount
         if refuse:
-            shown = repr(s[:20]) + ("..." if len(s) > 20 else "")
             raise ValidationError(
-                f"refusing amount {shown}: an exact amount has at most "
+                f"refusing amount {_shown(s)}: an exact amount has at most "
                 f"{MAX_AMOUNT_CHARS} characters and a decimal exponent between "
                 f"-{MAX_AMOUNT_EXPONENT} and {MAX_AMOUNT_EXPONENT}"
             )
-    return Fraction(s)
+    x = Fraction(s)
+    if not (-_DIGITS_LIMIT < x.numerator < _DIGITS_LIMIT and x.denominator < _DIGITS_LIMIT):
+        raise ValidationError(
+            f"refusing amount {_shown(s)}: an exact amount's numerator and "
+            f"denominator have at most {MAX_AMOUNT_DIGITS} digits"
+        )
+    return x
 
 
 def render_money(x: Fraction) -> str:

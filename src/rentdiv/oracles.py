@@ -13,8 +13,9 @@ No command imports this module.  It holds three groups of code:
   response in ``manipulation`` is held to.  numpy is imported inside those
   functions only, so the module imports without it.
 
-``pricing`` and ``matching`` still resolve the public names of the first two
-groups, and ``rentdiv`` those it exported, on first use.
+Every name here resolves only from this module, but for
+``brute_force_assignment`` and ``all_optimal_assignments``, which
+``matching`` still resolves on first use for the benchmark's checks.
 """
 
 from __future__ import annotations

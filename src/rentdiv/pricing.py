@@ -32,8 +32,8 @@ assignment at the resulting prices:
 assignment (``matching.max_welfare_assignment``).
 
 A Fourier-Motzkin feasibility oracle (``min_utility_feasible``), sharing no
-code with either, is a test-only cross-check in ``rentdiv.oracles``, which no
-command imports; its public names still resolve here on first use.
+code with either, is a test-only cross-check; its names resolve only from
+``rentdiv.oracles``, which no command imports.
 """
 
 from __future__ import annotations
@@ -50,27 +50,12 @@ from .model import (
     PriceVector,
     RentDivisionError,
     ValuationMatrix,
+    abbreviate,
     build_outcome,
     compute_utilities,
     to_rational,
     validate_instance,
 )
-
-# Test-only names that moved to ``rentdiv.oracles``.
-_ORACLES = frozenset(
-    ("FM_VARIABLE_LIMIT", "CERTIFICATE_EPSILON", "TooManyVariables",
-     "EFConstraintSystem", "ef_constraint_system", "with_min_utility",
-     "fm_feasible", "min_utility_feasible")
-)
-
-
-def __getattr__(name):
-    if name in _ORACLES:
-        from . import oracles
-
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 class NotWelfareMaximizing(RentDivisionError):
     """Envy-free prices only exist for welfare-maximizing assignments."""
@@ -357,7 +342,8 @@ def _maximin_level(instance, matrix, assignment):
     if any(closed[i][i] > 0 for i in range(instance.n)):
         best = matching.max_welfare_assignment(instance, matrix).welfare
         raise NotWelfareMaximizing(
-            f"assignment welfare {Fraction(welfare, scale)} < optimum {best}"
+            f"assignment welfare {abbreviate(Fraction(welfare, scale))} < "
+            f"optimum {abbreviate(best)}"
         )
     chains = [max(row) for row in closed]
     return form, sigma, welfare - rent - sum(chains), chains
@@ -374,21 +360,17 @@ def is_envy_free(
     assignment: Assignment,
     prices: PriceVector,
 ) -> list:
-    """Violated envy pairs (agent, room) with positive slack; empty means EF."""
-    return [v for v in _envy_slacks(instance, matrix, assignment, prices) if v[2] > 0]
-
-
-def _envy_slacks(instance, matrix, assignment, prices):
-    """(agent, room, v_i(room) - p(room) - u_i) for every room an agent does
-    not hold, agents in roster order and rooms in room order: a positive
-    slack is envy, a zero slack a tight envy edge."""
+    """(agent, room, v_i(room) - p(room) - u_i) for every room an agent
+    envies, that is where that slack is positive, agents in roster order and
+    rooms in room order; empty means EF."""
     utilities = compute_utilities(instance, matrix, assignment, prices)
     price = prices.as_list(instance)
-    for agent, row in zip(instance.agent_ids, matrix.values):
-        own, u = assignment.room_of(agent), utilities[agent]
-        for room, v, p in zip(instance.room_ids, row, price):
-            if room != own:
-                yield agent, room, v - p - u
+    return [
+        (agent, room, slack)
+        for agent, row in zip(instance.agent_ids, matrix.values)
+        for room, v, p in zip(instance.room_ids, row, price)
+        if (slack := v - p - utilities[agent]) > 0
+    ]
 
 
 def _maximin_lp(instance, matrix, sigma, floors, nonnegative_prices, objective_agent=None):

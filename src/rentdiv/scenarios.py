@@ -34,6 +34,7 @@ from . import pricing
 from .model import (
     Assignment,
     Instance,
+    MAX_AMOUNT_DIGITS,
     Outcome,
     PriceVector,
     RentDivisionError,
@@ -250,11 +251,19 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
+    # Read first, so that a file that is not UTF-8 keeps its own message.
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", str(path))
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", str(path))
+    except ValueError:  # an integer past Python's digit limit for int()
+        raise ParseError(
+            f"invalid JSON: an integer has more than {MAX_AMOUNT_DIGITS} digits", str(path)
+        ) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nest too deeply", str(path)) from None
     return scenario_from_dict(doc, where=str(path))
 
 

@@ -12,27 +12,22 @@ from fractions import Fraction
 from conftest import ACCEPTANCE_LINES, make_instance, random_rows
 from rentdiv.cli import main as cli_main
 from rentdiv.manipulation import (
+    ExcludeFromRooms,
     MinimizeCoalitionPayments,
-    best_response_search,
     coalition_search,
-    exclusion_check,
     template_defensive,
     template_exclusionary,
     template_flatten,
 )
-from rentdiv.matching import (
+from rentdiv.matching import max_welfare_assignment
+from rentdiv.model import Assignment, parse_money
+from rentdiv.oracles import (
+    CERTIFICATE_EPSILON,
     all_optimal_assignments,
     brute_force_assignment,
-    max_welfare_assignment,
-)
-from rentdiv.model import Assignment, parse_money
-from rentdiv.pricing import (
-    CERTIFICATE_EPSILON,
-    is_envy_free,
-    maximin_prices,
     min_utility_feasible,
-    solve,
 )
+from rentdiv.pricing import is_envy_free, maximin_prices, solve
 from rentdiv.scenarios import builtin_scenario, run_scenario
 
 F = Fraction
@@ -78,7 +73,8 @@ def test_2_room_capture_reproduction():
         assert out.assignment.room_of("A") == "R1"
         assert out.assignment.room_of("B") == "R2"
         assert out.assignment.room_of("C") == "R3"
-        assert exclusion_check(out, ("D", "E"), ("R1", "R2", "R3"))
+        excluded = ExcludeFromRooms(("D", "E"), ("R1", "R2", "R3"))
+        assert excluded.value(sc.instance, sc.reported_matrix, out)
 
     _check(2, "room-capture collusion reproduction", 1.0, body)
 
@@ -189,8 +185,8 @@ def test_8_search_soundness():
         inst, truth = sc.instance, sc.reported_matrix
         honest = solve(inst, truth)
         for agent in inst.agent_ids:
-            _, value = best_response_search(
-                inst, truth, agent, MinimizeCoalitionPayments((agent,)), step=F(1)
+            _, value, _ = coalition_search(
+                inst, truth, (agent,), MinimizeCoalitionPayments((agent,)), step=F(1)
             )
             assert value <= honest.payment_of(agent)
         _, total, _ = coalition_search(

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import subprocess_env
-from rentdiv import matching, pricing
+from rentdiv import cli, matching, oracles, pricing
 from rentdiv.cli import (
     COALITION_GRAMMAR,
     CONTESTED_GRAMMAR,
@@ -67,6 +67,21 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "refusing amount '1e5000'" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_failure_mid_output_writes_nothing(self, baseline_file, monkeypatch, capsys, fmt):
+        # The whole answer is rendered before any of it is written.
+        calls = []
+
+        def fails_late(x, _real=cli.render_money):
+            calls.append(x)
+            if len(calls) > 3:
+                raise ValueError("cannot render")
+            return _real(x)
+
+        monkeypatch.setattr(cli, "render_money", fails_late)
+        assert main(["solve", baseline_file, "--format", fmt]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", "rentdiv: cannot render\n")
+
     def test_invalid_document(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"name": "x"}')
@@ -116,9 +131,8 @@ class TestVerifyHotPath:
         def oracle(*args, **kwargs):
             raise AssertionError("a test-only oracle ran inside verify")
 
-        monkeypatch.setattr(pricing, "min_utility_feasible", oracle)
-        monkeypatch.setattr(pricing, "fm_feasible", oracle)
-        monkeypatch.setattr(matching, "all_optimal_assignments", oracle)
+        for name in ("min_utility_feasible", "fm_feasible", "all_optimal_assignments"):
+            monkeypatch.setattr(oracles, name, oracle)
         assert main(["verify", "--all-builtin", "--format", "json"]) == EXIT_MISMATCH
         doc = json.loads(capsys.readouterr().out)
         assert [(r["scenario"], r["verdict"], r["expected_is_maximin"]) for r in doc] == [
@@ -132,11 +146,11 @@ class TestVerifyHotPath:
 
 class TestHotPath:
     ORACLES = (
-        (matching, "tie_break_key"),
-        (matching, "brute_force_assignment"),
-        (matching, "all_optimal_assignments"),
-        (pricing, "min_utility_feasible"),
-        (pricing, "fm_feasible"),
+        "tie_break_key",
+        "brute_force_assignment",
+        "all_optimal_assignments",
+        "min_utility_feasible",
+        "fm_feasible",
     )
 
     @pytest.fixture(autouse=True)
@@ -144,8 +158,8 @@ class TestHotPath:
         def oracle(*args, **kwargs):
             raise AssertionError("a test-only oracle ran on the hot path")
 
-        for module, name in self.ORACLES:
-            monkeypatch.setattr(module, name, oracle)
+        for name in self.ORACLES:
+            monkeypatch.setattr(oracles, name, oracle)
 
     def test_search_runs_without_oracles(self, baseline_file, capsys):
         argv = ["manipulate", baseline_file, "--coalition", "D", "--objective", "min-pay:D"]

@@ -25,25 +25,21 @@ from rentdiv.manipulation import (
     _occupants,
     _prepare_search,
     _room_tables,
-    best_response_search,
     coalition_search,
     evaluate_deviation,
-    exclusion_check,
     objective_satisfied,
     template_defensive,
     template_exclusionary,
     template_flatten,
 )
-from rentdiv.matching import (
-    all_optimal_assignments,
-    brute_force_assignment,
-    max_welfare_assignment,
-)
+from rentdiv.matching import max_welfare_assignment
 from rentdiv.oracles import (
     SEARCH_BLOCK,
     _composition_blocks,
     _FastMechanism,
     _priced_blocks,
+    all_optimal_assignments,
+    brute_force_assignment,
 )
 from rentdiv.pricing import envy_closure, envy_matrix, integer_form, maximin_prices, solve
 from rentdiv.scenarios import builtin_scenario, builtin_scenarios
@@ -66,9 +62,10 @@ class TestObjectives:
 
     def test_exclusion_check(self):
         sc = builtin_scenario("exclusionary-collusion")
-        out = solve(sc.instance, sc.reported_matrix)
-        assert exclusion_check(out, ("D", "E"), ("R1", "R2", "R3"))
-        assert not exclusion_check(out, ("A",), ("R1",))
+        inst, mat = sc.instance, sc.reported_matrix
+        out = solve(inst, mat)
+        assert ExcludeFromRooms(("D", "E"), ("R1", "R2", "R3")).value(inst, mat, out)
+        assert not ExcludeFromRooms(("A",), ("R1",)).value(inst, mat, out)
 
     def test_predicate_vs_optimization_semantics(self, baseline):
         inst, truth = baseline
@@ -305,15 +302,15 @@ class TestFastMechanism:
         # 92,378 candidates; the n! table the kernel once used stopped at 9.
         rng = random.Random(10)
         inst, mat = make_instance(random_rows(rng, 10, total=10))
-        row, value = best_response_search(inst, mat, "C", MinimizeCoalitionPayments(("C",)))
-        assert value == solve(inst, mat.replace_row(2, row)).payment_of("C")
+        reported, value, _ = coalition_search(inst, mat, ("C",), MinimizeCoalitionPayments(("C",)))
+        assert value == solve(inst, reported).payment_of("C")
         assert value < solve(inst, mat).payment_of("C")
 
     def test_single_agent_search(self):
         # The others' problem is empty; the one candidate is the true row.
         inst, mat = make_instance([(7,)])
         objective = MinimizeCoalitionPayments(("A",))
-        assert best_response_search(inst, mat, "A", objective) == ((F(7),), F(7))
+        assert coalition_search(inst, mat, ("A",), objective) == (mat, F(7), True)
         reported, value, converged = coalition_search(
             inst, mat, ["A"], MaximizeTrueUtility("A")
         )
@@ -449,8 +446,8 @@ class TestSearchKernel:
             units, score = scores[k]
             exact = solve(inst, truth.replace_row(2, units))
             assert _value(objective, score, nscale) == exact.payment_of("C")
-        best_row, value = best_response_search(inst, truth, "C", objective)
-        assert value == solve(inst, truth.replace_row(2, best_row)).payment_of("C")
+        reported, value, _ = coalition_search(inst, truth, ("C",), objective)
+        assert value == solve(inst, reported).payment_of("C")
 
     @pytest.mark.parametrize(
         "agent,objective",
@@ -464,8 +461,7 @@ class TestSearchKernel:
     )
     def test_value_matches_exact_route(self, baseline, agent, objective):
         inst, truth = baseline
-        row, value = best_response_search(inst, truth, agent, objective)
-        reported = truth.replace_row(inst.agent_index(agent), row)
+        reported, value, _ = coalition_search(inst, truth, (agent,), objective)
         assert value == objective.value(inst, truth, solve(inst, reported))
 
     def test_coalition_value_matches_exact_route(self, baseline):
@@ -702,12 +698,6 @@ UNKNOWN_LABELS = {
         ),
         "coalition references unknown labels: ['Z']",
     ),
-    "best_response_search": (
-        lambda inst, truth: best_response_search(
-            inst, truth, "Z", MinimizeCoalitionPayments(("D",))
-        ),
-        "coalition references unknown labels: ['Z']",
-    ),
     "template_flatten": (
         lambda inst, truth: template_flatten(inst, truth, ["A"], {"A": "R9"}),
         "template references unknown labels: ['R9']",
@@ -735,7 +725,6 @@ def test_unknown_labels_are_named(baseline, entry):
 OBJECTIVE_ENTRIES = {
     "evaluate_deviation": lambda inst, truth, o: evaluate_deviation(inst, truth, truth, o),
     "coalition_search": lambda inst, truth, o: coalition_search(inst, truth, ("D",), o),
-    "best_response_search": lambda inst, truth, o: best_response_search(inst, truth, "D", o),
 }
 
 
@@ -757,8 +746,8 @@ class TestSearch:
             _prepare_search(inst, truth, F(36, 8001))
         assert (ei.value.n, ei.value.budget, ei.value.max_steps) == (5, 10**6, 8000)
         with pytest.raises(SearchSpaceTooLarge):
-            best_response_search(
-                inst, truth, "A", MinimizeCoalitionPayments(("A",)), step=F(1, 1000)
+            coalition_search(
+                inst, truth, ("A",), MinimizeCoalitionPayments(("A",)), step=F(1, 1000)
             )
 
     def test_eight_agents_at_step_one(self):
@@ -766,22 +755,24 @@ class TestSearch:
         # the work, n**3 * 36 = 18,432, is far under this one.
         rng = random.Random(8)
         inst, truth = make_instance(random_rows(rng, 8, total=36))
-        row, value = best_response_search(inst, truth, "D", MinimizeCoalitionPayments(("D",)))
-        assert value == solve(inst, truth.replace_row(3, row)).payment_of("D")
+        reported, value, _ = coalition_search(
+            inst, truth, ("D",), MinimizeCoalitionPayments(("D",))
+        )
+        assert value == solve(inst, reported).payment_of("D")
         assert value <= solve(inst, truth).payment_of("D")
 
     def test_baseline_at_step_one_hundredth(self, baseline):
         # 7.0 * 10**12 rows at step 1/100, n**3 * 3600 = 450,000 steps of work.
         inst, truth = baseline
         objective = MinimizeCoalitionPayments(("A",))
-        row, value = best_response_search(inst, truth, "A", objective, step=F(1, 100))
-        assert row == (F(701, 100), 10, F(899, 100), 6, 4)
+        reported, value, _ = coalition_search(inst, truth, ("A",), objective, step=F(1, 100))
+        assert reported.row(0) == (F(701, 100), 10, F(899, 100), 6, 4)
         assert value == F(17, 5)
 
     def test_step_must_divide_rent(self, baseline):
         inst, truth = baseline
         with pytest.raises(ValueError):
-            best_response_search(inst, truth, "A", MinimizeCoalitionPayments(("A",)), step=F(7))
+            coalition_search(inst, truth, ("A",), MinimizeCoalitionPayments(("A",)), step=F(7))
 
     def test_truth_in_candidate_set(self):
         # Small instance, step 1: exhaustive search can never do worse than
@@ -789,17 +780,17 @@ class TestSearch:
         inst, truth = make_instance([(4, 1, 1), (1, 4, 1), (1, 1, 4)], total=6)
         honest = solve(inst, truth)
         for agent in inst.agent_ids:
-            row, value = best_response_search(
-                inst, truth, agent, MinimizeCoalitionPayments((agent,)), step=F(1)
+            reported, value, _ = coalition_search(
+                inst, truth, (agent,), MinimizeCoalitionPayments((agent,)), step=F(1)
             )
-            assert sum(row) == inst.total_rent
+            assert sum(reported.row(inst.agent_index(agent))) == inst.total_rent
             assert value <= honest.payment_of(agent)
 
     def test_single_agent_can_cut_own_payment(self, baseline):
         inst, truth = baseline
         honest = solve(inst, truth)
-        row, value = best_response_search(
-            inst, truth, "A", MinimizeCoalitionPayments(("A",)), step=F(1)
+        _, value, _ = coalition_search(
+            inst, truth, ("A",), MinimizeCoalitionPayments(("A",)), step=F(1)
         )
         # The true row lies on the unit grid, so honesty is a candidate and
         # the optimum can only improve on it; here it strictly does.
@@ -813,10 +804,10 @@ class TestSearch:
         inst, truth = baseline
         assert solve(inst, truth).payment_of("A") == F(21, 5)
         objective = MinimizeCoalitionPayments(("A",))
-        row, value = best_response_search(inst, truth, "A", objective, step=F(1, 2))
+        _, value, _ = coalition_search(inst, truth, ("A",), objective, step=F(1, 2))
         assert value == F(17, 5)
-        row, value = best_response_search(inst, truth, "A", objective, step=F(3))
-        assert row == (0, 0, 0, 18, 18)
+        reported, value, _ = coalition_search(inst, truth, ("A",), objective, step=F(3))
+        assert reported.row(0) == (0, 0, 0, 18, 18)
         assert value == 5
 
     def test_stops_once_every_member_is_settled(self, baseline, monkeypatch):

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_instance, random_rows
-from rentdiv.matching import (
+from rentdiv.matching import max_welfare_assignment
+from rentdiv.oracles import (
     BRUTE_FORCE_LIMIT,
     InstanceTooLarge,
     all_optimal_assignments,
     brute_force_assignment,
-    max_welfare_assignment,
     tie_break_key,
 )
 from rentdiv.model import Assignment

@@ -16,6 +16,7 @@ from rentdiv.model import (
     SearchSpaceTooLarge,
     ValidationError,
     ValuationMatrix,
+    abbreviate,
     build_outcome,
     compute_utilities,
     format_exact,
@@ -80,12 +81,49 @@ class TestMoney:
         )
 
     def test_amounts_at_the_caps_parse(self):
-        assert parse_money("1e-4000") == Fraction(1, 10**4000)
-        assert parse_money("2.5E+4000") == 25 * 10**3999
+        assert parse_money("1e-3999") == Fraction(1, 10**3999)
+        assert parse_money("2.5E+3998") == 25 * 10**3997
         assert parse_money("7" * 4000) == int("7" * 4000)
+        assert parse_money("1/" + "7" * 3998) == Fraction(1, int("7" * 3998))
+        assert parse_money(10**4000 - 1) == 10**4000 - 1
         # A malformed exponent keeps Fraction's own message.
         with pytest.raises(ValueError, match="Invalid literal for Fraction: '1e'"):
             parse_money("1e")
+
+    @pytest.mark.parametrize(
+        "amount,shown",
+        [
+            ("1e-4000", "'1e-4000'"),
+            ("2.5E+4000", "'2.5E+4000'"),
+            ("9" * 3990 + "e4000", "'99999999999999999999'..."),
+            ("0." + "0" * 3990 + "1e-10", "'0.000000000000000000'..."),
+            (10**4000, "100000000000...(4001 digits)"),
+        ],
+        ids=["denominator", "numerator", "within-string-caps", "decimal", "int"],
+    )
+    def test_amount_past_the_digit_cap_refused(self, amount, shown):
+        # Each passes the length and exponent caps, and still has more digits
+        # than a message or an answer may print.
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as info:
+            parse_money(amount)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            f"refusing amount {shown}: an exact amount's numerator and "
+            "denominator have at most 4000 digits"
+        )
+
+    @pytest.mark.parametrize(
+        "x,text",
+        [
+            (Fraction(46, 5), "46/5"),
+            (-(10**100) + 1, "-" + "9" * 100),
+            (10**100, "100000000000...(101 digits)"),
+            (Fraction(-(10**150), 10**200 + 1), "-100000000000...(151 digits)/100000000000...(201 digits)"),
+        ],
+    )
+    def test_abbreviate(self, x, text):
+        assert abbreviate(x) == text
 
     def test_render_two_places(self):
         assert render_money(Fraction(46, 5)) == "9.20"

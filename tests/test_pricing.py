@@ -9,11 +9,7 @@ import pytest
 
 from conftest import make_instance, random_rows
 from rentdiv import matching, pricing
-from rentdiv.matching import (
-    all_optimal_assignments,
-    brute_force_assignment,
-    max_welfare_assignment,
-)
+from rentdiv.matching import max_welfare_assignment
 from rentdiv.model import (
     Assignment,
     PriceVector,
@@ -23,27 +19,31 @@ from rentdiv.model import (
     parse_money,
     validate_instance,
 )
-from rentdiv.pricing import (
+from rentdiv.oracles import (
     CERTIFICATE_EPSILON,
-    EQ,
     FM_VARIABLE_LIMIT,
+    TooManyVariables,
+    all_optimal_assignments,
+    brute_force_assignment,
+    ef_constraint_system,
+    fm_feasible,
+    min_utility_feasible,
+    with_min_utility,
+)
+from rentdiv.pricing import (
+    EQ,
     LE,
     LinearProgram,
     NotWelfareMaximizing,
-    TooManyVariables,
     _leximin_utilities,
     _maximin_level,
-    ef_constraint_system,
     envy_closure,
     envy_matrix,
-    fm_feasible,
     is_envy_free,
     maximin_level,
     maximin_prices,
-    min_utility_feasible,
     simplex_solve,
     solve,
-    with_min_utility,
 )
 
 F = Fraction

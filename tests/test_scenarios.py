@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_instance
-from rentdiv import pricing
+from rentdiv import oracles, pricing
 from rentdiv.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from rentdiv.model import Assignment, compute_utilities, format_exact, parse_money
 from rentdiv.scenarios import (
@@ -288,7 +288,7 @@ class TestExactCertificates:
         doc = _scenario_doc(inst, mat, out.assignment, prices, "Nearly maximin")
         sc = scenario_from_dict(doc)
         utilities = compute_utilities(inst, mat, sc.expected.assignment, sc.expected.prices)
-        assert level - pricing.CERTIFICATE_EPSILON < min(utilities.values()) < level
+        assert level - oracles.CERTIFICATE_EPSILON < min(utilities.values()) < level
 
         _, report = run_scenario(sc)
         assert report.expected_is_envy_free
