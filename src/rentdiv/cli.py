@@ -5,13 +5,16 @@ Subcommands::
     rentdiv solve <scenario.json> [--format text|json|csv]
     rentdiv verify (<scenario.json> | --builtin <slug> | --all-builtin) [--format ...]
     rentdiv manipulate <scenario.json> --coalition A,B --objective SPEC
-            (--template exclusionary|flatten|defensive | --search)
-            [--contested D:R1+R2,...] [--target-rooms D:R4,E:R5]
-            [--step N] [--format ...]
+            (--template exclusionary
+             | --template flatten [--target-rooms D:R4,E:R5]
+             | --template defensive --contested D:R1+R2,...
+             | --search [--step N]) [--format ...]
     rentdiv table [--format ...]
 
 Objective grammar (OBJECTIVE_GRAMMAR): ``exclude:D,E@R1,R2,R3`` |
 ``min-pay:D[,E]`` | ``subsidize:E@R1<=7`` | ``max-util:A``.
+
+A flag that the chosen mode does not read is refused, not ignored.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 search
 budget exceeded (n**3 * rent/step over ``manipulation.SEARCH_BUDGET``).  The
@@ -352,9 +355,19 @@ def cmd_manipulate(args, out) -> int:
     objective = _parse_objective(args.objective)
     manipulation._check_objective(instance, objective)
 
-    step = _parse_step(args.step)
+    step = Fraction(1) if args.step is None else _parse_step(args.step)
     if args.template and args.search:
         raise ParseError("--template and --search exclude each other; pick one")
+    if not (args.template or args.search):
+        raise ParseError("pick one of --template or --search")
+    mode = f"--template {args.template}" if args.template else "--search"
+    for flag, value, reader in (
+        ("--contested", args.contested, "--template defensive"),
+        ("--target-rooms", args.target_rooms, "--template flatten"),
+        ("--step", args.step, "--search"),
+    ):
+        if value is not None and mode != reader:
+            raise ParseError(f"{flag} is read only with {reader}, not with {mode}")
     if args.template:
         if not coalition:
             raise ParseError("--template needs --coalition")
@@ -403,7 +416,7 @@ def cmd_manipulate(args, out) -> int:
         report = manipulation._deviation_report(
             instance, true_matrix, honest, manipulated, objective
         )
-    elif args.search:
+    else:
         # The search solves the mechanism on the truth and on the reports it
         # returns, both on its own integer form.
         reported, _, _, honest, manipulated = manipulation._coalition_search(
@@ -412,8 +425,6 @@ def cmd_manipulate(args, out) -> int:
         report = manipulation._deviation_report(
             instance, true_matrix, honest, manipulated, objective
         )
-    else:
-        raise ParseError("pick one of --template or --search")
 
     if args.format == "json":
         _write_json(_deviation_json(instance, report, reported), out)
@@ -532,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="flatten template: room receiving each member's leftover unit "
         "(default: the member's room under honest reports)",
     )
-    p.add_argument("--step", default="1")
+    p.add_argument("--step", help="search grid unit (default 1)")
     add_format(p)
     p.set_defaults(func=cmd_manipulate)
 

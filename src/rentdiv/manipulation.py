@@ -408,16 +408,30 @@ def template_defensive(
 
 
 def _fill_defensive_rest(row, rest, true_values, remainder):
+    """Spread a defender's ``remainder`` over the rooms ``rest`` (indices
+    into ``row``, which is written in place), as ``template_defensive``
+    describes.
+
+    The unit steps are not taken one by one: the whole units of a shortfall
+    go where one-at-a-time steps would put them (``_least_unit_counts``) and
+    its fraction to the least (alloc, room) after them, so the time does not
+    grow with the rent.  An excess is removed one unit at a time: it is the
+    contested bids and the sacrificed room's token less the true values they
+    replace, so at most 2 * INFLATE_VALUE + 1, and it takes at most that many
+    steps plus one per room.
+    """
     sacrifice = max(range(len(rest)), key=lambda k: (true_values[k], -rest[k]))
     alloc = list(true_values)
     alloc[sacrifice] = min(Fraction(1), remainder)
     diff = remainder - sum(alloc)
     movable = [k for k in range(len(rest)) if k != sacrifice] or [sacrifice]
-    while diff > 0:
-        step = min(Fraction(1), diff)
-        k = min(movable, key=lambda k: (alloc[k], rest[k]))
-        alloc[k] += step
-        diff -= step
+    if diff > 0:
+        whole = math.floor(diff)
+        for k, units in _least_unit_counts(alloc, movable, rest, whole).items():
+            alloc[k] += units
+        if diff > whole:
+            k = min(movable, key=lambda k: (alloc[k], rest[k]))
+            alloc[k] += diff - whole
     while diff < 0:
         candidates = [k for k in movable if alloc[k] > 0] or [sacrifice]
         k = max(candidates, key=lambda k: (alloc[k], -rest[k]))
@@ -426,6 +440,37 @@ def _fill_defensive_rest(row, rest, true_values, remainder):
         diff += step
     for k, j in enumerate(rest):
         row[j] = alloc[k]
+
+
+def _least_unit_counts(alloc, movable, rest, units):
+    """{k: units added to alloc[k]} when ``units`` whole units go, one at a
+    time, to the least (alloc[k], rest[k]) over ``movable``.
+
+    They go to the ``units`` least pairs (alloc[k] + j, rest[k]), j >= 0.
+    All pairs lie on the grid of 1/scale, scale the least common multiple of
+    the denominators, and C(x) = sum(max(0, ceil(x - alloc[k]))) counts the
+    pairs below x.  Bisection finds the highest grid level x with C(x) <=
+    units; every pair below x is taken, and the units left over go to the
+    pairs at x, lowest room first.
+    """
+    scale = math.lcm(*(alloc[k].denominator for k in movable))
+    base = {k: alloc[k].numerator * (scale // alloc[k].denominator) for k in movable}
+
+    def below(x):  # per k, the pairs below x / scale
+        return {k: max(0, -((b - x) // scale)) for k, b in base.items()}
+
+    lo, hi = min(base.values()), max(base.values()) + (units + 1) * scale
+    while hi - lo > 1:  # C(lo) <= units < C(hi)
+        mid = (lo + hi) // 2
+        if sum(below(mid).values()) <= units:
+            lo = mid
+        else:
+            hi = mid
+    counts = below(lo)
+    at_level = [k for k, b in base.items() if b <= lo and (lo - b) % scale == 0]
+    for k in sorted(at_level, key=lambda k: rest[k])[: units - sum(counts.values())]:
+        counts[k] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +489,6 @@ class _Grid:
     rows and the rent times ``scale``, one grid step ``unit`` = step*scale,
     and the ``steps`` = rent/step in a row."""
 
-    step: Fraction
     scale: int
     truth: list
     rent: int
@@ -784,7 +828,7 @@ def _prepare_search(instance, true_matrix, step):
         raise ValueError("step must divide the total rent")
     if instance.n**3 * steps > SEARCH_BUDGET:
         raise SearchSpaceTooLarge(instance.n, SEARCH_BUDGET)
-    return _Grid(step, scale, truth, rent, unit, steps)
+    return _Grid(scale, truth, rent, unit, steps)
 
 
 def coalition_search(

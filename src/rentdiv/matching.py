@@ -50,10 +50,11 @@ def _hungarian_value(values):
     numbers (ints or Fractions).
 
     Classic potentials/shortest-augmenting-path formulation on the min-cost
-    matrix C - v (shifted so all costs are nonnegative).
+    matrix C - v (shifted so all costs are nonnegative).  An empty matrix
+    has value 0.
     """
     n = len(values)
-    shift = max(max(row) for row in values)
+    shift = max((max(row) for row in values), default=0)
     cost = [[shift - v for v in row] for row in values]
 
     u = [0] * (n + 1)
@@ -103,15 +104,14 @@ def canonical_optimum(rows) -> tuple:
     ((), 0).
 
     The optimum value comes from the Hungarian method; the canonical
-    representative is then pinned down room by room.  Each room (in index
+    representative is then pinned down room by room.  Each room j (in index
     order) goes to the strongest feasible claimant: among the still-free
     agents who can take it while the rest still reach the optimum (tested
-    against the Hungarian value of the residual subproblem), the one with the
-    highest value for the room, later roster position breaking exact ties.
+    against the Hungarian value of the residual rows, the other free agents
+    on rooms j+1.., which is 0 once none are left), the one with the highest
+    value for the room, later roster position breaking exact ties.
     """
     n = len(rows)
-    if n == 0:
-        return (), 0
     best = _hungarian_value(rows)
 
     perm: list[int | None] = [None] * n
@@ -125,13 +125,7 @@ def canonical_optimum(rows) -> tuple:
                 claimant,
             ):
                 continue
-            rest_agents = [k for k in free_agents if k != i]
-            if rest_agents:
-                rest_rooms = [r for r in range(j + 1, n)]
-                sub = [[rows[k][r] for r in rest_rooms] for k in rest_agents]
-                rest = _hungarian_value(sub)
-            else:
-                rest = 0
+            rest = _hungarian_value([rows[k][j + 1:] for k in free_agents if k != i])
             if fixed + rows[i][j] + rest == best:
                 claimant = i
         if claimant is None:  # pragma: no cover - some agent must take room j

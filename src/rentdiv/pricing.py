@@ -334,16 +334,17 @@ def maximin_level(
 def _maximin_level(instance, matrix, assignment):
     """(form, sigma, n*t*, chains m_i) on validated reports, all on their
     ``integer_form``; raises NotWelfareMaximizing on a positive envy cycle,
-    since rotating rooms along it would raise welfare by its weight."""
+    since rotating rooms along it would raise welfare by its weight, naming
+    the optimum from one Hungarian value of the integer rows."""
     form = scale, rows, rent = integer_form(matrix.values, instance.total_rent)
     sigma = assignment.to_indices(instance)
     welfare = sum(row[j] for row, j in zip(rows, sigma))
     closed = envy_closure(envy_matrix(rows, sigma))
     if any(closed[i][i] > 0 for i in range(instance.n)):
-        best = matching.max_welfare_assignment(instance, matrix).welfare
+        best = matching._hungarian_value(rows)
         raise NotWelfareMaximizing(
             f"assignment welfare {abbreviate(Fraction(welfare, scale))} < "
-            f"optimum {abbreviate(best)}"
+            f"optimum {abbreviate(Fraction(best, scale))}"
         )
     chains = [max(row) for row in closed]
     return form, sigma, welfare - rent - sum(chains), chains

@@ -40,7 +40,7 @@ from .model import (
     RentDivisionError,
     ValidationError,
     ValuationMatrix,
-    compute_utilities,
+    build_outcome,
     format_exact,
     parse_money,
     validate_instance,
@@ -303,7 +303,10 @@ def run_scenario(s: Scenario):
     differently than in external data.  Both certificates are exact and work
     at any n: the expected assignment is equivalent iff its welfare is the
     optimum, and the expected prices are maximin iff they are envy-free and
-    their minimum utility is ``pricing.maximin_level``.
+    their minimum utility is ``pricing.maximin_level``.  The expected side's
+    welfare and minimum utility come from one ``model.build_outcome``; the
+    level comes from the envy closure, not from the LP that priced
+    ``outcome``, so the certificate stays independent of that route.
     """
     outcome = pricing.solve(s.instance, s.reported_matrix)
     if s.expected is None:
@@ -314,28 +317,16 @@ def run_scenario(s: Scenario):
         r: outcome.prices.price_of(r) - exp.prices.price_of(r)
         for r in s.instance.room_ids
     }
-    sigma = exp.assignment.to_indices(s.instance)
-    expected_welfare = sum(
-        s.reported_matrix.value(i, sigma[i]) for i in range(s.instance.n)
-    )
-    assignment_equivalent = expected_welfare == outcome.welfare
-
+    expected = build_outcome(s.instance, s.reported_matrix, exp.assignment, exp.prices)
+    assignment_equivalent = expected.welfare == outcome.welfare
     expected_ef = not pricing.is_envy_free(
         s.instance, s.reported_matrix, exp.assignment, exp.prices
     )
-    expected_utilities = compute_utilities(
-        s.instance, s.reported_matrix, exp.assignment, exp.prices
-    )
-    expected_min = min(expected_utilities.values())
     # Envy-free prices exist only for welfare-maximizing assignments, so
-    # _maximin_level meets no positive envy cycle here; solve validated the
-    # reports.
-    expected_maximin = False
-    if expected_ef:
-        (scale, _, _), _, level, _ = pricing._maximin_level(
-            s.instance, s.reported_matrix, exp.assignment
-        )
-        expected_maximin = expected_min == Fraction(level, s.instance.n * scale)
+    # maximin_level meets no positive envy cycle here.
+    expected_maximin = expected_ef and expected.min_utility == pricing.maximin_level(
+        s.instance, s.reported_matrix, exp.assignment
+    )
 
     prices_ok = all(abs(d) <= exp.tolerance for d in diffs.values())
     if prices_ok and outcome.assignment == exp.assignment:

@@ -342,6 +342,36 @@ MALFORMED_FLAGS = [
         ["--coalition", "D", "--template", "flatten", "--search"],
         "--template and --search exclude each other; pick one",
     ),
+    # A flag that the chosen mode does not read.
+    (
+        ["--coalition", "D", "--search", "--contested", "D:R1+R2"],
+        "--contested is read only with --template defensive, not with --search",
+    ),
+    (
+        ["--coalition", "D", "--search", "--target-rooms", "D:R4"],
+        "--target-rooms is read only with --template flatten, not with --search",
+    ),
+    (
+        ["--coalition", "D", "--template", "flatten", "--contested", "D:R1+R2"],
+        "--contested is read only with --template defensive, not with --template flatten",
+    ),
+    (
+        ["--coalition", "D", "--template", "defensive", "--contested", "D:R1+R2",
+         "--target-rooms", "D:R4"],
+        "--target-rooms is read only with --template flatten, not with --template defensive",
+    ),
+    (
+        ["--coalition", "D", "--template", "flatten", "--step", "1/2"],
+        "--step is read only with --search, not with --template flatten",
+    ),
+    (
+        ["--coalition", "D", "--template", "exclusionary", "--target-rooms", "D:R4"],
+        "--target-rooms is read only with --template flatten, not with --template exclusionary",
+    ),
+    (
+        ["--coalition", "D", "--search", "--step", ""],
+        f"--step '': not {STEP_GRAMMAR}",
+    ),
 ]
 
 

@@ -1,6 +1,7 @@
-"""Generated malformed scenario documents: `solve` and `verify` answer each
-one, or refuse it with exit 2 and one line on stderr, and never print a
-traceback or a half-written answer."""
+"""Generated malformed input: `solve` and `verify` answer each generated
+scenario document, and `manipulate` each generated set of flags on the
+baseline, or refuse it with one line on stderr, and never print a traceback
+or a half-written answer."""
 
 import contextlib
 import copy
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rentdiv.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
+import rentdiv
+from rentdiv.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from rentdiv.scenarios import builtin_scenario, scenario_to_dict
 
 
@@ -198,3 +200,96 @@ def test_arithmetic_past_the_digit_limit_is_refused_fast(tmp_path, repro, fmt):
     _assert_one_line_refusal(err)
     if repro == "c":
         assert err.startswith("rentdiv: --format json cannot print this answer")
+
+
+BASELINE_PATH = str(Path(rentdiv.__file__).parent / "fixtures" / "baseline.json")
+AGENTS, ROOMS = "ABCDE", ["R1", "R2", "R3", "R4", "R5"]
+# Steps at most 72 a row (1/2 on a rent of 36) keep each search cheap.
+STEPS = ["1", "3", "1/2", "36"]
+MODES = [["--search"], ["--template", "exclusionary"], ["--template", "flatten"],
+         ["--template", "defensive"]]
+# The flag each mode reads beyond the coalition and the objective.
+READS = {"--search": "--step", "exclusionary": None, "flatten": "--target-rooms",
+         "defensive": "--contested"}
+
+
+@st.composite
+def manipulate_flags(draw):
+    """Flags for `manipulate` on the baseline.  Each is usually well formed
+    for the drawn coalition and read by the drawn mode; one time in five a
+    value is malformed, a flag is dropped or added, or the mode is broken."""
+
+    def rarely():
+        return draw(st.integers(0, 4)) == 0
+
+    def or_malformed(value, *malformed):
+        return draw(st.sampled_from(malformed)) if rarely() else value
+
+    members = draw(st.lists(st.sampled_from(AGENTS), min_size=1, max_size=3, unique=True))
+    others = [a for a in AGENTS if a not in members]
+
+    def per_member(width):
+        return ",".join(
+            f"{a}:" + "+".join(draw(st.lists(st.sampled_from(ROOMS), min_size=width,
+                                             max_size=width, unique=True)))
+            for a in members
+        )
+
+    claimed = draw(st.lists(st.sampled_from(ROOMS), min_size=len(members),
+                            max_size=len(members), unique=True))
+    objective = draw(st.sampled_from([
+        f"min-pay:{','.join(members)}",
+        f"max-util:{members[0]}",
+        f"exclude:{','.join(others) or 'A'}@{','.join(claimed)}",
+        f"subsidize:{draw(st.sampled_from(AGENTS))}@{draw(st.sampled_from(ROOMS))}"
+        f"<={draw(st.sampled_from(['7', '0']))}",
+    ]))
+    mode = draw(st.sampled_from(MODES))
+    if rarely():
+        mode = draw(st.sampled_from([[], ["--template", "flatten", "--search"]]))
+    values = {
+        "--coalition": or_malformed(",".join(members), "", "A,,B", "A,A", "Z"),
+        "--contested": or_malformed(per_member(2), "", "D", "D:R1+R1", "D:R1+R9"),
+        "--target-rooms": or_malformed(per_member(1), "", "D,E", "D:R9", "Z:R1"),
+        "--step": or_malformed(draw(st.sampled_from(STEPS)), "1/1000", "0", "-1", "1/0", "", "x"),
+    }
+    flags = ["--objective", or_malformed(objective, "", "conquer:world", "min-pay:Z",
+                                         "exclude:D", "min-pay:D,D")] + mode
+    read = {"--coalition", READS.get(mode[-1] if mode else None)}
+    for flag, value in values.items():
+        if (flag in read) != rarely():
+            flags += [flag, value]
+    return flags + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+
+
+# Each flag that a mode does not read, beside that mode.
+IGNORED = [
+    ["--coalition", "D", "--objective", "min-pay:D", "--search", "--contested", "D:R1+R2"],
+    ["--coalition", "D", "--objective", "min-pay:D", "--search", "--target-rooms", "D:R4"],
+    ["--coalition", "D", "--objective", "min-pay:D", "--template", "flatten",
+     "--contested", "D:R1+R2"],
+    ["--coalition", "D", "--objective", "min-pay:D", "--template", "defensive",
+     "--contested", "D:R1+R2", "--target-rooms", "D:R4"],
+    ["--coalition", "D", "--objective", "min-pay:D", "--template", "flatten", "--step", "1/2"],
+    ["--coalition", "A,B,C", "--objective", "exclude:D,E@R1,R2,R3",
+     "--template", "exclusionary", "--target-rooms", "A:R1"],
+]
+
+
+@settings(max_examples=60, deadline=3000, suppress_health_check=[HealthCheck.too_slow])
+@given(manipulate_flags())
+@example(IGNORED[0])
+@example(IGNORED[1])
+@example(IGNORED[2])
+@example(IGNORED[3])
+@example(IGNORED[4])
+@example(IGNORED[5])
+def test_manipulate_flags_are_answered_or_refused(flags):
+    code, out, err, _ = _run(["manipulate", BASELINE_PATH] + flags)
+    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_INVALID, EXIT_BUDGET)
+    if err:
+        _assert_one_line_refusal(err)
+    if code in (EXIT_INVALID, EXIT_BUDGET):
+        assert out == "" and err
+    if flags in IGNORED:
+        assert code == EXIT_INVALID and "is read only with" in err

@@ -1,7 +1,10 @@
 """Misreport templates, deviation scoring and the closed-form best-response search."""
 
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -11,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from conftest import make_instance, random_rows
 from rentdiv import manipulation, pricing
+from rentdiv.cli import EXIT_OK, main
 from rentdiv.manipulation import (
     ExcludeFromRooms,
     InfeasibleTemplate,
@@ -20,6 +24,7 @@ from rentdiv.manipulation import (
     SubsidizeAgent,
     _best_response,
     _cap_runs,
+    _fill_defensive_rest,
     _level_at,
     _level_terms,
     _occupants,
@@ -192,6 +197,69 @@ class TestTemplates:
         inst, truth = make_instance([(4, 4, 4, 4, 4)] * 5)
         with pytest.raises(InfeasibleTemplate):
             template_defensive(inst, truth, ["D"], {"D": ("R1", "R2")})
+
+    def test_defensive_rest_matches_unit_steps(self):
+        # Random fractional true values, ties included, against the rule
+        # taken one unit at a time; the remainder falls short of or exceeds
+        # the row's start by up to 300 and 30.
+        rng = random.Random(23)
+        for _ in range(1000):
+            m = rng.randint(1, 6)
+            rest = sorted(rng.sample(range(m + 2), m))
+            true_values = [F(rng.randint(0, 30 * d), d) for d in rng.choices(range(1, 101), k=m)]
+            if m > 1 and rng.random() < 0.3:
+                true_values[-1] = true_values[0]
+            d = rng.choice([1, 3, 7, 100])
+            remainder = sum(true_values) + F(rng.randint(-30 * d, 300 * d), d)
+            if remainder <= 0:
+                remainder = F(rng.randint(1, 50), rng.randint(1, 9))
+            got, want = [None] * (m + 2), [None] * (m + 2)
+            _fill_defensive_rest(got, rest, true_values, remainder)
+            _fill_defensive_rest_by_units(want, rest, true_values, remainder)
+            assert got == want, (rest, true_values, remainder)
+
+    def test_defensive_time_does_not_grow_with_the_rent(self, tmp_path):
+        # Rent 3,000,000: one unit at a time this took 23 s.
+        rows = [["1000000"] * 3, ["1000000"] * 3, ["1500000", "1500000", "0"]]
+        doc = {
+            "name": "big rent",
+            "total_rent": "3000000",
+            "rooms": ["R1", "R2", "R3"],
+            "agents": [{"id": a, "reported_values": r} for a, r in zip("ABD", rows)],
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["manipulate", str(path), "--coalition", "D", "--objective", "min-pay:D",
+                "--template", "defensive", "--contested", "D:R1+R2", "--format", "json"]
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK
+        assert json.loads(out.getvalue())["reported_values"]["D"] == ["12", "12", "2999976"]
+
+
+def _fill_defensive_rest_by_units(row, rest, true_values, remainder):
+    """``manipulation._fill_defensive_rest`` one unit at a time: the rule as
+    first written, kept as the reference for its closed form."""
+    sacrifice = max(range(len(rest)), key=lambda k: (true_values[k], -rest[k]))
+    alloc = list(true_values)
+    alloc[sacrifice] = min(F(1), remainder)
+    diff = remainder - sum(alloc)
+    movable = [k for k in range(len(rest)) if k != sacrifice] or [sacrifice]
+    while diff > 0:
+        step = min(F(1), diff)
+        k = min(movable, key=lambda k: (alloc[k], rest[k]))
+        alloc[k] += step
+        diff -= step
+    while diff < 0:
+        candidates = [k for k in movable if alloc[k] > 0] or [sacrifice]
+        k = max(candidates, key=lambda k: (alloc[k], -rest[k]))
+        step = min(F(1), -diff, alloc[k])
+        alloc[k] -= step
+        diff += step
+    for k, j in enumerate(rest):
+        row[j] = alloc[k]
 
 
 class TestFastMechanism:

@@ -3,6 +3,7 @@ envy-chain closure."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from rentdiv import matching, pricing
 from rentdiv.matching import max_welfare_assignment
 from rentdiv.model import (
     Assignment,
+    Instance,
     PriceVector,
     RentDivisionError,
     ValidationError,
@@ -241,6 +243,22 @@ class TestMaximin:
         best = max_welfare_assignment(inst, mat).welfare
         with pytest.raises(NotWelfareMaximizing, match=f"< optimum {best}$"):
             maximin_prices(inst, mat, bad)
+        # n = 30 in fifths, so the integer form's scale is 5: the refusal
+        # names the same optimum in a fraction of the tie-break's time.
+        n = 30
+        rows = [[v / 5 for v in row] for row in random_rows(random.Random(30), n, 10 * n)]
+        agents = tuple(f"A{i}" for i in range(n))
+        inst = Instance(tuple(f"R{j}" for j in range(n)), agents, Fraction(2 * n))
+        mat = ValuationMatrix.from_rows(rows)
+        identity = Assignment({a: f"R{i}" for i, a in enumerate(agents)})
+        welfare = sum(row[i] for i, row in enumerate(rows))
+        best = max_welfare_assignment(inst, mat).welfare
+        assert welfare < best and best.denominator == 5
+        start = time.perf_counter()
+        with pytest.raises(NotWelfareMaximizing) as refused:
+            maximin_prices(inst, mat, identity)
+        assert time.perf_counter() - start < 0.5
+        assert str(refused.value) == f"assignment welfare {welfare} < optimum {best}"
 
     def test_prices_identical_across_tied_optima(self, baseline):
         inst, mat = baseline
