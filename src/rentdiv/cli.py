@@ -14,7 +14,8 @@ Subcommands::
 Objective grammar (OBJECTIVE_GRAMMAR): ``exclude:D,E@R1,R2,R3`` |
 ``min-pay:D[,E]`` | ``subsidize:E@R1<=7`` | ``max-util:A``.
 
-A flag that the chosen mode does not read is refused, not ignored.
+A flag that the chosen mode does not read is refused, not ignored, and an
+empty value is refused, never read as an absent flag.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 search
 budget exceeded (n**3 * rent/step over ``manipulation.SEARCH_BUDGET``).  The
@@ -151,9 +152,11 @@ def _report_text(scenario, outcome, report, out):
 
 
 def cmd_verify(args, out) -> int:
-    sources = {"a scenario file": args.scenario, "--builtin": args.builtin,
+    # An empty file name or slug counts as given, and is refused as such.
+    sources = {"a scenario file": args.scenario is not None,
+               "--builtin": args.builtin is not None,
                "--all-builtin": args.all_builtin}
-    given = [name for name, value in sources.items() if value]
+    given = [name for name, present in sources.items() if present]
     if not given:
         raise ParseError("verify needs a scenario file, --builtin or --all-builtin")
     if len(given) > 1:
@@ -163,7 +166,7 @@ def cmd_verify(args, out) -> int:
         )
     if args.all_builtin:
         items = scenarios.builtin_scenarios()
-    elif args.builtin:
+    elif args.builtin is not None:
         try:
             items = [scenarios.builtin_scenario(args.builtin)]
         except KeyError:
@@ -385,7 +388,7 @@ def cmd_manipulate(args, out) -> int:
                 instance, true_matrix, coalition, claimed, victims
             )
         elif args.template == "flatten":
-            if args.target_rooms:
+            if args.target_rooms is not None:
                 own = _parse_member_rooms(
                     "--target-rooms",
                     args.target_rooms,
@@ -413,18 +416,15 @@ def cmd_manipulate(args, out) -> int:
         if honest is None:
             honest = pricing.solve(instance, true_matrix)
         manipulated = pricing.solve(instance, reported)
-        report = manipulation._deviation_report(
-            instance, true_matrix, honest, manipulated, objective
-        )
     else:
         # The search solves the mechanism on the truth and on the reports it
         # returns, both on its own integer form.
         reported, _, _, honest, manipulated = manipulation._coalition_search(
             instance, true_matrix, coalition, objective, step
         )
-        report = manipulation._deviation_report(
-            instance, true_matrix, honest, manipulated, objective
-        )
+    report = manipulation._deviation_report(
+        instance, true_matrix, honest, manipulated, objective
+    )
 
     if args.format == "json":
         _write_json(_deviation_json(instance, report, reported), out)

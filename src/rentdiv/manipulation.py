@@ -228,19 +228,18 @@ def _deviation_report(
     manipulated: Outcome,
     objective,
 ) -> DeviationReport:
-    """Compare two solved outcomes under the true values."""
+    """Compare two solved outcomes under the true values.  ``honest`` is the
+    mechanism's outcome on ``true_matrix``, so its utilities are the true
+    ones already."""
     payment_delta = {
         a: manipulated.payment_of(a) - honest.payment_of(a)
         for a in instance.agent_ids
     }
-    true_honest = compute_utilities(
-        instance, true_matrix, honest.assignment, honest.prices
-    )
     true_manip = compute_utilities(
         instance, true_matrix, manipulated.assignment, manipulated.prices
     )
     true_utility_delta = {
-        a: true_manip[a] - true_honest[a] for a in instance.agent_ids
+        a: true_manip[a] - honest.utilities[a] for a in instance.agent_ids
     }
     rank = instance.agent_index
     envy = sorted(

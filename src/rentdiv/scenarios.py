@@ -16,18 +16,21 @@ A scenario file is a single JSON document; all money values are decimal (or
       ],
       "expected": {                      # optional
         "assignment": {"A": "R1", ...},
-        "prices": {"R1": "9.20", ...},
-        "tolerance": "0"
+        "prices": {"R1": "9.20", ...}
       },
       "notes": str
     }
+
+The expected block loads as the ``Outcome`` of its assignment and prices on
+the reported values, and ``run_scenario`` compares it with the solver's
+exactly: the prices match only when every difference is 0.  Keys the format
+does not define, such as a ``tolerance``, are ignored.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 
 from . import pricing
@@ -65,13 +68,6 @@ class ParseError(RentDivisionError):
 
 
 @dataclass(frozen=True)
-class ExpectedOutcome:
-    assignment: Assignment
-    prices: PriceVector
-    tolerance: Fraction = Fraction(0)
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     slug: str
@@ -79,7 +75,7 @@ class Scenario:
     reported_matrix: ValuationMatrix
     true_matrix: ValuationMatrix | None = None
     roles: dict = field(default_factory=dict)  # agent_id -> role
-    expected: ExpectedOutcome | None = None
+    expected: Outcome | None = None  # on the reports
     notes: str = ""
 
     def truth(self) -> ValuationMatrix:
@@ -204,12 +200,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         vec = PriceVector(prices)
         if vec.total() != instance.total_rent:
             raise ParseError("expected prices do not sum to the total rent", ctx)
-        tolerance = _money(exp.get("tolerance", "0"), ctx)
-        if tolerance < 0:
-            raise ParseError("tolerance must be nonnegative", ctx)
-        expected = ExpectedOutcome(
-            assignment=Assignment(mapping), prices=vec, tolerance=tolerance
-        )
+        expected = build_outcome(instance, reported, Assignment(mapping), vec)
 
     return Scenario(
         name=name,
@@ -245,7 +236,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             "prices": {
                 r: format_exact(p) for r, p in s.expected.prices.prices.items()
             },
-            "tolerance": format_exact(s.expected.tolerance),
         }
     return doc
 
@@ -298,38 +288,37 @@ def builtin_scenario(slug: str) -> Scenario:
 def run_scenario(s: Scenario):
     """Solve the mechanism on the reports; compare to the expected outcome.
 
-    Returns (Outcome, DiscrepancyReport | None).  Assignment comparison is up
-    to welfare-optimal equivalence, since assignment ties may be broken
-    differently than in external data.  Both certificates are exact and work
-    at any n: the expected assignment is equivalent iff its welfare is the
-    optimum, and the expected prices are maximin iff they are envy-free and
-    their minimum utility is ``pricing.maximin_level``.  The expected side's
-    welfare and minimum utility come from one ``model.build_outcome``; the
-    level comes from the envy closure, not from the LP that priced
-    ``outcome``, so the certificate stays independent of that route.
+    Returns (Outcome, DiscrepancyReport | None).  The prices match only when
+    every difference is 0.  Assignment comparison is up to welfare-optimal
+    equivalence, since assignment ties may be broken differently than in
+    external data.  Both certificates are exact and work at any n: the
+    expected assignment is equivalent iff its welfare is the optimum, and the
+    expected prices are maximin iff they are envy-free and their minimum
+    utility is ``pricing.maximin_level``.  The level comes from the envy
+    closure, not from the LP that priced ``outcome``, so the certificate
+    stays independent of that route.
     """
     outcome = pricing.solve(s.instance, s.reported_matrix)
-    if s.expected is None:
+    expected = s.expected
+    if expected is None:
         return outcome, None
 
-    exp = s.expected
     diffs = {
-        r: outcome.prices.price_of(r) - exp.prices.price_of(r)
+        r: outcome.prices.price_of(r) - expected.prices.price_of(r)
         for r in s.instance.room_ids
     }
-    expected = build_outcome(s.instance, s.reported_matrix, exp.assignment, exp.prices)
     assignment_equivalent = expected.welfare == outcome.welfare
     expected_ef = not pricing.is_envy_free(
-        s.instance, s.reported_matrix, exp.assignment, exp.prices
+        s.instance, s.reported_matrix, expected.assignment, expected.prices
     )
     # Envy-free prices exist only for welfare-maximizing assignments, so
     # maximin_level meets no positive envy cycle here.
     expected_maximin = expected_ef and expected.min_utility == pricing.maximin_level(
-        s.instance, s.reported_matrix, exp.assignment
+        s.instance, s.reported_matrix, expected.assignment
     )
 
-    prices_ok = all(abs(d) <= exp.tolerance for d in diffs.values())
-    if prices_ok and outcome.assignment == exp.assignment:
+    prices_ok = not any(diffs.values())
+    if prices_ok and outcome.assignment == expected.assignment:
         verdict = "match"
     elif prices_ok and assignment_equivalent:
         verdict = "equivalent-match"

@@ -117,6 +117,27 @@ class TestVerify:
             "--all-builtin, not a scenario file and --builtin\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["{file}", "--builtin", ""], "not a scenario file and --builtin"),
+            (["", "--builtin", "baseline"], "not a scenario file and --builtin"),
+            (["--all-builtin", "--builtin", ""], "not --builtin and --all-builtin"),
+            (["--builtin", ""],
+             f"unknown builtin scenario ''; pick from {', '.join(BUILTIN_SLUGS)}"),
+            ([""], "No such file or directory: ''"),
+        ],
+        ids=["file-and-empty-builtin", "empty-file-and-builtin", "all-and-empty-builtin",
+             "empty-builtin", "empty-file"],
+    )
+    def test_empty_value_is_refused(self, baseline_file, capsys, argv, message):
+        argv = [baseline_file if a == "{file}" else a for a in argv]
+        assert main(["verify"] + argv) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("rentdiv: ") and err.count("\n") == 1
+        assert err.endswith(f"{message}\n")
+
     def test_json_format(self, capsys):
         assert (
             main(["verify", "--builtin", "exclusionary-collusion", "--format", "json"])
@@ -315,6 +336,12 @@ MALFORMED_FLAGS = [
     (
         ["--coalition", "D,E", "--template", "flatten", "--target-rooms", "D,E"],
         f"--target-rooms 'D,E': missing ':' after the agent in 'D'; "
+        f"expected {TARGET_ROOMS_GRAMMAR}",
+    ),
+    # An empty value is refused, not read as an absent flag.
+    (
+        ["--coalition", "D", "--template", "flatten", "--target-rooms", ""],
+        f"--target-rooms '': missing ':' after the agent in ''; "
         f"expected {TARGET_ROOMS_GRAMMAR}",
     ),
     (

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_instance, random_rows
 from rentdiv import manipulation, pricing
@@ -237,6 +237,56 @@ class TestTemplates:
         assert time.perf_counter() - start < 1
         assert code == EXIT_OK
         assert json.loads(out.getvalue())["reported_values"]["D"] == ["12", "12", "2999976"]
+
+
+@st.composite
+def template_calls(draw):
+    """A house (n = 2-6, rent up to 10**9 over a denominator of 1, 2, 3 or
+    100), a coalition, and claimed, victim, target and contested rooms for
+    it, valid or not."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.sampled_from([1, 2, 3, 100]))
+    units = draw(st.integers(1, 10**9))
+    rows = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(st.integers(0, units), min_size=n - 1, max_size=n - 1)))
+        rows.append([F(b - a, d) for a, b in zip([0] + cuts, cuts + [units])])
+    inst, truth = make_instance(rows, F(units, d))
+    rooms = list(inst.room_ids)
+    coalition = draw(st.permutations(inst.agent_ids))[: draw(st.integers(1, n))]
+    order = draw(st.permutations(rooms))
+    k = len(coalition) if draw(st.booleans()) else draw(st.integers(0, n))
+    claimed = order[:k]
+    victims = draw(st.lists(st.sampled_from(order[k:] or rooms), unique=True))
+    target = {a: draw(st.sampled_from(rooms)) for a in coalition}
+    contested = {
+        a: tuple(draw(st.lists(st.sampled_from(rooms), min_size=2, max_size=2, unique=True)))
+        for a in coalition
+    }
+    return inst, truth, coalition, claimed, victims, target, contested
+
+
+@settings(max_examples=300, deadline=200)
+@given(template_calls())
+def test_templates_keep_rows_valid_at_any_rent(call):
+    # Each template returns rows that sum to the rent, are nonnegative and
+    # leave non-members alone, or refuses; its time does not grow with the rent.
+    inst, truth, coalition, claimed, victims, target, contested = call
+    for build in (
+        lambda: template_exclusionary(inst, truth, coalition, claimed, victims),
+        lambda: template_flatten(inst, truth, coalition, target),
+        lambda: template_defensive(inst, truth, coalition, contested),
+    ):
+        try:
+            reported = build()
+        except (InfeasibleTemplate, ValueError):
+            continue
+        for i, a in enumerate(inst.agent_ids):
+            row = reported.row(i)
+            assert sum(row) == inst.total_rent
+            assert min(row) >= 0
+            if a not in coalition:
+                assert row == truth.row(i)
 
 
 def _fill_defensive_rest_by_units(row, rest, true_values, remainder):

@@ -3,13 +3,21 @@
 import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from conftest import make_instance
 from rentdiv import oracles, pricing
 from rentdiv.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
-from rentdiv.model import Assignment, compute_utilities, format_exact, parse_money
+from rentdiv.model import (
+    Assignment,
+    PriceVector,
+    build_outcome,
+    compute_utilities,
+    format_exact,
+    parse_money,
+)
 from rentdiv.scenarios import (
     BUILTIN_SLUGS,
     ParseError,
@@ -50,13 +58,11 @@ MALFORMED_FIELDS = [
     (("expected", "prices"), ["1", "1"], "expected prices must map rooms"),
     (("expected", "assignment"), ["R1", "R2"], "must be a bijection"),
     (("expected", "assignment", "A"), ["R1"], "must be a bijection"),
-    (("expected", "tolerance"), "-1/100", "tolerance must be nonnegative"),
     # A JSON boolean is a Python int: true once parsed as the amount 1.
     (("agents", 0, "reported_values"), [True, True], "expected a decimal string, got bool"),
     (("agents", 0, "true_values"), [True, True], "expected a decimal string, got bool"),
     (("total_rent",), True, "expected a decimal string, got bool"),
     (("expected", "prices", "R1"), True, "expected a decimal string, got bool"),
-    (("expected", "tolerance"), False, "expected a decimal string, got bool"),
 ]
 
 
@@ -141,8 +147,8 @@ class TestRoundTrip:
         assert back.reported_matrix == sc.reported_matrix
         assert back.true_matrix == sc.true_matrix
         assert back.roles == sc.roles
-        assert back.expected.assignment == sc.expected.assignment
-        assert back.expected.prices == sc.expected.prices
+        assert back.expected == sc.expected
+        assert "tolerance" not in json.loads(path.read_text())["expected"]
 
     def test_to_dict_uses_exact_strings(self):
         sc = builtin_scenario("baseline")
@@ -164,6 +170,18 @@ class TestBuiltins:
         )
         loaded = builtin_scenarios()
         assert [s.slug for s in loaded] == list(BUILTIN_SLUGS)
+
+    @pytest.mark.parametrize("slug", BUILTIN_SLUGS)
+    def test_expected_is_the_recorded_outcome(self, slug):
+        sc = builtin_scenario(slug)
+        doc = json.loads(resources.files("rentdiv.fixtures").joinpath(f"{slug}.json").read_text())
+        prices = {r: parse_money(p) for r, p in doc["expected"]["prices"].items()}
+        assert sc.expected == build_outcome(
+            sc.instance,
+            sc.reported_matrix,
+            Assignment(doc["expected"]["assignment"]),
+            PriceVector(prices),
+        )
 
     def test_unknown_slug(self):
         with pytest.raises(KeyError):
@@ -299,6 +317,25 @@ class TestExactCertificates:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == EXIT_MISMATCH
         assert "envy-free: yes; maximin-optimal: no" in capsys.readouterr().out
+
+    def test_prices_match_only_exactly(self, tmp_path, capsys):
+        # A "tolerance" key is not read: 1/200 moved from R1 to R2 is a
+        # mismatch, whatever tolerance the document states.
+        inst, mat = make_instance([(24, 12, 0), (20, 10, 6), (4, 8, 24)])
+        out = pricing.solve(inst, mat)
+        prices = dict(out.prices.prices)
+        prices["R1"] -= F(1, 200)
+        prices["R2"] += F(1, 200)
+        doc = _scenario_doc(inst, mat, out.assignment, prices, "Near miss")
+        doc["expected"]["tolerance"] = "1/100"
+        _, report = run_scenario(scenario_from_dict(doc))
+        assert report.price_diffs == {"R1": F(1, 200), "R2": F(-1, 200), "R3": 0}
+        assert report.verdict == "mismatch"
+
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == EXIT_MISMATCH
+        assert "near-miss]: mismatch" in capsys.readouterr().out
 
     def test_non_optimal_expected_assignment_is_not_equivalent(self):
         inst, mat = make_instance([(24, 12, 0), (20, 10, 6), (4, 8, 24)])
