@@ -186,6 +186,12 @@ def objective_satisfied(
     """Predicate objectives: did the condition hold.  Optimization objectives:
     did the manipulation strictly improve on the honest outcome."""
     value = objective.value(instance, true_matrix, manipulated)
+    return _satisfied(instance, true_matrix, honest, value, objective)
+
+
+def _satisfied(instance, true_matrix, honest, value, objective) -> bool:
+    """``objective_satisfied`` given ``value``, the objective's value on the
+    manipulated outcome."""
     if not objective.sense:
         return bool(value)
     return objective.sense * (value - objective.value(instance, true_matrix, honest)) > 0
@@ -251,16 +257,15 @@ def _deviation_report(
         ),
         key=lambda pair: (rank(pair[0]), rank(pair[1])),
     )
+    value = objective.value(instance, true_matrix, manipulated)
     return DeviationReport(
         honest_outcome=honest,
         manipulated_outcome=manipulated,
         payment_delta=payment_delta,
         true_utility_delta=true_utility_delta,
         envy_under_truth=tuple(envy),
-        objective_satisfied=objective_satisfied(
-            instance, true_matrix, honest, manipulated, objective
-        ),
-        objective_value=objective.value(instance, true_matrix, manipulated),
+        objective_satisfied=_satisfied(instance, true_matrix, honest, value, objective),
+        objective_value=value,
     )
 
 

@@ -26,7 +26,8 @@ assignment at the resulting prices:
 - the closed form u_i = t* + m_i, when every m_i is 0 (the equal split of the
   surplus) and prices may be negative;
 - otherwise the leximin LP (``_leximin_utilities``): two-phase simplex with
-  Bland's rule, maximizing the minimum utility and freezing forced agents.
+  Bland's rule, phase 1 started from the slack basis, maximizing the minimum
+  utility and freezing forced agents.
 
 ``solve`` is ``maximin_prices`` on the canonical welfare-maximizing
 assignment (``matching.max_welfare_assignment``).
@@ -148,7 +149,10 @@ def _run_simplex(tableau, basis, ncols):
 
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
-    """Exact optimal basic solution of an LP; deterministic for a given LP."""
+    """Exact optimal basic solution of an LP; deterministic for a given LP.
+
+    Phase 1 starts from the slack basis: only equalities and '<=' rows with a
+    negative right-hand side get an artificial variable."""
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -189,33 +193,41 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             k += 1
     total_struct = ncols + nslack
 
-    # Normalize to b >= 0 and add one artificial per row.
+    # Normalize to b >= 0.  A '<=' row whose slack keeps coefficient +1
+    # starts with that slack basic; the other rows (equalities and negated
+    # '<=' rows) each get an artificial, in columns after the slacks.
+    needs_artificial = [r not in slack_col or rhs[r] < zero for r in range(m)]
+    nart = sum(needs_artificial)
+    width = total_struct + nart + 1
+    artificial_cols = iter(range(total_struct, total_struct + nart))
     tableau = []
     basis = []
     for r in range(m):
-        row = rows[r] + [zero] * (nslack + m + 1)
+        row = rows[r] + [zero] * (nslack + nart + 1)
         if r in slack_col:
             row[slack_col[r]] = one
         b = rhs[r]
         if b < zero:
             row = [-c for c in row]
             b = -b
-        row[total_struct + r] = one
+        if needs_artificial[r]:
+            basis.append(next(artificial_cols))
+            row[basis[r]] = one
+        else:
+            basis.append(slack_col[r])
         row[-1] = b
         tableau.append(row)
-        basis.append(total_struct + r)
-
-    width = total_struct + m + 1
 
     # Phase 1: minimize the sum of artificials (maximize its negation).
     phase1 = [zero] * width
     for r in range(m):
-        for j in range(width):
-            phase1[j] -= tableau[r][j]
-    for r in range(m):
-        phase1[total_struct + r] = zero
+        if needs_artificial[r]:
+            for j in range(width):
+                phase1[j] -= tableau[r][j]
+    for j in range(total_struct, total_struct + nart):
+        phase1[j] = zero
     tableau.append(phase1)
-    status = _run_simplex(tableau, basis, total_struct + m)
+    status = _run_simplex(tableau, basis, total_struct + nart)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         raise AssertionError("phase 1 cannot be unbounded")
     if tableau[-1][-1] != zero:

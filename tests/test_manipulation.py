@@ -143,6 +143,31 @@ class TestEvaluateDeviation:
         assert rep.envy_under_truth == ()
         assert rep.objective_satisfied is False
 
+    @pytest.mark.parametrize(
+        "objective, calls",
+        [
+            # manipulated once, honest once for the improvement test
+            (MinimizeCoalitionPayments(("D",)), 2),
+            # a predicate reads the manipulated outcome only
+            (ExcludeFromRooms(("D",), ("R1",)), 1),
+        ],
+    )
+    def test_objective_evaluated_once_per_side(self, baseline, monkeypatch, objective, calls):
+        inst, truth = baseline
+        honest = solve(inst, truth)
+        kind = type(objective)
+        seen = []
+        real = kind.value
+
+        def counted(self, *args):
+            seen.append(args[-1])
+            return real(self, *args)
+
+        monkeypatch.setattr(kind, "value", counted)
+        rep = manipulation._deviation_report(inst, truth, honest, honest, objective)
+        assert len(seen) == calls
+        assert rep.objective_value == real(objective, inst, truth, honest)
+
 
 class TestTemplates:
     def test_exclusionary_regenerates_coalition_rows(self, baseline):

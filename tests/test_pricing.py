@@ -51,6 +51,77 @@ from rentdiv.pricing import (
 F = Fraction
 
 
+def _meets(rows, x):
+    """Whether x satisfies every (coeffs, relation, rhs) row exactly."""
+    for coeffs, rel, rhs in rows:
+        lhs = sum(c * v for c, v in zip(coeffs, x))
+        if (lhs > rhs) if rel == LE else (lhs != rhs):
+            return False
+    return True
+
+
+def _solve_square(a, b):
+    """The unique x with a.x = b by Gaussian elimination over Fractions, or
+    None when the square system is singular."""
+    n = len(a)
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def _nonnegativity(lp):
+    nv = len(lp.objective)
+    return [
+        ([F(-1) if k == j else F(0) for k in range(nv)], LE, F(0))
+        for j in range(nv)
+        if not lp.free[j]
+    ]
+
+
+def _vertex_optimum(lp):
+    """(status, optimal value) of a bounded LP by exact vertex enumeration:
+    each n-subset of its constraints, all tight, solved and kept when it
+    meets every constraint.  A nonempty bounded polytope has a vertex, so no
+    vertex means infeasible."""
+    cons = list(lp.rows) + _nonnegativity(lp)
+    best = None
+    for subset in itertools.combinations(cons, len(lp.objective)):
+        x = _solve_square([c for c, _, _ in subset], [b for _, _, b in subset])
+        if x is not None and _meets(cons, x):
+            value = sum(c * v for c, v in zip(lp.objective, x))
+            best = value if best is None else max(best, value)
+    return ("infeasible", None) if best is None else ("optimal", best)
+
+
+def _random_boxed_lp(rng):
+    """1-3 variables, free or nonnegative; 1-4 random '<=' or '==' rows with
+    right-hand sides of both signs, zero and fractions; every variable boxed
+    by |x_j| <= B."""
+    amounts = [F(k) for k in range(-3, 4)] + [F(1, 2), F(-3, 2), F(2, 3), F(-5, 3)]
+    nv = rng.randint(1, 3)
+    rows = [
+        ([rng.choice(amounts) for _ in range(nv)], rng.choice([LE, EQ]), rng.choice(amounts))
+        for _ in range(rng.randint(1, 4))
+    ]
+    bound = rng.choice([F(1), F(2), F(7, 2)])
+    for j in range(nv):
+        for sign in (1, -1):
+            rows.append(([F(sign) if k == j else F(0) for k in range(nv)], LE, bound))
+    return LinearProgram(
+        objective=[rng.choice(amounts) for _ in range(nv)],
+        rows=rows,
+        free=[rng.random() < 0.5 for _ in range(nv)],
+    )
+
+
 def _level_and_chains(inst, mat, assignment):
     """(t*, [m_i]) as Fractions, from the integer form of ``_maximin_level``."""
     (scale, _, _), _, level, chains = _maximin_level(inst, mat, assignment)
@@ -110,6 +181,65 @@ class TestSimplex:
         assert res.status == "optimal"
         assert res.x == [F(1, 3), F(1, 3)]
         assert res.objective_value == F(2, 3)
+
+    def test_agrees_with_vertex_enumeration(self):
+        rng = random.Random(2016)
+        statuses = []
+        for _ in range(400):
+            lp = _random_boxed_lp(rng)
+            status, value = _vertex_optimum(lp)
+            res = simplex_solve(lp)
+            assert res.status == status
+            if status == "optimal":
+                assert res.objective_value == value
+                assert _meets(lp.rows + _nonnegativity(lp), res.x)
+            statuses.append(status)
+        # Both kinds of answer are exercised.
+        assert {"optimal", "infeasible"} <= set(statuses)
+
+    @pytest.mark.parametrize(
+        "rows, value, x",
+        [
+            # A redundant all-zero equality: its artificial stays basic at 0.
+            (
+                [([F(1), F(0)], LE, F(2)), ([F(0), F(1)], LE, F(3)), ([F(0), F(0)], EQ, F(0))],
+                F(8),
+                [F(2), F(3)],
+            ),
+            # Only the negated '<=' row and the equality need an artificial;
+            # the first row starts on its slack.
+            (
+                [([F(1), F(1)], LE, F(4)), ([F(-1), F(0)], LE, F(-1)), ([F(1), F(-1)], EQ, F(0))],
+                F(6),
+                [F(2), F(2)],
+            ),
+        ],
+    )
+    def test_mixed_starting_basis(self, rows, value, x):
+        lp = LinearProgram(objective=[F(1), F(2)], rows=rows, free=[False, False])
+        res = simplex_solve(lp)
+        assert (res.status, res.objective_value, res.x) == ("optimal", value, x)
+        assert _vertex_optimum(lp) == ("optimal", value)
+
+    def test_slack_start_needs_no_pivot(self, monkeypatch):
+        # '<=' rows with b >= 0 start feasible on their slacks, so an LP whose
+        # optimum is the origin is solved without a single pivot.
+        pivots = []
+        real = pricing._pivot
+
+        def counted(*args):
+            pivots.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(pricing, "_pivot", counted)
+        lp = LinearProgram(
+            objective=[F(-1), F(-1)],
+            rows=[([F(1), F(1)], LE, F(3)), ([F(1), F(-2)], LE, F(0))],
+            free=[False, False],
+        )
+        res = simplex_solve(lp)
+        assert (res.status, res.x, res.objective_value) == ("optimal", [F(0), F(0)], F(0))
+        assert pivots == []
 
 
 class TestFourierMotzkin:
