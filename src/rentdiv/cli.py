@@ -205,8 +205,10 @@ OBJECTIVE_GRAMMAR = (
 
 def _split_labels(spec: str, bad) -> list:
     """The comma-separated labels of ``spec``; ``bad(reason)`` is raised for
-    a label named twice."""
+    an empty label or a label named twice."""
     labels = spec.split(",")
+    if "" in labels:
+        raise bad("empty label")
     repeated = next((x for x in labels if labels.count(x) > 1), None)
     if repeated is not None:
         raise bad(f"{repeated!r} appears twice")
@@ -238,6 +240,8 @@ def _parse_objective(spec: str):
         room, le, cap = rest.partition("<=")
         if not (at and le):
             raise bad("missing '@' before the room or '<=' before the cap")
+        if not (agent and room):
+            raise bad("empty label")
         try:
             cap = parse_money(cap)
         except ValidationError as exc:
@@ -246,6 +250,8 @@ def _parse_objective(spec: str):
             raise bad(f"cap {cap!r} is not an exact amount") from None
         return manipulation.SubsidizeAgent(agent, room, cap)
     if kind == "max-util":
+        if not rest:
+            raise bad("empty label")
         return manipulation.MaximizeTrueUtility(rest)
     raise bad(f"unknown objective kind {kind!r}")
 
@@ -351,7 +357,7 @@ def cmd_manipulate(args, out) -> int:
             f"{reason}; expected {COALITION_GRAMMAR}", f"--coalition {args.coalition!r}"
         )
 
-    coalition = _split_labels(args.coalition, bad) if args.coalition else []
+    coalition = [] if args.coalition is None else _split_labels(args.coalition, bad)
     unknown = [a for a in coalition if a not in instance.agent_ids]
     if unknown:
         raise ParseError(f"unknown coalition agent(s): {', '.join(unknown)}")

@@ -450,29 +450,26 @@ def _least_unit_counts(alloc, movable, rest, units):
     """{k: units added to alloc[k]} when ``units`` whole units go, one at a
     time, to the least (alloc[k], rest[k]) over ``movable``.
 
-    They go to the ``units`` least pairs (alloc[k] + j, rest[k]), j >= 0.
-    All pairs lie on the grid of 1/scale, scale the least common multiple of
-    the denominators, and C(x) = sum(max(0, ceil(x - alloc[k]))) counts the
-    pairs below x.  Bisection finds the highest grid level x with C(x) <=
-    units; every pair below x is taken, and the units left over go to the
-    pairs at x, lowest room first.
+    Room k's j-th unit lands at the integer level floor(alloc[k]) + j, and
+    within one level the units go in the order of (alloc[k] -
+    floor(alloc[k]), rest[k]).  So every room fills up to the highest level
+    ``top`` with sum(max(0, top - floor(alloc[k]))) <= units, and the units
+    left over go to the rooms at ``top``, in that order.
     """
-    scale = math.lcm(*(alloc[k].denominator for k in movable))
-    base = {k: alloc[k].numerator * (scale // alloc[k].denominator) for k in movable}
-
-    def below(x):  # per k, the pairs below x / scale
-        return {k: max(0, -((b - x) // scale)) for k, b in base.items()}
-
-    lo, hi = min(base.values()), max(base.values()) + (units + 1) * scale
-    while hi - lo > 1:  # C(lo) <= units < C(hi)
-        mid = (lo + hi) // 2
-        if sum(below(mid).values()) <= units:
-            lo = mid
-        else:
-            hi = mid
-    counts = below(lo)
-    at_level = [k for k, b in base.items() if b <= lo and (lo - b) % scale == 0]
-    for k in sorted(at_level, key=lambda k: rest[k])[: units - sum(counts.values())]:
+    floors = {k: alloc[k].numerator // alloc[k].denominator for k in movable}
+    levels = sorted(floors.values())
+    below = 0  # the sum of the m lowest floors
+    for m, f in enumerate(levels, 1):
+        below += f
+        top = (units + below) // m
+        if m == len(levels) or top < levels[m]:
+            break
+    counts = {k: max(0, top - f) for k, f in floors.items()}
+    at_top = sorted(
+        (k for k, f in floors.items() if f <= top),
+        key=lambda k: (alloc[k] - floors[k], rest[k]),
+    )
+    for k in at_top[: units - sum(counts.values())]:
         counts[k] += 1
     return counts
 

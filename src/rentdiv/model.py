@@ -91,7 +91,7 @@ def _abbreviate_int(n: int) -> str:
         return str(n)
     sign, n = "-" if n < 0 else "", abs(n)
     # A lower bound on the digit count from the bit length, then exact.
-    digits = max(1, int((n.bit_length() - 1) * 0.30102999566398))
+    digits = max(1, (n.bit_length() - 1) * 30102999566398 // 10**14)
     while n >= 10**digits:
         digits += 1
     return f"{sign}{n // 10 ** (digits - 12)}...({digits} digits)"
@@ -152,32 +152,34 @@ def parse_money(s: str) -> Fraction:
 def render_money(x: Fraction) -> str:
     """Render an exact rational to 2 decimal places, round half away from
     zero; an amount that rounds to zero cents prints unsigned."""
-    cents = (abs(x) * 100 + Fraction(1, 2)).__floor__()
-    sign = "-" if x < 0 and cents else ""
+    num, den = x.numerator, x.denominator
+    cents = (200 * abs(num) + den) // (2 * den)
+    sign = "-" if num < 0 and cents else ""
     return f"{sign}{cents // 100}.{cents % 100:02d}"
 
 
 def format_exact(x: Fraction) -> str:
-    """Shortest exact string for a rational: int, terminating decimal, or a/b."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    # terminating decimal iff denominator is of the form 2^a * 5^b
-    d = x.denominator
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-    if d == 1:
-        # scale to an exact decimal with the minimal number of places
-        places = 0
-        scaled = x
-        while scaled.denominator != 1:
-            scaled *= 10
-            places += 1
-        digits = abs(scaled.numerator)
-        sign = "-" if x < 0 else ""
-        s = str(digits).rjust(places + 1, "0")
-        return f"{sign}{s[:-places]}.{s[-places:]}"
-    return f"{x.numerator}/{x.denominator}"
+    """An exact string for a rational that ``parse_money`` reads back: the
+    integer; else, when the denominator is 2^a * 5^b, the decimal with
+    max(a, b) places if it has at most MAX_AMOUNT_CHARS characters; else
+    num/den.  So 1/8 prints as 0.125 and 1/3 as 1/3."""
+    num, den = x.numerator, x.denominator
+    if den == 1:
+        return str(num)
+    twos = (den & -den).bit_length() - 1
+    odd, fives = den >> twos, 0
+    while odd % 5 == 0:
+        odd //= 5
+        fives += 1
+    places = max(twos, fives)
+    if odd == 1 and places < MAX_AMOUNT_CHARS:
+        digits = abs(num) * 10**places // den
+        if digits < _DIGITS_LIMIT:  # so that str may print it
+            s = str(digits).rjust(places + 1, "0")
+            s = f"{'-' if num < 0 else ''}{s[:-places]}.{s[-places:]}"
+            if len(s) <= MAX_AMOUNT_CHARS:
+                return s
+    return f"{num}/{den}"
 
 
 @dataclass(frozen=True)

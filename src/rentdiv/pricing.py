@@ -20,8 +20,8 @@ same closure once per room of the searching agent, and prices with the same
 formula (``payment_numerators``).
 
 ``maximin_prices`` checks the assignment with the closure, takes one of two
-routes to the utilities, and returns the mechanism's ``Outcome`` for the
-assignment at the resulting prices:
+routes to the utilities on the integer form, and prices both the same way,
+through ``payment_numerators``, into the mechanism's ``Outcome``:
 
 - the closed form u_i = t* + m_i, when every m_i is 0 (the equal split of the
   surplus) and prices may be negative;
@@ -321,9 +321,11 @@ def integer_form(rows, rent, step=1):
 
 
 def payment_numerators(d, rent):
-    """Payments times n*scale at the utilities u = t* + m, from d_i =
-    v_i(sigma_i) - m_i on the integer form: n*t* = sum(d) - R, so agent i
-    pays d_i - t*, that is n*d_i - (sum(d) - R) over n*scale."""
+    """Payments times n*scale from d_i = v_i(sigma_i) - u_i on the integer
+    form, where the utilities u need be known only up to a common shift t:
+    the budget fixes n*t = sum(d) - R, so agent i pays d_i - t, that is
+    n*d_i - (sum(d) - R) over n*scale.  The closed form passes u = m (the
+    shift is t*), the LP its leximin utilities (the shift is 0)."""
     excess = sum(d) - rent
     return [len(d) * di - excess for di in d]
 
@@ -386,48 +388,44 @@ def is_envy_free(
     ]
 
 
-def _maximin_lp(instance, matrix, sigma, floors, nonnegative_prices, objective_agent=None):
-    """LP over variables (p_0..p_{n-1}, t): maximize t (or u_a) subject to EF,
-    budget balance, u_i >= floors[i] where given, and p_j >= 0 when
-    ``nonnegative_prices``."""
-    n = instance.n
-    zero = Fraction(0)
+def _maximin_lp(rows, rent, sigma, floors, nonnegative_prices, objective_agent=None):
+    """LP over variables (p_0..p_{n-1}, t) on the integer form ``rows``,
+    ``rent``: maximize t (or u_a) subject to EF, budget balance, u_i >=
+    floors[i] where given, and p_j >= 0 when ``nonnegative_prices``."""
+    n = len(rows)
     nv = n + 1  # prices + t
-    rows = []
-    for i in range(n):
-        si = sigma[i]
+    lp_rows = []
+    for row, si in zip(rows, sigma):
         for j in range(n):
             if j == si:
                 continue
-            coeffs = [zero] * nv
-            coeffs[si] += 1
-            coeffs[j] -= 1
-            rows.append((coeffs, LE, matrix.value(i, si) - matrix.value(i, j)))
-    rows.append(([Fraction(1)] * n + [zero], EQ, instance.total_rent))
-    for i in range(n):
-        if floors[i] is None:
+            coeffs = [0] * nv
+            coeffs[si] = 1
+            coeffs[j] = -1
+            lp_rows.append((coeffs, LE, row[si] - row[j]))
+    lp_rows.append(([1] * n + [0], EQ, rent))
+    for row, si, floor in zip(rows, sigma, floors):
+        coeffs = [0] * nv
+        coeffs[si] = 1
+        if floor is None:
             # u_i >= t  <=>  t + p_{sigma(i)} <= v_i(sigma(i))
-            coeffs = [zero] * nv
-            coeffs[sigma[i]] = Fraction(1)
-            coeffs[n] = Fraction(1)
-            rows.append((coeffs, LE, matrix.value(i, sigma[i])))
+            coeffs[n] = 1
+            lp_rows.append((coeffs, LE, row[si]))
         else:
             # u_i >= floor  <=>  p_{sigma(i)} <= v_i(sigma(i)) - floor
-            coeffs = [zero] * nv
-            coeffs[sigma[i]] = Fraction(1)
-            rows.append((coeffs, LE, matrix.value(i, sigma[i]) - floors[i]))
+            lp_rows.append((coeffs, LE, row[si] - floor))
     if nonnegative_prices:
         for j in range(n):
-            coeffs = [zero] * nv
-            coeffs[j] = Fraction(-1)
-            rows.append((coeffs, LE, zero))
-    objective = [zero] * nv
+            coeffs = [0] * nv
+            coeffs[j] = -1
+            lp_rows.append((coeffs, LE, 0))
+    objective = [0] * nv
     if objective_agent is None:
-        objective[n] = Fraction(1)
+        objective[n] = 1
     else:
         # u_a = const - p_{sigma(a)}
-        objective[sigma[objective_agent]] = Fraction(-1)
-    return LinearProgram(objective=objective, rows=rows, free=[True] * nv)
+        objective[sigma[objective_agent]] = -1
+    return LinearProgram(objective=objective, rows=lp_rows, free=[True] * nv)
 
 
 def maximin_prices(
@@ -450,11 +448,10 @@ def maximin_prices(
         validate_instance(instance, matrix)
     (scale, rows, rent), sigma, _, chains = _maximin_level(instance, matrix, assignment)
     if nonnegative_prices or any(chains):
-        utilities = _leximin_utilities(instance, matrix, sigma, nonnegative_prices)
-        pay = [matrix.value(i, j) - u for i, (j, u) in enumerate(zip(sigma, utilities))]
-        return priced_outcome(instance, matrix, assignment, pay, 1)
-    # u = t* + m, here the equal split of the surplus.
-    d = [row[j] - m for row, j, m in zip(rows, sigma, chains)]
+        utilities = _leximin_utilities(rows, rent, sigma, nonnegative_prices)
+    else:
+        utilities = chains  # u = t* + m, needed only up to the shift t*
+    d = [row[j] - u for row, j, u in zip(rows, sigma, utilities)]
     pay = payment_numerators(d, rent)
     return priced_outcome(instance, matrix, assignment, pay, instance.n * scale)
 
@@ -468,20 +465,19 @@ def priced_outcome(instance, matrix, assignment, pay, denominator):
     return build_outcome(instance, matrix, assignment, PriceVector.from_list(instance, prices))
 
 
-def _leximin_utilities(instance, matrix, sigma, nonnegative_prices):
-    """Iteratively maximize the minimum utility, freezing forced agents.
+def _leximin_utilities(rows, rent, sigma, nonnegative_prices):
+    """Leximin utilities on the integer form ``rows``, ``rent`` (times its
+    scale): iteratively maximize the minimum utility, freezing forced agents.
 
     An agent whose utility sits strictly above the current optimum in the
     returned solution is witnessed as unforced; agents at the optimum are
     confirmed forced (or not) by re-solving with that agent's utility as the
     objective.
     """
-    n = instance.n
+    n = len(rows)
     floors = [None] * n
     while any(f is None for f in floors):
-        res = simplex_solve(
-            _maximin_lp(instance, matrix, sigma, floors, nonnegative_prices)
-        )
+        res = simplex_solve(_maximin_lp(rows, rent, sigma, floors, nonnegative_prices))
         if res.status != "optimal":
             # Without the price floor the program is feasible for every
             # welfare-maximizing assignment, and each later round keeps the
@@ -490,34 +486,26 @@ def _leximin_utilities(instance, matrix, sigma, nonnegative_prices):
                 "no envy-free price vector is nonnegative for this assignment"
             )
         t_star = res.x[n]
-        u_now = [
-            matrix.value(i, sigma[i]) - res.x[sigma[i]] for i in range(n)
-        ]
+        u_now = [row[si] - res.x[si] for row, si in zip(rows, sigma)]
         newly_frozen = []
-        trial = list(floors)
-        for i in range(n):
-            trial[i] = t_star if floors[i] is None else floors[i]
+        trial = [t_star if f is None else f for f in floors]
         for i in range(n):
             if floors[i] is not None:
                 continue
             if u_now[i] > t_star:
                 continue  # current solution witnesses u_i above the level
             probe = simplex_solve(
-                _maximin_lp(
-                    instance, matrix, sigma, trial, nonnegative_prices, objective_agent=i
-                )
+                _maximin_lp(rows, rent, sigma, trial, nonnegative_prices, objective_agent=i)
             )
             if probe.status != "optimal":  # pragma: no cover
                 raise AssertionError(f"freeze probe is {probe.status}")
-            best_ui = matrix.value(i, sigma[i]) - probe.x[sigma[i]]
-            if best_ui == t_star:
+            if rows[i][sigma[i]] - probe.x[sigma[i]] == t_star:
                 newly_frozen.append(i)
         if not newly_frozen:  # pragma: no cover - at least one agent is forced
             raise AssertionError("leximin refinement made no progress")
         for i in newly_frozen:
             floors[i] = t_star
-
-    return list(floors)
+    return floors
 
 
 def solve(

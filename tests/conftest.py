@@ -38,6 +38,21 @@ def random_rows(rng: random.Random, n: int, total: int = 36):
     return rows
 
 
+def long_decimal_house() -> dict:
+    """A scenario document with rent 2, where A reports ((2^6600 - 1)/2^6600,
+    (2^6600 + 1)/2^6600) and B (1, 1).  A's amounts are exact decimals of
+    6,600 places, too long to print as one; as a/b each is 3,975 characters,
+    within the amount caps."""
+    big = 2**6600
+    rows = {"A": [f"{big - 1}/{big}", f"{big + 1}/{big}"], "B": ["1", "1"]}
+    return {
+        "name": "Long decimals",
+        "total_rent": "2",
+        "rooms": ["R1", "R2"],
+        "agents": [{"id": a, "reported_values": row} for a, row in rows.items()],
+    }
+
+
 def subprocess_env() -> dict:
     """The environment with this rentdiv's source directory first on
     PYTHONPATH, for tests that run it in a fresh interpreter."""

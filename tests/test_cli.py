@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import subprocess_env
+from conftest import long_decimal_house, subprocess_env
 from rentdiv import cli, matching, oracles, pricing
 from rentdiv.cli import (
     COALITION_GRAMMAR,
@@ -24,7 +24,8 @@ from rentdiv.cli import (
     TARGET_ROOMS_GRAMMAR,
     main,
 )
-from rentdiv.scenarios import BUILTIN_SLUGS, builtin_scenario, save_scenario
+from rentdiv.model import parse_money
+from rentdiv.scenarios import BUILTIN_SLUGS, builtin_scenario, load_scenario, save_scenario
 
 
 @pytest.fixture
@@ -353,6 +354,23 @@ MALFORMED_FLAGS = [
         f"--target-rooms 'D:R4,D:R5': 'D' appears twice; "
         f"expected {TARGET_ROOMS_GRAMMAR}",
     ),
+    # An empty label, the whole value included, is refused by name.
+    (
+        ["--coalition", "", "--search"],
+        f"--coalition '': empty label; expected {COALITION_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "", "--template", "flatten"],
+        f"--coalition '': empty label; expected {COALITION_GRAMMAR}",
+    ),
+    (
+        ["--coalition", "D,", "--search", "--step", "1"],
+        f"--coalition 'D,': empty label; expected {COALITION_GRAMMAR}",
+    ),
+    (
+        ["--coalition", ",", "--template", "defensive"],
+        f"--coalition ',': empty label; expected {COALITION_GRAMMAR}",
+    ),
     (
         ["--coalition", "D,D,D,D", "--template", "exclusionary"],
         f"--coalition 'D,D,D,D': 'D' appears twice; expected {COALITION_GRAMMAR}",
@@ -403,6 +421,26 @@ MALFORMED_FLAGS = [
 
 
 class TestManipulate:
+    @pytest.mark.parametrize("mode", [["--search"], ["--template", "flatten"]])
+    def test_amounts_past_the_decimal_cap_print_as_ratios(self, tmp_path, capsys, mode):
+        # A's values would be 6,601-character decimals; they print as a/b,
+        # which json writes and parse_money reads back.
+        doc = long_decimal_house()
+        path = tmp_path / "house.json"
+        path.write_text(json.dumps(doc))
+        code = main(
+            ["manipulate", str(path), "--coalition", "B", "--objective", "min-pay:B"]
+            + mode
+            + ["--format", "json"]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_OK, "")
+        reported = json.loads(captured.out)["reported_values"]
+        assert reported["A"] == doc["agents"][0]["reported_values"]
+        truth = load_scenario(path).truth()
+        for i, a in enumerate("AB"):
+            assert [parse_money(v) for v in reported[a]] == list(truth.row(i))
+
     def test_template_flatten(self, baseline_file, capsys):
         code = main(
             [
@@ -517,6 +555,13 @@ class TestManipulate:
             ("exclude:D,E,D@R1", "'D' appears twice"),
             ("exclude:D@R1,R2,R1", "'R1' appears twice"),
             ("exclude:D,D@R1,R1", "'D' appears twice"),
+            ("min-pay:", "empty label"),
+            ("min-pay:D,", "empty label"),
+            ("max-util:", "empty label"),
+            ("exclude:@R1", "empty label"),
+            ("exclude:D@R1,", "empty label"),
+            ("subsidize:@R1<=7", "empty label"),
+            ("subsidize:E@<=7", "empty label"),
         ],
     )
     def test_malformed_objective_quotes_grammar(self, baseline_file, capsys, spec, reason):

@@ -1,7 +1,9 @@
 """Package layout: what each import loads, and where each name resolves."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +142,20 @@ def test_lazy_names_load_their_module_on_first_use(probe):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == expected
+
+
+def test_no_float_in_the_package():
+    # Money is exact everywhere: no module holds a float literal or calls
+    # float().
+    found = []
+    for path in sorted(Path(rentdiv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            literal = isinstance(node, ast.Constant) and isinstance(node.value, float)
+            call = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            )
+            if literal or call:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rentdiv.model import (
     Assignment,
@@ -32,6 +32,29 @@ def small_instance():
     inst = Instance(("R1", "R2"), ("A", "B"), Fraction(2))
     mat = ValuationMatrix.from_rows([(2, 0), (0, 2)])
     return inst, mat
+
+
+# Exponent-free amount strings within the caps: decimals, ratios, and
+# ratios over 2^a * 5^b, whose decimals may run past 4,000 characters.
+AMOUNT_STRINGS = st.one_of(
+    st.builds(
+        lambda sign, whole, places: f"{sign}{whole}" + (f".{places}" if places else ""),
+        st.sampled_from(["", "-"]),
+        st.integers(0, 10**30),
+        st.text("0123456789", max_size=60),
+    ),
+    st.builds(
+        lambda num, den: f"{num}/{den}",
+        st.integers(-(10**60), 10**60),
+        st.integers(1, 10**60),
+    ),
+    st.builds(
+        lambda num, twos, fives: f"{num}/{2**twos * 5**fives}",
+        st.integers(-(10**20), 10**20),
+        st.integers(0, 6000),
+        st.integers(0, 2000),
+    ),
+)
 
 
 class TestMoney:
@@ -142,6 +165,29 @@ class TestMoney:
         assert format_exact(Fraction(46, 5)) == "9.2"
         assert format_exact(Fraction(1, 3)) == "1/3"
         assert format_exact(Fraction(-46, 5)) == "-9.2"
+        assert format_exact(Fraction(1, 8)) == "0.125"
+        assert format_exact(Fraction(-1, 2)) == "-0.5"
+        assert format_exact(Fraction(7, 2)) == "3.5"
+        assert format_exact(Fraction(0)) == "0"
+
+    def test_format_exact_decimal_cap(self):
+        # A decimal is written only when parse_money reads it back: at most
+        # 4,000 characters, the sign included; past that, a/b.
+        # 1/2^3998 = 5^3998/10^3998, a decimal of 3,998 places.
+        assert format_exact(Fraction(1, 2**3998)) == "0." + str(5**3998).rjust(3998, "0")
+        assert format_exact(Fraction(-1, 2**3998)) == f"-1/{2**3998}"
+        assert format_exact(Fraction(1, 2**3999)) == f"1/{2**3999}"
+        assert format_exact(Fraction(2**6600 - 1, 2**6600)) == f"{2**6600 - 1}/{2**6600}"
+
+    @given(AMOUNT_STRINGS)
+    @example(f"{2**6600 - 1}/{2**6600}")
+    @example(f"-1/{2**3998}")
+    @example("0." + "0" * 3997 + "1")
+    @example("-0." + "0" * 3996 + "1")
+    @example("9" * 4000)
+    def test_format_exact_round_trips(self, s):
+        x = parse_money(s)
+        assert parse_money(format_exact(x)) == x
 
     @given(st.integers(min_value=-10**6, max_value=10**6))
     def test_cent_grid_round_trip(self, cents):

@@ -41,6 +41,7 @@ from rentdiv.pricing import (
     _maximin_level,
     envy_closure,
     envy_matrix,
+    integer_form,
     is_envy_free,
     maximin_level,
     maximin_prices,
@@ -405,10 +406,9 @@ class TestMaximin:
         assert _level_and_chains(inst, mat, sigma)[1] == [0] * inst.n
         shortcut = _equal_split_prices(inst, mat, sigma)
         assert is_envy_free(inst, mat, sigma, shortcut) == []
-        by_lp = _leximin_utilities(
-            inst, mat, sigma.to_indices(inst), nonnegative_prices=False
-        )
-        assert set(by_lp) == {F(4, 5)}
+        scale, rows, rent = integer_form(mat.values, inst.total_rent)
+        by_lp = _leximin_utilities(rows, rent, sigma.to_indices(inst), nonnegative_prices=False)
+        assert {u / scale for u in by_lp} == {F(4, 5)}
         assert shortcut.as_list(inst) == maximin_prices(inst, mat, sigma).prices.as_list(
             inst
         )
@@ -455,10 +455,11 @@ class TestMaximin:
             if not any(chains):
                 continue
             positive += 1
+            scale, rows, rent = integer_form(mat.values, inst.total_rent)
             by_lp = _leximin_utilities(
-                inst, mat, sigma.to_indices(inst), nonnegative_prices=False
+                rows, rent, sigma.to_indices(inst), nonnegative_prices=False
             )
-            assert by_lp == [level + m for m in chains]
+            assert [u / scale for u in by_lp] == [level + m for m in chains]
         assert positive > 15
 
     def test_maximin_prices_returns_the_solve_outcome(self):

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from conftest import make_instance
+from conftest import long_decimal_house, make_instance
 from rentdiv import oracles, pricing
 from rentdiv.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from rentdiv.model import (
@@ -149,6 +149,15 @@ class TestRoundTrip:
         assert back.roles == sc.roles
         assert back.expected == sc.expected
         assert "tolerance" not in json.loads(path.read_text())["expected"]
+
+    def test_save_load_amounts_past_the_decimal_cap(self, tmp_path):
+        # A's values would be 6,601-character decimals; they are saved as a/b.
+        sc = scenario_from_dict(long_decimal_house())
+        path = tmp_path / "house.json"
+        save_scenario(sc, path)
+        back = load_scenario(path)
+        assert back.instance == sc.instance
+        assert back.reported_matrix == sc.reported_matrix
 
     def test_to_dict_uses_exact_strings(self):
         sc = builtin_scenario("baseline")
