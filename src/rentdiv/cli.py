@@ -425,7 +425,7 @@ def cmd_manipulate(args, out) -> int:
     else:
         # The search solves the mechanism on the truth and on the reports it
         # returns, both on its own integer form.
-        reported, _, _, honest, manipulated = manipulation._coalition_search(
+        reported, _, honest, manipulated = manipulation._coalition_search(
             instance, true_matrix, coalition, objective, step
         )
     report = manipulation._deviation_report(

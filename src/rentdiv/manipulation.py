@@ -176,27 +176,6 @@ def _check_objective(instance: Instance, objective) -> None:
     _check_labels(instance, "objective", *objective.labels())
 
 
-def objective_satisfied(
-    instance: Instance,
-    true_matrix: ValuationMatrix,
-    honest: Outcome,
-    manipulated: Outcome,
-    objective,
-) -> bool:
-    """Predicate objectives: did the condition hold.  Optimization objectives:
-    did the manipulation strictly improve on the honest outcome."""
-    value = objective.value(instance, true_matrix, manipulated)
-    return _satisfied(instance, true_matrix, honest, value, objective)
-
-
-def _satisfied(instance, true_matrix, honest, value, objective) -> bool:
-    """``objective_satisfied`` given ``value``, the objective's value on the
-    manipulated outcome."""
-    if not objective.sense:
-        return bool(value)
-    return objective.sense * (value - objective.value(instance, true_matrix, honest)) > 0
-
-
 # ---------------------------------------------------------------------------
 # Deviation reports
 # ---------------------------------------------------------------------------
@@ -209,7 +188,7 @@ class DeviationReport:
     payment_delta: dict  # agent -> Fraction (manipulated payment - honest payment)
     true_utility_delta: dict  # agent -> Fraction, both sides under TRUE values
     envy_under_truth: tuple  # (agent, agent) pairs
-    objective_satisfied: bool
+    objective_satisfied: bool  # predicate holds, or strictly beats honesty
     objective_value: object  # Fraction or bool
 
 
@@ -236,7 +215,8 @@ def _deviation_report(
 ) -> DeviationReport:
     """Compare two solved outcomes under the true values.  ``honest`` is the
     mechanism's outcome on ``true_matrix``, so its utilities are the true
-    ones already."""
+    ones already.  The objective is evaluated once per side, on the honest
+    one only for a numeric objective."""
     payment_delta = {
         a: manipulated.payment_of(a) - honest.payment_of(a)
         for a in instance.agent_ids
@@ -258,13 +238,17 @@ def _deviation_report(
         key=lambda pair: (rank(pair[0]), rank(pair[1])),
     )
     value = objective.value(instance, true_matrix, manipulated)
+    if objective.sense:
+        satisfied = objective.sense * (value - objective.value(instance, true_matrix, honest)) > 0
+    else:
+        satisfied = bool(value)
     return DeviationReport(
         honest_outcome=honest,
         manipulated_outcome=manipulated,
         payment_delta=payment_delta,
         true_utility_delta=true_utility_delta,
         envy_under_truth=tuple(envy),
-        objective_satisfied=_satisfied(instance, true_matrix, honest, value, objective),
+        objective_satisfied=satisfied,
         objective_value=value,
     )
 
@@ -510,7 +494,9 @@ def _room_tables(rows, agent):
     ``assigned[r]`` is each agent's value of that room, ``keys[r]`` the
     tie-break key value*n + agent of each room's occupant by room (value*n +
     agent orders exactly like the (value, agent) pair), and ``welfare[r]``
-    the others' welfare W_-r.
+    the others' welfare W_-r.  The agent's own entries, ``assigned[r][a]``
+    and ``keys[r][r]``, hold the value 0 as a placeholder, which
+    ``_best_response`` reads as the empty walk's c_r = 0.
 
     The envy edge i -> k weighs v_i(sigma(k)) - v_k(sigma(k)); only the
     edges at the agent read its row.  From the closure C_r of the others'
@@ -535,10 +521,10 @@ def _room_tables(rows, agent):
             chain_r[k] = max(row)
             reach_r[k] = max(c + rows[o][r] for c, o in zip(row, others))
         perm.append(sigma)
-        assigned.append([rows[k][j] for k, j in enumerate(sigma)])
+        assigned.append([0 if k == agent else rows[k][j] for k, j in enumerate(sigma)])
         chain.append(chain_r)
         reach.append(reach_r)
-        keys.append([rows[k][j] * n + k for j, k in enumerate(_occupants(sigma))])
+        keys.append([assigned[r][k] * n + k for k in _occupants(sigma)])
         welfare.append(w)
     return perm, assigned, chain, reach, keys, welfare
 
@@ -672,26 +658,27 @@ def _best_response(instance, objective, grid, rows, agent_index):
     x_s <= x_r + W_-r - W_-s, strictly when a welfare tie goes to s (the
     tie-break reads only x_r or x_s there).  Since m_a = max(0, max_s (x_s -
     c_s)) with c_s = v_k(s) - m'_k for the occupant k of s, they split into
-    one box where m_a = 0 and, for each room s* that attains the chain, boxes
-    indexed by v = u_s*, where y = v*step - c_s* - x_r and each free room k
-    holds u_k <= min(cap_k, v + e_k), e_k = floor((c_k - c_s*)/step).
-    Feasibility grows with v, so each family's v form one interval.  Each
-    cap is q + delta_s, with delta constant on the at most n runs of q of
-    ``_cap_runs``, so the least v of a family at q is a maximum of n - 1
-    terms linear in q (``_level_terms``), built once per run.
+    one family of boxes per room s* that attains m_a, indexed by v = u_s*:
+    y = v*step - c_s* - x_r and each free room k holds u_k <= min(cap_k, v +
+    e_k), e_k = floor((c_k - c_s*)/step).  The family s* = r is the empty
+    walk, m_a = 0: c_r = 0 and v is held at 0.  Feasibility grows with v, so
+    each family's v form one interval.  Each cap is q + delta_s, with delta
+    constant on the at most n runs of q of ``_cap_runs``, so the least v of
+    a family at q is a maximum of n - 1 terms linear in q
+    (``_level_terms``), built once per run.
 
     With T grid steps in a row, the boxes of room r reach the points y =
-    rho + unit*t on runs of t, per residue rho: T + 1 points where m_a = 0
-    and at most 2T + 1 per family, so at most (n - 1)(2T + 1) + T + 1.  Each
-    reachable point is scored once, in O(n), so the best score costs
-    O(n**3 * T).  The first optimal row is the least, over the optimal
+    rho + unit*t on runs of t, per residue rho: T + 1 points on the empty
+    walk and at most 2T + 1 per other family, so at most (n - 1)(2T + 1) + T
+    + 1.  Each reachable point is scored once, in O(n), so the best score
+    costs O(n**3 * T).  The first optimal row is the least, over the optimal
     boxes, of a box's first row.  Over a family, that row falls in
     lexicographic order as v rises until the free rooms before s* are empty,
     and rises with v after, so one v per family is a candidate.  Laying out
     the boxes is O(n**3 * T) integer work with no sort, against the C(T + n
-    - 1, n - 1) rows of the grid.  Per q, only the family bounds and whether
-    the box where m_a = 0 is nonempty are kept; the first-row pass rebuilds
-    the caps of the boxes it visits.
+    - 1, n - 1) rows of the grid.  Per q, only the (s*, lowest v, highest v)
+    of each nonempty family are kept; the first-row pass rebuilds the caps
+    of the boxes it visits.
     """
     n, a = instance.n, agent_index
     unit, total = grid.unit, grid.steps
@@ -705,18 +692,16 @@ def _best_response(instance, objective, grid, rows, agent_index):
         d[a] = -y
         return pricing.payment_numerators(d, grid.rent)
 
-    # The boxes of each room r, by cap run (``_cap_runs``): the run's
-    # deltas and, per own units q, whether the box where m_a = 0 is nonempty
-    # and the (s*, lowest v, highest v) of each nonempty family.  Grid points
-    # y = rho + unit*t reached in r, as t-spans per residue rho.
+    # The boxes of each room r, by cap run (``_cap_runs``): the run's deltas
+    # and, per own units q, the (s*, lowest v, highest v) of each nonempty
+    # family, s* = r being the empty walk.  Grid points y = rho + unit*t
+    # reached in r, as t-spans per residue rho.
     layout, reached = [], []
     for r in range(n):
         occupant = _occupants(perm[r])
         other = [s for s in range(n) if s != r]
-        c = [assigned[r][k] - chain[r][k] for k in occupant]
+        c = [assigned[r][k] - chain[r][k] for k in occupant]  # c[r] = 0
         e = [[(ck - cs) // unit for ck in c] for cs in c]
-        zero_caps = [c[k] // unit for k in other]
-        zero_ok = all(z >= 0 for z in zero_caps)
         # Family s* reaches y = residue + unit*t at t = v + offset - q, and
         # its chain alone asks v*unit >= c_s* and v + e_k >= 0.
         residue = [-cs % unit for cs in c]
@@ -724,14 +709,14 @@ def _best_response(instance, objective, grid, rows, agent_index):
         lowest = [
             max(0, -offset[s], *(-e[s][k] for k in other if k != s)) for s in range(n)
         ]
-        runs, spans = [], {0: []}
-        reached_by = [spans.setdefault(residue[s], []) for s in other]
+        runs, spans = [], {}
+        reached_by = [spans.setdefault(rho, []) for rho in residue]
         cap_runs = _cap_runs(keys, welfare, r, a, unit, total)
         for (q0, delta), (q1, _) in zip(cap_runs, cap_runs[1:] + [(total + 1, None)]):
             deltas = [delta[s] for s in other]
             terms = [
                 _level_terms(total, [(delta[k], e[s][k]) for k in other if k != s])
-                for s in other
+                for s in range(n)
             ]
             boxes = []
             # No cap falls below 0.
@@ -739,12 +724,9 @@ def _best_response(instance, objective, grid, rows, agent_index):
                 need = total - q
                 if sum(min(q + d, need) for d in deltas) < need:
                     continue
-                zero = zero_ok and sum(min(q + d, z) for d, z in zip(deltas, zero_caps)) >= need
-                if zero:
-                    spans[0].append((-q, -q))
                 families = []
-                for s, d, bound, into in zip(other, deltas, terms, reached_by):
-                    hi = min(q + d, need)
+                for s, bound, into in zip(range(n), terms, reached_by):
+                    hi = 0 if s == r else min(q + delta[s], need)
                     if lowest[s] > hi:
                         continue
                     lo = max(lowest[s], _level_at(bound, q))
@@ -752,8 +734,8 @@ def _best_response(instance, objective, grid, rows, agent_index):
                         families.append((s, lo, hi))
                         shift = offset[s] - q
                         into.append((lo + shift, hi + shift))
-                if zero or families:
-                    boxes.append((q, zero, families))
+                if families:
+                    boxes.append((q, families))
             runs.append((delta, boxes))
         layout.append((other, c, e, residue, offset, runs))
         reached.append({rho: _merge(sorted(found)) for rho, found in spans.items()})
@@ -780,18 +762,13 @@ def _best_response(instance, objective, grid, rows, agent_index):
             continue
         for delta, boxes in runs:
             # The least level of a family's free rooms after s*.
-            after = {
-                s: _level_terms(total, [(delta[k], e[s][k]) for k in other if k > s])
-                for s in other
-            }
-            for q, zero, families in boxes:
+            after = [
+                _level_terms(total, [(delta[k], e[s][k]) for k in other if k > s])
+                for s in range(n)
+            ]
+            for q, families in boxes:
                 need = total - q
                 caps = [q + d for d in delta]
-                if zero and any(t1 <= -q <= t2 for t1, t2 in optimal[r].get(0, ())):
-                    free = [(k, min(caps[k], c[k] // unit)) for k in other]
-                    row = _lex_first(n, [(r, q)], free, need)
-                    if first is None or row < first:
-                        first, pick = row, (r, -q * unit)
                 for s, lo, hi in families:
                     shift = q - offset[s]  # v = t + shift
                     spans = [
@@ -804,7 +781,8 @@ def _best_response(instance, objective, grid, rows, agent_index):
                     empty = _level_at(after[s], q)
                     v = next((max(v1, empty) for v1, v2 in spans if v2 >= empty), spans[-1][1])
                     free = [(k, min(caps[k], v + e[s][k])) for k in other if k != s]
-                    row = _lex_first(n, [(r, q), (s, v)], free, need - v)
+                    # (r, q) last: the empty walk holds v = 0 at s* = r.
+                    row = _lex_first(n, [(s, v), (r, q)], free, need - v)
                     if first is None or row < first:
                         first, pick = row, (r, (v - q) * unit - c[s])
 
@@ -847,18 +825,19 @@ def coalition_search(
     The search stops, converged, as soon as every member's row is a best
     response to the current rows of the others, or unconverged after
     MAX_ROUNDS rounds.  Returns (reported_matrix, achieved_value, converged),
-    the value measured against the true values.  A member's ties go to its
-    lexicographically smallest row.  The true rows are candidates only when
-    ``step`` divides every member's true values; only then can the value
-    never be worse than honesty's.
+    the value measured against the true values on the outcome ``_search``
+    builds.  A member's ties go to its lexicographically smallest row.  The
+    true rows are candidates only when ``step`` divides every member's true
+    values; only then can the value never be worse than honesty's.
     """
-    return _search(instance, true_matrix, coalition, objective, step)[1:4]
+    _, reported, converged, outcome = _search(instance, true_matrix, coalition, objective, step)
+    return reported, objective.value(instance, true_matrix, outcome), converged
 
 
 def _coalition_search(instance, true_matrix, coalition, objective, step):
-    """``coalition_search``'s result plus the mechanism's ``Outcome``s on the
-    truth and on the returned reports: (reported_matrix, achieved_value,
-    converged, honest, manipulated).
+    """(reported_matrix, converged, honest, manipulated): the search of
+    ``coalition_search`` and the mechanism's ``Outcome``s on the truth and
+    on the returned reports, on which the caller evaluates the objective.
 
     Both come from the search's integer form, with no ``Fraction`` Hungarian.
     The honest assignment is the canonical optimum of the scaled truth
@@ -866,27 +845,27 @@ def _coalition_search(instance, true_matrix, coalition, objective, step):
     every tie, so it is ``pricing.solve``'s; ``pricing.maximin_prices``
     prices it.
     """
-    grid, reported, value, converged, manipulated = _search(
+    grid, reported, converged, manipulated = _search(
         instance, true_matrix, coalition, objective, step
     )
     perm, _ = matching.canonical_optimum(grid.truth)
     honest = pricing.maximin_prices(
         instance, true_matrix, Assignment.from_indices(instance, perm), _validated=True
     )
-    return reported, value, converged, honest, manipulated
+    return reported, converged, honest, manipulated
 
 
 def _search(instance, true_matrix, coalition, objective, step):
-    """(grid, reported_matrix, achieved_value, converged, manipulated): the
-    coordinate ascent of ``coalition_search`` on its ``_Grid``, and the
-    mechanism's ``Outcome`` on the returned reports.  The reports live as
-    the grid's integer rows; the returned matrix is built from them once.
+    """(grid, reported_matrix, converged, manipulated): the coordinate ascent
+    of ``coalition_search`` on its ``_Grid``, and the mechanism's
+    ``Outcome`` on the returned reports, unscored.  The reports live as the
+    grid's integer rows; the returned matrix is built from them once.
 
     The last best response was scored with every other row at its value in
     the returned matrix, so its winning candidate's assignment and payments
     are those of ``pricing.solve`` on that matrix, converged or not; the
-    outcome is built from them without solving again.  ``coalition_search``
-    stops here: the honest outcome's leximin LP can cost more than a search.
+    outcome is built from them without solving again.  Only
+    ``_coalition_search`` prices the truth: its leximin LP can cost more.
     """
     _check_objective(instance, objective)
     coalition = set(coalition)
@@ -915,5 +894,4 @@ def _search(instance, true_matrix, coalition, objective, step):
     )
     assignment = Assignment.from_indices(instance, perm)
     outcome = pricing.priced_outcome(instance, reported, assignment, pay, instance.n * grid.scale)
-    value = objective.value(instance, true_matrix, outcome)
-    return grid, reported, value, settled == len(members), outcome
+    return grid, reported, settled == len(members), outcome

@@ -159,27 +159,33 @@ def render_money(x: Fraction) -> str:
 
 
 def format_exact(x: Fraction) -> str:
-    """An exact string for a rational that ``parse_money`` reads back: the
-    integer; else, when the denominator is 2^a * 5^b, the decimal with
-    max(a, b) places if it has at most MAX_AMOUNT_CHARS characters; else
-    num/den.  So 1/8 prints as 0.125 and 1/3 as 1/3."""
+    """An exact string of at most MAX_AMOUNT_CHARS characters for a rational,
+    which ``parse_money`` reads back: the integer; else, when the
+    denominator is 2^a * 5^b, the decimal with max(a, b) places if it fits;
+    else num/den.  So 1/8 prints as 0.125 and 1/3 as 1/3.  Raises
+    ValidationError when none of them fits."""
     num, den = x.numerator, x.denominator
-    if den == 1:
-        return str(num)
     twos = (den & -den).bit_length() - 1
     odd, fives = den >> twos, 0
     while odd % 5 == 0:
         odd //= 5
         fives += 1
     places = max(twos, fives)
-    if odd == 1 and places < MAX_AMOUNT_CHARS:
+    if odd == 1 and 0 < places < MAX_AMOUNT_CHARS:
         digits = abs(num) * 10**places // den
         if digits < _DIGITS_LIMIT:  # so that str may print it
             s = str(digits).rjust(places + 1, "0")
             s = f"{'-' if num < 0 else ''}{s[:-places]}.{s[-places:]}"
             if len(s) <= MAX_AMOUNT_CHARS:
                 return s
-    return f"{num}/{den}"
+    if -_DIGITS_LIMIT < num < _DIGITS_LIMIT and den < _DIGITS_LIMIT:  # likewise
+        s = f"{num}/{den}" if den > 1 else str(num)
+        if len(s) <= MAX_AMOUNT_CHARS:
+            return s
+    raise ValidationError(
+        f"cannot write the amount {abbreviate(x)} exactly: it takes more than "
+        f"{MAX_AMOUNT_CHARS} characters"
+    )
 
 
 @dataclass(frozen=True)

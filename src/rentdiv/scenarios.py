@@ -258,9 +258,10 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(s: Scenario, path) -> None:
+    """Write the scenario as JSON, rendered whole before the file is opened."""
+    text = json.dumps(scenario_to_dict(s), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from rentdiv.cli import (
     TARGET_ROOMS_GRAMMAR,
     main,
 )
+from rentdiv.manipulation import MinimizeCoalitionPayments
 from rentdiv.model import parse_money
 from rentdiv.scenarios import BUILTIN_SLUGS, builtin_scenario, load_scenario, save_scenario
 
@@ -480,6 +481,31 @@ class TestManipulate:
         assert doc["objective_satisfied"] is True
         reported = doc["reported_values"]["A"]
         assert reported == ["15", "2", "1", "9", "9"]
+
+    def test_search_evaluates_the_objective_once_per_side(
+        self, baseline_file, capsys, monkeypatch
+    ):
+        # Once on the manipulated outcome and once on the honest one, both
+        # in the deviation report; the search itself scores on its grid.
+        seen = []
+        real = MinimizeCoalitionPayments.value
+
+        def counted(self, *args):
+            seen.append(args[-1])
+            return real(self, *args)
+
+        monkeypatch.setattr(MinimizeCoalitionPayments, "value", counted)
+        argv = ["manipulate", baseline_file, "--coalition", "D", "--objective",
+                "min-pay:D", "--search", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+
+        def paid(side):
+            price = doc[side]["prices"][doc[side]["assignment"]["D"]]
+            return Fraction(price["num"], price["den"])
+
+        assert [o.payment_of("D") for o in seen] == [paid("manipulated"), paid("honest")]
+        assert paid("manipulated") < paid("honest")
 
     def test_search_exit_budget(self, baseline_file):
         code = main(

@@ -32,7 +32,6 @@ from rentdiv.manipulation import (
     _room_tables,
     coalition_search,
     evaluate_deviation,
-    objective_satisfied,
     template_defensive,
     template_exclusionary,
     template_flatten,
@@ -75,23 +74,19 @@ class TestObjectives:
     def test_predicate_vs_optimization_semantics(self, baseline):
         inst, truth = baseline
         honest = solve(inst, truth)
+
+        def satisfied(objective):
+            return manipulation._deviation_report(
+                inst, truth, honest, honest, objective
+            ).objective_satisfied
+
         # Honesty never *strictly improves* on itself.
-        assert not objective_satisfied(
-            inst, truth, honest, honest, MinimizeCoalitionPayments(("D",))
-        )
-        assert not objective_satisfied(
-            inst, truth, honest, honest, MaximizeTrueUtility("D")
-        )
-        assert not objective_satisfied(
-            inst, truth, honest, honest, MinimizeCoalitionPayments(("D", "E"))
-        )
+        assert not satisfied(MinimizeCoalitionPayments(("D",)))
+        assert not satisfied(MaximizeTrueUtility("D"))
+        assert not satisfied(MinimizeCoalitionPayments(("D", "E")))
         # Predicates just check the condition on the manipulated outcome.
-        assert objective_satisfied(
-            inst, truth, honest, honest, SubsidizeAgent("D", "R1", F(46, 5))
-        )
-        assert not objective_satisfied(
-            inst, truth, honest, honest, ExcludeFromRooms(("D",), ("R1",))
-        )
+        assert satisfied(SubsidizeAgent("D", "R1", F(46, 5)))
+        assert not satisfied(ExcludeFromRooms(("D",), ("R1",)))
 
     def test_objective_value_uses_true_preferences(self):
         sc = builtin_scenario("exclusionary-collusion")
@@ -1015,12 +1010,15 @@ class TestSearchOutcome:
 
     @staticmethod
     def search(inst, truth, coalition, objective, step=F(1)):
-        reported, value, converged, honest, outcome = manipulation._coalition_search(
+        reported, converged, honest, outcome = manipulation._coalition_search(
             inst, truth, coalition, objective, step
         )
         assert honest == solve(inst, truth)
         assert outcome == solve(inst, reported)
-        assert value == objective.value(inst, truth, outcome)
+        value = objective.value(inst, truth, outcome)
+        assert coalition_search(inst, truth, coalition, objective, step) == (
+            reported, value, converged
+        )
         return converged
 
     def test_random_tie_heavy_instances(self):
@@ -1114,5 +1112,6 @@ class TestSearchOutcome:
         objective = MinimizeCoalitionPayments(("D", "E"))
         assert not self.search(inst, truth, ("D", "E"), objective)
         # The budget bounds one best response; a k-member search runs at
-        # most MAX_ROUNDS * k of them.
-        assert calls == [3, 4]
+        # most MAX_ROUNDS * k of them.  ``search`` runs it twice, through
+        # ``_coalition_search`` and through ``coalition_search``.
+        assert calls == [3, 4] * 2

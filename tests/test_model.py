@@ -1,5 +1,6 @@
 """Domain model: exact money parsing, validation, assignments and outcomes."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rentdiv.model import (
+    MAX_AMOUNT_CHARS,
     Assignment,
     DimensionMismatch,
     Instance,
@@ -55,6 +57,11 @@ AMOUNT_STRINGS = st.one_of(
         st.integers(0, 2000),
     ),
 )
+
+
+def _chars(n: int) -> int:
+    """Characters of ``str(n)``, or 4001 for more than 4,000 digits."""
+    return len(str(n)) if -(10**4000) < n < 10**4000 else 4001
 
 
 class TestMoney:
@@ -188,6 +195,49 @@ class TestMoney:
     def test_format_exact_round_trips(self, s):
         x = parse_money(s)
         assert parse_money(format_exact(x)) == x
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            Fraction(1, 10**3999 + 1),  # 4,002 characters as a/b
+            Fraction(-(10**3999)),  # 4,001 characters
+            Fraction(10**4500 + 1),  # past Python's 4,300-digit limit
+            Fraction(1, 3**10000),  # a 4,772-digit denominator
+            Fraction(1, 2**13300),  # 13,300 places, or 4,006 characters as a/b
+        ],
+        ids=["ratio", "integer", "digit-limit", "denominator-digit-limit", "power-of-two"],
+    )
+    def test_format_exact_refuses_past_the_cap(self, x):
+        with pytest.raises(ValidationError, match="more than 4000 characters"):
+            format_exact(x)
+
+    # Numerators and denominators of up to about 4,500 digits (15,000 bits),
+    # the denominators' odd part times 2^twos * 5^fives, so that some write
+    # as decimals.  The integers are drawn from ``seed``: hypothesis prints
+    # its arguments, and Python cannot print an integer past 4,300 digits.
+    @given(
+        negative=st.booleans(),
+        num_bits=st.integers(0, 15000),
+        odd_bits=st.integers(0, 15000),
+        twos=st.integers(0, 15000),
+        fives=st.integers(0, 6500),
+        seed=st.integers(0, 2**32),
+    )
+    @example(negative=False, num_bits=1, odd_bits=0, twos=3998, fives=0, seed=0)
+    @example(negative=True, num_bits=13300, odd_bits=0, twos=0, fives=0, seed=0)
+    def test_format_exact_fits_the_cap_or_refuses(
+        self, negative, num_bits, odd_bits, twos, fives, seed
+    ):
+        rng = random.Random(seed)
+        num = rng.getrandbits(num_bits) * (-1 if negative else 1)
+        x = Fraction(num, (rng.getrandbits(odd_bits) | 1) * 2**twos * 5**fives)
+        try:
+            s = format_exact(x)
+        except ValidationError:
+            # Refused only when even num/den would pass the cap.
+            assert _chars(x.numerator) + 1 + _chars(x.denominator) > MAX_AMOUNT_CHARS
+        else:
+            assert len(s) <= MAX_AMOUNT_CHARS and parse_money(s) == x
 
     @given(st.integers(min_value=-10**6, max_value=10**6))
     def test_cent_grid_round_trip(self, cents):

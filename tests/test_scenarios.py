@@ -13,6 +13,7 @@ from rentdiv.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from rentdiv.model import (
     Assignment,
     PriceVector,
+    ValidationError,
     build_outcome,
     compute_utilities,
     format_exact,
@@ -21,6 +22,7 @@ from rentdiv.model import (
 from rentdiv.scenarios import (
     BUILTIN_SLUGS,
     ParseError,
+    Scenario,
     builtin_scenario,
     builtin_scenarios,
     load_scenario,
@@ -158,6 +160,25 @@ class TestRoundTrip:
         back = load_scenario(path)
         assert back.instance == sc.instance
         assert back.reported_matrix == sc.reported_matrix
+
+    @pytest.mark.parametrize("digits", [800, 1990])
+    def test_save_refuses_prices_past_the_amount_cap(self, tmp_path, digits):
+        # Values 1/p, 2/p, (3p - 3)/p for pairwise-coprime p = 10^digits + 1,
+        # 3, 7.  The exact prices as a/b pass 4,000 characters (800 digits)
+        # or Python's 4,300-digit limit (1,990): one ValidationError, and no
+        # file is created or changed.
+        ps = [10**digits + d for d in (1, 3, 7)]
+        inst, mat = make_instance([(F(1, p), F(2, p), F(3 * p - 3, p)) for p in ps])
+        sc = Scenario("Long prices", "long-prices", inst, mat, expected=pricing.solve(inst, mat))
+        path = tmp_path / "house.json"
+        with pytest.raises(ValidationError, match="more than 4000 characters"):
+            save_scenario(sc, path)
+        assert not path.exists()
+        save_scenario(builtin_scenario("baseline"), path)
+        before = path.read_bytes()
+        with pytest.raises(ValidationError):
+            save_scenario(sc, path)
+        assert path.read_bytes() == before
 
     def test_to_dict_uses_exact_strings(self):
         sc = builtin_scenario("baseline")
