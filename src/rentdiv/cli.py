@@ -377,6 +377,7 @@ def cmd_manipulate(args, out) -> int:
     ):
         if value is not None and mode != reader:
             raise ParseError(f"{flag} is read only with {reader}, not with {mode}")
+    converged = True  # a template builds its reports in one pass
     if args.template:
         if not coalition:
             raise ParseError("--template needs --coalition")
@@ -425,7 +426,7 @@ def cmd_manipulate(args, out) -> int:
     else:
         # The search solves the mechanism on the truth and on the reports it
         # returns, both on its own integer form.
-        reported, _, honest, manipulated = manipulation._coalition_search(
+        reported, converged, honest, manipulated = manipulation._coalition_search(
             instance, true_matrix, coalition, objective, step
         )
     report = manipulation._deviation_report(
@@ -447,6 +448,12 @@ def cmd_manipulate(args, out) -> int:
             )
     else:
         _deviation_text(instance, report, out)
+    if not converged:
+        # After the answer is rendered, so a refusal never follows it.
+        _err(
+            f"the search stopped at its round limit (MAX_ROUNDS = {manipulation.MAX_ROUNDS}) "
+            "without converging; the reports are its last best responses"
+        )
     return EXIT_OK
 
 

@@ -1,9 +1,10 @@
 """Envy-free maximin pricing over exact rationals.
 
 Given a welfare-maximizing assignment, the envy-free price vectors form a
-polytope: one budget equality plus n*(n-1) envy inequalities.  The price
-vector returned here maximizes the minimum utility and then applies a leximin
-refinement so the result is canonical.
+polytope: one budget equality plus n*(n-1) envy inequalities, of which the
+leximin LP keeps only the tight ones (below).  The price vector returned here
+maximizes the minimum utility and then applies a leximin refinement so the
+result is canonical.
 
 The exact routes run on one integer form per operation (``integer_form``):
 the values and the rent scaled by their common denominator, and by a
@@ -27,7 +28,9 @@ through ``payment_numerators``, into the mechanism's ``Outcome``:
   surplus) and prices may be negative;
 - otherwise the leximin LP (``_leximin_utilities``): two-phase simplex with
   Bland's rule, phase 1 started from the slack basis, maximizing the minimum
-  utility and freezing forced agents.
+  utility and freezing forced agents.  Its envy rows are only the tight ones,
+  where the edge i -> k is itself a heaviest chain; every other envy row is
+  implied by a chain of tight ones, so the optima are those of all n*(n-1).
 
 ``solve`` is ``maximin_prices`` on the canonical welfare-maximizing
 assignment (``matching.max_welfare_assignment``).
@@ -388,21 +391,21 @@ def is_envy_free(
     ]
 
 
-def _maximin_lp(rows, rent, sigma, floors, nonnegative_prices, objective_agent=None):
+def _maximin_lp(rows, rent, sigma, envy, floors, nonnegative_prices, objective_agent=None):
     """LP over variables (p_0..p_{n-1}, t) on the integer form ``rows``,
-    ``rent``: maximize t (or u_a) subject to EF, budget balance, u_i >=
-    floors[i] where given, and p_j >= 0 when ``nonnegative_prices``."""
+    ``rent``: maximize t (or u_a) subject to "agent i does not envy room j"
+    for each (i, j) in ``envy``, budget balance, u_i >= floors[i] where
+    given, and p_j >= 0 when ``nonnegative_prices``.  ``_leximin_utilities``
+    passes the tight pairs only (``_tight_envy``)."""
     n = len(rows)
     nv = n + 1  # prices + t
     lp_rows = []
-    for row, si in zip(rows, sigma):
-        for j in range(n):
-            if j == si:
-                continue
-            coeffs = [0] * nv
-            coeffs[si] = 1
-            coeffs[j] = -1
-            lp_rows.append((coeffs, LE, row[si] - row[j]))
+    for i, j in envy:
+        row, si = rows[i], sigma[i]
+        coeffs = [0] * nv
+        coeffs[si] = 1
+        coeffs[j] = -1
+        lp_rows.append((coeffs, LE, row[si] - row[j]))
     lp_rows.append(([1] * n + [0], EQ, rent))
     for row, si, floor in zip(rows, sigma, floors):
         coeffs = [0] * nv
@@ -465,9 +468,34 @@ def priced_outcome(instance, matrix, assignment, pay, denominator):
     return build_outcome(instance, matrix, assignment, PriceVector.from_list(instance, prices))
 
 
+def _tight_envy(rows, sigma):
+    """(i, sigma[k]) for every i != k whose envy edge d[i][k] equals the
+    closure C[i][k], in agent and then room order.
+
+    Without a positive envy cycle, every edge on a heaviest i -> k walk is
+    tight (a slack one could be replaced by a heavier walk), so the tight
+    rows imply u_i - u_k >= C[i][k] >= d[i][k]: the rows dropped here cut
+    nothing from the envy-free polytope.
+    """
+    d = envy_matrix(rows, sigma)
+    closed = envy_closure(d)
+    holder = {j: k for k, j in enumerate(sigma)}
+    return [
+        (i, j)
+        for i, (edges, chains) in enumerate(zip(d, closed))
+        for j in range(len(sigma))
+        if (k := holder[j]) != i and edges[k] == chains[k]
+    ]
+
+
 def _leximin_utilities(rows, rent, sigma, nonnegative_prices):
     """Leximin utilities on the integer form ``rows``, ``rent`` (times its
     scale): iteratively maximize the minimum utility, freezing forced agents.
+
+    Precondition: sigma has no positive envy cycle, which ``_maximin_level``
+    has checked.  Every LP then carries only the tight envy rows
+    (``_tight_envy``); the feasible set of each round and probe, and so every
+    optimal value and the result, are those of all n*(n-1) rows.
 
     An agent whose utility sits strictly above the current optimum in the
     returned solution is witnessed as unforced; agents at the optimum are
@@ -475,9 +503,10 @@ def _leximin_utilities(rows, rent, sigma, nonnegative_prices):
     objective.
     """
     n = len(rows)
+    envy = _tight_envy(rows, sigma)
     floors = [None] * n
     while any(f is None for f in floors):
-        res = simplex_solve(_maximin_lp(rows, rent, sigma, floors, nonnegative_prices))
+        res = simplex_solve(_maximin_lp(rows, rent, sigma, envy, floors, nonnegative_prices))
         if res.status != "optimal":
             # Without the price floor the program is feasible for every
             # welfare-maximizing assignment, and each later round keeps the
@@ -495,7 +524,7 @@ def _leximin_utilities(rows, rent, sigma, nonnegative_prices):
             if u_now[i] > t_star:
                 continue  # current solution witnesses u_i above the level
             probe = simplex_solve(
-                _maximin_lp(rows, rent, sigma, trial, nonnegative_prices, objective_agent=i)
+                _maximin_lp(rows, rent, sigma, envy, trial, nonnegative_prices, objective_agent=i)
             )
             if probe.status != "optimal":  # pragma: no cover
                 raise AssertionError(f"freeze probe is {probe.status}")

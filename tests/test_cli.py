@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import long_decimal_house, subprocess_env
-from rentdiv import cli, matching, oracles, pricing
+from rentdiv import cli, manipulation, matching, oracles, pricing
 from rentdiv.cli import (
     COALITION_GRAMMAR,
     CONTESTED_GRAMMAR,
@@ -506,6 +506,26 @@ class TestManipulate:
 
         assert [o.payment_of("D") for o in seen] == [paid("manipulated"), paid("honest")]
         assert paid("manipulated") < paid("honest")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("rounds", [1, None])
+    def test_unconverged_search_says_so(self, baseline_file, capsys, monkeypatch, fmt, rounds):
+        # (D, E) settles in the second round; one round stops it short.
+        # stdout still holds the whole answer, and stderr one line.
+        if rounds is not None:
+            monkeypatch.setattr(manipulation, "MAX_ROUNDS", rounds)
+        argv = ["manipulate", baseline_file, "--coalition", "D,E", "--objective",
+                "min-pay:D,E", "--search", "--format", fmt]
+        assert main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ("" if rounds is None else (
+            "rentdiv: the search stopped at its round limit (MAX_ROUNDS = 1) without "
+            "converging; the reports are its last best responses\n"
+        ))
+        if fmt == "json":
+            assert set(json.loads(out)) >= {"honest", "manipulated", "reported_values"}
+        else:
+            assert out.endswith("objective satisfied: yes\n")
 
     def test_search_exit_budget(self, baseline_file):
         code = main(

@@ -39,6 +39,8 @@ from rentdiv.pricing import (
     NotWelfareMaximizing,
     _leximin_utilities,
     _maximin_level,
+    _maximin_lp,
+    _tight_envy,
     envy_closure,
     envy_matrix,
     integer_form,
@@ -474,6 +476,93 @@ class TestMaximin:
             assert maximin_prices(inst, mat, out.assignment) == out
             routes.add(any(_level_and_chains(inst, mat, out.assignment)[1]))
         assert routes == {False, True}
+
+
+class TestTightEnvyRows:
+    """The leximin LP carries only the envy rows that are tight on the
+    closure; the rest are implied by chains of tight ones.  Held against the
+    LP over all n*(n-1) envy rows, on tie-heavy houses."""
+
+    @staticmethod
+    def houses():
+        rng = random.Random(29)
+        for trial in range(24):
+            n = 2 + trial % 6
+            yield make_instance(random_rows(rng, n, total=rng.choice((6, 36))))
+        # Rows in halves, thirds and fifths (an integer form of scale 30),
+        # with three positive chains.
+        rng = random.Random(0)
+        rows = [[v / d for v in random_rows(rng, 4, 12 * d)[0]] for d in (2, 3, 5, 2)]
+        yield make_instance(rows, total=12)
+
+    def test_kept_rows_have_the_optima_of_all_rows(self):
+        rng = random.Random(2029)
+        dropped = probed = 0
+        for inst, mat in self.houses():
+            n = inst.n
+            assignment = max_welfare_assignment(inst, mat).assignment
+            (_, rows, rent), sigma, level, _ = _maximin_level(inst, mat, assignment)
+            every = [(i, j) for i in range(n) for j in range(n) if j != sigma[i]]
+            kept = _tight_envy(rows, sigma)
+            assert set(kept) <= set(every)
+            rest = [pair for pair in every if pair not in kept]
+            dropped += len(rest)
+            for nonnegative_prices in (False, True):
+                # Floors within 3/n of t* (level is n*t*), some of them
+                # above what the envy-free prices allow.
+                floors = [
+                    None if rng.random() < 0.4 else F(level + rng.randint(-3, 3), n)
+                    for _ in range(n)
+                ]
+                for agent in (None, *range(n)):
+                    args = (floors, nonnegative_prices, agent)
+                    tight = simplex_solve(_maximin_lp(rows, rent, sigma, kept, *args))
+                    full = simplex_solve(_maximin_lp(rows, rent, sigma, every, *args))
+                    assert tight.status == full.status
+                    if tight.status != "optimal":
+                        continue
+                    probed += 1
+                    assert tight.objective_value == full.objective_value
+                    x = tight.x
+                    for i, j in rest:
+                        assert x[sigma[i]] - x[j] <= rows[i][sigma[i]] - rows[i][j]
+        assert dropped > 100 and probed > 100
+
+    def test_leximin_lps_carry_the_tight_closure_edges(self, monkeypatch):
+        from rentdiv.scenarios import builtin_scenario
+
+        sc = builtin_scenario("exclusionary-collusion")
+        inst, mat = sc.instance, sc.reported_matrix
+        n = inst.n
+        sigma = max_welfare_assignment(inst, mat).assignment.to_indices(inst)
+        _, rows, _ = integer_form(mat.values, inst.total_rent)
+        d = envy_matrix(rows, sigma)
+        closed = envy_closure(d)
+        tight = {
+            (sigma[i], sigma[k])
+            for i in range(n)
+            for k in range(n)
+            if i != k and d[i][k] == closed[i][k]
+        }
+        assert len(tight) < n * (n - 1)
+        seen = []
+        real = pricing.simplex_solve
+
+        def recording(lp):
+            seen.append(lp)
+            return real(lp)
+
+        monkeypatch.setattr(pricing, "simplex_solve", recording)
+        solve(inst, mat)
+        assert seen
+        for lp in seen:
+            envy = {
+                (coeffs.index(1), coeffs.index(-1))
+                for coeffs, _, _ in lp.rows
+                if 1 in coeffs[:n] and -1 in coeffs[:n]
+            }
+            assert envy == tight
+            assert len(lp.rows) == len(tight) + 1 + n
 
 
 class TestValidateOnce:
