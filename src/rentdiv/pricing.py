@@ -31,6 +31,9 @@ through ``payment_numerators``, into the mechanism's ``Outcome``:
   utility and freezing forced agents.  Its envy rows are only the tight ones,
   where the edge i -> k is itself a heaviest chain; every other envy row is
   implied by a chain of tight ones, so the optima are those of all n*(n-1).
+  The tableau has one column per variable: the free prices and level t
+  enter rising or, negated in place, falling.  The price floor
+  (``nonnegative_prices``) is the prices' sign, not n more rows.
 
 ``solve`` is ``maximin_prices`` on the canonical welfare-maximizing
 assignment (``matching.max_welfare_assignment``).
@@ -101,26 +104,29 @@ class SimplexResult:
 
 
 def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
     trow = tableau[row]
-    inv = 1 / piv
-    for j in range(len(trow)):
-        if trow[j]:
-            trow[j] *= inv
+    inv = 1 / trow[col]
+    nonzero = [j for j, a in enumerate(trow) if a]
+    for j in nonzero:
+        trow[j] *= inv
     for r, other in enumerate(tableau):
-        if r != row and other[col]:
-            f = other[col]
-            for j in range(len(other)):
-                if trow[j]:
-                    other[j] -= f * trow[j]
+        f = other[col]
+        if f and r != row:
+            for j in nonzero:
+                other[j] -= f * trow[j]
     basis[row] = col
 
 
-def _run_simplex(tableau, basis, ncols):
+def _run_simplex(tableau, basis, ncols, free, sign):
     """Maximize; objective stored (negated) in the last tableau row.
 
     Bland's rule: entering = lowest eligible column, leaving = lowest-index
-    basic variable among the minimum-ratio rows.
+    basic variable among the minimum-ratio rows.  A column is eligible when
+    raising its variable would raise the objective; a nonbasic free column
+    also when lowering it would, and it is then negated in place (``sign``
+    records the flip) so that it enters rising.  A row whose basic variable
+    is free bounds nothing and never leaves, so each free variable enters
+    at most once.
     """
     zero = Fraction(0)
     obj = tableau[-1]
@@ -128,16 +134,21 @@ def _run_simplex(tableau, basis, ncols):
     while True:
         col = -1
         for j in range(ncols):
-            if obj[j] < zero:
+            c = obj[j]
+            if c < zero or (c > zero and free[j]):
                 col = j
                 break
         if col < 0:
             return "optimal"
+        if obj[col] > zero:
+            for trow in tableau:
+                trow[col] = -trow[col]
+            sign[col] = -sign[col]
         row = -1
         best_ratio = None
         for r in range(m):
             a = tableau[r][col]
-            if a > zero:
+            if a > zero and not free[basis[r]]:
                 ratio = tableau[r][-1] / a
                 if (
                     best_ratio is None
@@ -154,59 +165,35 @@ def _run_simplex(tableau, basis, ncols):
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Exact optimal basic solution of an LP; deterministic for a given LP.
 
-    Phase 1 starts from the slack basis: only equalities and '<=' rows with a
-    negative right-hand side get an artificial variable."""
+    Each variable has one tableau column.  A free variable's column is
+    negated whenever the variable enters falling, and its value is read back
+    with that sign.  Phase 1 starts from the slack basis: only equalities and
+    '<=' rows with a negative right-hand side get an artificial variable, so
+    the tableau is nv + slacks + artificials + 1 wide."""
     zero = Fraction(0)
     one = Fraction(1)
-
-    # Column layout: free variables split into (+, -) halves.
-    col_of_var = []  # var -> (pos_col, neg_col | None)
-    ncols = 0
-    for is_free in lp.free:
-        if is_free:
-            col_of_var.append((ncols, ncols + 1))
-            ncols += 2
-        else:
-            col_of_var.append((ncols, None))
-            ncols += 1
-
+    nv = len(lp.objective)
     m = len(lp.rows)
-    rows = []
-    rels = []
-    rhs = []
-    for coeffs, rel, b in lp.rows:
-        expanded = [zero] * ncols
-        for v, c in enumerate(coeffs):
-            if c:
-                pos, neg = col_of_var[v]
-                expanded[pos] += to_rational(c)
-                if neg is not None:
-                    expanded[neg] -= to_rational(c)
-        rows.append(expanded)
-        rels.append(rel)
-        rhs.append(to_rational(b))
 
-    # Slacks for inequalities.
-    nslack = sum(1 for rel in rels if rel == LE)
+    # Slacks for inequalities, in the columns after the variables.
     slack_col = {}
-    k = ncols
-    for r, rel in enumerate(rels):
+    for r, (_, rel, _) in enumerate(lp.rows):
         if rel == LE:
-            slack_col[r] = k
-            k += 1
-    total_struct = ncols + nslack
+            slack_col[r] = nv + len(slack_col)
+    total_struct = nv + len(slack_col)
 
     # Normalize to b >= 0.  A '<=' row whose slack keeps coefficient +1
     # starts with that slack basic; the other rows (equalities and negated
     # '<=' rows) each get an artificial, in columns after the slacks.
+    rhs = [to_rational(b) for _, _, b in lp.rows]
     needs_artificial = [r not in slack_col or rhs[r] < zero for r in range(m)]
     nart = sum(needs_artificial)
     width = total_struct + nart + 1
     artificial_cols = iter(range(total_struct, total_struct + nart))
     tableau = []
     basis = []
-    for r in range(m):
-        row = rows[r] + [zero] * (nslack + nart + 1)
+    for r, (coeffs, _, _) in enumerate(lp.rows):
+        row = [to_rational(c) if c else zero for c in coeffs] + [zero] * (width - nv)
         if r in slack_col:
             row[slack_col[r]] = one
         b = rhs[r]
@@ -220,6 +207,8 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             basis.append(slack_col[r])
         row[-1] = b
         tableau.append(row)
+    free = list(lp.free) + [False] * (width - nv)
+    sign = [1] * nv
 
     # Phase 1: minimize the sum of artificials (maximize its negation).
     phase1 = [zero] * width
@@ -230,7 +219,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     for j in range(total_struct, total_struct + nart):
         phase1[j] = zero
     tableau.append(phase1)
-    status = _run_simplex(tableau, basis, total_struct + nart)
+    status = _run_simplex(tableau, basis, total_struct + nart, free, sign)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         raise AssertionError("phase 1 cannot be unbounded")
     if tableau[-1][-1] != zero:
@@ -247,14 +236,11 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             # A row with no structural coefficient is redundant; its
             # artificial stays basic at zero and is simply never entered.
 
-    # Phase 2.
+    # Phase 2, on the columns as phase 1 left their signs.
     obj = [zero] * width
     for v, c in enumerate(lp.objective):
         if c:
-            pos, neg = col_of_var[v]
-            obj[pos] -= to_rational(c)
-            if neg is not None:
-                obj[neg] += to_rational(c)
+            obj[v] = -sign[v] * to_rational(c)
     tableau.append(obj)
     for r in range(m):
         col = basis[r]
@@ -263,19 +249,14 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             for j in range(width):
                 if tableau[r][j]:
                     tableau[-1][j] -= f * tableau[r][j]
-    status = _run_simplex(tableau, basis, total_struct)
+    status = _run_simplex(tableau, basis, total_struct, free, sign)
     if status == "unbounded":
         return SimplexResult(status="unbounded")
 
-    x_cols = [zero] * width
+    x = [zero] * nv
     for r in range(m):
-        x_cols[basis[r]] = tableau[r][-1]
-    x = []
-    for pos, neg in col_of_var:
-        val = x_cols[pos]
-        if neg is not None:
-            val -= x_cols[neg]
-        x.append(val)
+        if basis[r] < nv:
+            x[basis[r]] = sign[basis[r]] * tableau[r][-1]
 
     value = Fraction(0)
     for c, xv in zip(lp.objective, x):
@@ -394,8 +375,10 @@ def is_envy_free(
 def _maximin_lp(rows, rent, sigma, envy, floors, nonnegative_prices, objective_agent=None):
     """LP over variables (p_0..p_{n-1}, t) on the integer form ``rows``,
     ``rent``: maximize t (or u_a) subject to "agent i does not envy room j"
-    for each (i, j) in ``envy``, budget balance, u_i >= floors[i] where
-    given, and p_j >= 0 when ``nonnegative_prices``.  ``_leximin_utilities``
+    for each (i, j) in ``envy``, budget balance, and u_i >= floors[i] where
+    given (u_i >= t elsewhere): len(envy) + 1 + n rows.  t is free; the
+    prices are free too, or nonnegative variables when
+    ``nonnegative_prices``, so the floor adds no row.  ``_leximin_utilities``
     passes the tight pairs only (``_tight_envy``)."""
     n = len(rows)
     nv = n + 1  # prices + t
@@ -417,18 +400,14 @@ def _maximin_lp(rows, rent, sigma, envy, floors, nonnegative_prices, objective_a
         else:
             # u_i >= floor  <=>  p_{sigma(i)} <= v_i(sigma(i)) - floor
             lp_rows.append((coeffs, LE, row[si] - floor))
-    if nonnegative_prices:
-        for j in range(n):
-            coeffs = [0] * nv
-            coeffs[j] = -1
-            lp_rows.append((coeffs, LE, 0))
     objective = [0] * nv
     if objective_agent is None:
         objective[n] = 1
     else:
         # u_a = const - p_{sigma(a)}
         objective[sigma[objective_agent]] = -1
-    return LinearProgram(objective=objective, rows=lp_rows, free=[True] * nv)
+    free = [not nonnegative_prices] * n + [True]
+    return LinearProgram(objective=objective, rows=lp_rows, free=free)
 
 
 def maximin_prices(
@@ -500,7 +479,8 @@ def _leximin_utilities(rows, rent, sigma, nonnegative_prices):
     An agent whose utility sits strictly above the current optimum in the
     returned solution is witnessed as unforced; agents at the optimum are
     confirmed forced (or not) by re-solving with that agent's utility as the
-    objective.
+    objective.  Only optimal values decide a level or a verdict; the optimal
+    vertex the simplex happens to reach only saves probes.
     """
     n = len(rows)
     envy = _tight_envy(rows, sigma)

@@ -1,6 +1,7 @@
 """Envy-free maximin pricing: simplex route, Fourier-Motzkin oracle, leximin,
 envy-chain closure."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -104,10 +105,10 @@ def _vertex_optimum(lp):
     return ("infeasible", None) if best is None else ("optimal", best)
 
 
-def _random_boxed_lp(rng):
-    """1-3 variables, free or nonnegative; 1-4 random '<=' or '==' rows with
-    right-hand sides of both signs, zero and fractions; every variable boxed
-    by |x_j| <= B."""
+def _random_boxed_lp(rng, free_share=0.5):
+    """1-3 variables, each free with probability ``free_share``, else
+    nonnegative; 1-4 random '<=' or '==' rows with right-hand sides of both
+    signs, zero and fractions; every variable boxed by |x_j| <= B."""
     amounts = [F(k) for k in range(-3, 4)] + [F(1, 2), F(-3, 2), F(2, 3), F(-5, 3)]
     nv = rng.randint(1, 3)
     rows = [
@@ -121,8 +122,31 @@ def _random_boxed_lp(rng):
     return LinearProgram(
         objective=[rng.choice(amounts) for _ in range(nv)],
         rows=rows,
-        free=[rng.random() < 0.5 for _ in range(nv)],
+        free=[rng.random() < free_share for _ in range(nv)],
     )
+
+
+def _tableau_width(lp):
+    """nv + slacks + artificials + 1: one column per variable, a slack per
+    '<=' row, an artificial per equality and per '<=' row with b < 0, and
+    the right-hand side."""
+    slacks = sum(rel == LE for _, rel, _ in lp.rows)
+    artificials = sum(rel == EQ or b < 0 for _, rel, b in lp.rows)
+    return len(lp.objective) + slacks + artificials + 1
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """(tableau width, pivot column) of every ``pricing._pivot`` call."""
+    seen = []
+    real = pricing._pivot
+
+    def counted(tableau, basis, row, col):
+        seen.append((len(tableau[0]), col))
+        return real(tableau, basis, row, col)
+
+    monkeypatch.setattr(pricing, "_pivot", counted)
+    return seen
 
 
 def _level_and_chains(inst, mat, assignment):
@@ -200,6 +224,76 @@ class TestSimplex:
         # Both kinds of answer are exercised.
         assert {"optimal", "infeasible"} <= set(statuses)
 
+    def test_all_free_agrees_with_vertex_enumeration(self):
+        # One column per free variable: it enters rising or, negated, falling,
+        # and a row whose basic variable is free never leaves.
+        rng = random.Random(2030)
+        statuses = []
+        for _ in range(300):
+            lp = _random_boxed_lp(rng, free_share=1)
+            assert all(lp.free)
+            status, value = _vertex_optimum(lp)
+            res = simplex_solve(lp)
+            assert res.status == status
+            if status == "optimal":
+                assert res.objective_value == value
+                assert _meets(lp.rows, res.x)
+            statuses.append(status)
+        assert {"optimal", "infeasible"} <= set(statuses)
+        assert sum(s == "optimal" for s in statuses) > 100
+
+    @pytest.mark.parametrize(
+        "objective, status",
+        [([F(1), F(0)], "optimal"), ([F(1), F(1)], "unbounded"), ([F(1), F(-2)], "unbounded")],
+    )
+    def test_free_variable_in_no_row(self, objective, status):
+        # Like t in every freeze probe: a free column of zeros reads 0 when
+        # the objective ignores it, and is unbounded either way when it counts.
+        rows = [([F(1), F(0)], LE, F(3))]
+        lp = LinearProgram(objective=objective, rows=rows, free=[False, True])
+        res = simplex_solve(lp)
+        assert res.status == status
+        if status == "optimal":
+            assert (res.x, res.objective_value) == ([F(3), F(0)], F(3))
+
+    @pytest.mark.parametrize(
+        "objective, rows, x",
+        [
+            # Phase 1 drives x negative to meet the equality; phase 2 keeps it.
+            ([F(0), F(-1)], [([F(1), F(1)], EQ, F(-4)), ([F(0), F(1)], LE, F(2))], [F(-4), F(0)]),
+            # The slack basis is feasible at the origin; phase 2 lowers x.
+            ([F(-1), F(0)], [([F(-1), F(-1)], LE, F(3)), ([F(0), F(1)], LE, F(2))], [F(-5), F(2)]),
+        ],
+    )
+    def test_free_variable_with_negative_optimum(self, objective, rows, x):
+        lp = LinearProgram(objective=objective, rows=rows, free=[True, False])
+        res = simplex_solve(lp)
+        value = sum(c * v for c, v in zip(objective, x))
+        assert (res.status, res.x, res.objective_value) == ("optimal", x, value)
+        assert _vertex_optimum(lp) == ("optimal", value)
+
+    def test_one_column_per_variable(self, pivots):
+        # No (+, -) split: every tableau is nv + slacks + artificials + 1
+        # wide, and every pivot column lies left of the right-hand side.
+        rng = random.Random(2031)
+        lps = [_random_boxed_lp(rng, free_share) for free_share in (0, 0.5, 1) for _ in range(60)]
+        inst, mat = make_instance(TestNonnegativePrices.ROWS, total=36)
+        sigma = max_welfare_assignment(inst, mat).assignment.to_indices(inst)
+        _, rows, rent = integer_form(mat.values, inst.total_rent)
+        envy = _tight_envy(rows, sigma)
+        for nonnegative_prices in (False, True):
+            for agent in (None, 0, 1, 2):
+                floors = [None] * 3 if agent is None else [F(17, 3)] * 3
+                lps.append(_maximin_lp(rows, rent, sigma, envy, floors, nonnegative_prices, agent))
+        total = 0
+        for lp in lps:
+            del pivots[:]
+            simplex_solve(lp)
+            width = _tableau_width(lp)
+            assert all(w == width and col < width - 1 for w, col in pivots)
+            total += len(pivots)
+        assert total > 200
+
     @pytest.mark.parametrize(
         "rows, value, x",
         [
@@ -224,17 +318,9 @@ class TestSimplex:
         assert (res.status, res.objective_value, res.x) == ("optimal", value, x)
         assert _vertex_optimum(lp) == ("optimal", value)
 
-    def test_slack_start_needs_no_pivot(self, monkeypatch):
+    def test_slack_start_needs_no_pivot(self, pivots):
         # '<=' rows with b >= 0 start feasible on their slacks, so an LP whose
         # optimum is the origin is solved without a single pivot.
-        pivots = []
-        real = pricing._pivot
-
-        def counted(*args):
-            pivots.append(args[2:])
-            return real(*args)
-
-        monkeypatch.setattr(pricing, "_pivot", counted)
         lp = LinearProgram(
             objective=[F(-1), F(-1)],
             rows=[([F(1), F(1)], LE, F(3)), ([F(1), F(-2)], LE, F(0))],
@@ -565,6 +651,56 @@ class TestTightEnvyRows:
             assert len(lp.rows) == len(tight) + 1 + n
 
 
+class TestPriceFloorAsSign:
+    """Under the price floor, ``_maximin_lp`` makes the prices nonnegative
+    variables instead of adding n rows -p_j <= 0."""
+
+    def test_prices_are_not_free_under_the_floor(self):
+        inst, mat = make_instance(TestNonnegativePrices.ROWS, total=36)
+        n = inst.n
+        sigma = max_welfare_assignment(inst, mat).assignment.to_indices(inst)
+        _, rows, rent = integer_form(mat.values, inst.total_rent)
+        envy = _tight_envy(rows, sigma)
+        levels = {}
+        for nonnegative_prices in (False, True):
+            for floors, agent in (([None] * n, None), ([F(0)] * n, 0)):
+                lp = _maximin_lp(rows, rent, sigma, envy, floors, nonnegative_prices, agent)
+                assert lp.free == [not nonnegative_prices] * n + [True]
+                assert len(lp.rows) == len(envy) + 1 + n
+            lp = _maximin_lp(rows, rent, sigma, envy, [None] * n, nonnegative_prices)
+            res = simplex_solve(lp)
+            levels[nonnegative_prices] = res.objective_value
+            assert (min(res.x[:n]) >= 0) == nonnegative_prices
+        # Without the floor A's room costs -17/3; with it the level falls to 0.
+        assert levels == {False: F(17, 3), True: F(0)}
+
+    def test_same_optima_as_floor_rows(self):
+        # The same LP with free prices and the n rows -p_j <= 0 has the same
+        # status and optimal value, for rounds and probes at random floors.
+        rng = random.Random(2032)
+        statuses = []
+        for inst, mat in TestTightEnvyRows.houses():
+            n = inst.n
+            assignment = max_welfare_assignment(inst, mat).assignment
+            (_, rows, rent), sigma, level, _ = _maximin_level(inst, mat, assignment)
+            envy = _tight_envy(rows, sigma)
+            floors = [
+                None if rng.random() < 0.4 else F(level + rng.randint(-3, 3), n) for _ in range(n)
+            ]
+            for agent in (None, *range(n)):
+                lp = _maximin_lp(rows, rent, sigma, envy, floors, True, agent)
+                signed = _maximin_lp(rows, rent, sigma, envy, floors, False, agent)
+                for j in range(n):
+                    signed.rows.append(([-1 if k == j else 0 for k in range(n + 1)], LE, 0))
+                by_sign, by_rows = simplex_solve(lp), simplex_solve(signed)
+                assert by_sign.status == by_rows.status
+                statuses.append(by_sign.status)
+                if by_sign.status == "optimal":
+                    assert by_sign.objective_value == by_rows.objective_value
+                    assert min(by_sign.x[:n]) >= 0
+        assert statuses.count("optimal") > 40 and statuses.count("infeasible") > 40
+
+
 class TestValidateOnce:
     # Reports that break the input contract, each as the baseline's rows
     # with one change: a missing row, a short row, a negative value, a row
@@ -650,6 +786,43 @@ class TestNonnegativePrices:
         inst, mat = make_instance(self.ROWS, total=36)
         out = solve(inst, mat, nonnegative_prices=True)
         assert maximin_prices(inst, mat, out.assignment, nonnegative_prices=True) == out
+
+
+class TestLpRouteDigest:
+    """``solve`` on seeded random houses, each with and without the price
+    floor, hashed: the assignment and the exact prices, or the refusal.  A
+    change to the simplex or the leximin loop that moves any answer updates
+    the digest deliberately."""
+
+    DIGEST = "817098beaf933ad5cd6712fa6de045060bea7d897f0bed3b67b652a05829b58a"
+
+    @staticmethod
+    def answers():
+        rng = random.Random(30)
+        for house in range(72):
+            n = 2 + house % 5
+            rent = n * rng.choice((1, 2, 5))  # small rents: ties are common
+            if house % 3 == 2:
+                rows = [[v / 3 for v in row] for row in random_rows(rng, n, 3 * rent)]
+            else:
+                rows = random_rows(rng, n, rent)
+            inst, mat = make_instance(rows, total=rent)
+            for nonnegative_prices in (False, True):
+                try:
+                    out = solve(inst, mat, nonnegative_prices=nonnegative_prices)
+                except RentDivisionError as refused:
+                    yield f"refused: {refused}"
+                else:
+                    prices = " ".join(map(str, out.prices.as_list(inst)))
+                    yield f"{out.assignment.to_indices(inst)} {prices}"
+
+    def test_answers_match_the_digest(self):
+        start = time.perf_counter()
+        answers = list(self.answers())
+        assert time.perf_counter() - start < 5
+        assert sum(a.startswith("refused") for a in answers) > 1
+        digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestCertificates:
