@@ -17,6 +17,10 @@ Objective grammar (OBJECTIVE_GRAMMAR): ``exclude:D,E@R1,R2,R3`` |
 A flag that the chosen mode does not read is refused, not ignored, and an
 empty value is refused, never read as an absent flag.
 
+Every text and csv table, from any command, goes through one writer,
+``_write_table``: a header and rows of cells, as csv or as padded text
+columns.  json documents go through ``_write_json``.
+
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 search
 budget exceeded (n**3 * rent/step over ``manipulation.SEARCH_BUDGET``).  The
 budget bounds one best response; a k-member search runs at most
@@ -85,25 +89,29 @@ def _outcome_json(instance, outcome: Outcome) -> dict:
     }
 
 
-def _print_outcome_text(instance, outcome: Outcome, out):
-    out.write(f"{'room':<6} {'agent':<6} {'price':>8} {'utility':>8}\n")
-    for r in instance.room_ids:
-        a = outcome.assignment.agent_of(r)
-        out.write(
-            f"{r:<6} {a:<6} {render_money(outcome.prices.price_of(r)):>8} "
-            f"{render_money(outcome.utilities[a]):>8}\n"
-        )
-    out.write(f"minimum utility: {render_money(outcome.min_utility)}\n")
+def _write_table(out, fmt, header, rows, widths=None) -> None:
+    """Write ``header`` and ``rows`` as csv, or as text columns joined by one
+    space, each cell padded to its width in ``widths``: a negative width
+    aligns the column left, a positive one right."""
+    if fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
+        return
+    for row in [header, *rows]:
+        cells = (cell.ljust(-w) if w < 0 else cell.rjust(w) for cell, w in zip(row, widths))
+        out.write(" ".join(cells) + "\n")
 
 
-def _print_outcome_csv(instance, outcome: Outcome, out):
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["room", "agent", "price", "utility"])
+def _write_outcome(out, fmt, instance, outcome: Outcome) -> None:
+    """An outcome's table, one row per room; text adds the minimum utility."""
+    rows = []
     for r in instance.room_ids:
         a = outcome.assignment.agent_of(r)
-        w.writerow(
-            [r, a, render_money(outcome.prices.price_of(r)), render_money(outcome.utilities[a])]
+        rows.append(
+            (r, a, render_money(outcome.prices.price_of(r)), render_money(outcome.utilities[a]))
         )
+    _write_table(out, fmt, ("room", "agent", "price", "utility"), rows, (-6, -6, 8, 8))
+    if fmt == "text":
+        out.write(f"minimum utility: {render_money(outcome.min_utility)}\n")
 
 
 def cmd_solve(args, out) -> int:
@@ -111,10 +119,8 @@ def cmd_solve(args, out) -> int:
     outcome = pricing.solve(scenario.instance, scenario.reported_matrix)
     if args.format == "json":
         _write_json(_outcome_json(scenario.instance, outcome), out)
-    elif args.format == "csv":
-        _print_outcome_csv(scenario.instance, outcome, out)
     else:
-        _print_outcome_text(scenario.instance, outcome, out)
+        _write_outcome(out, args.format, scenario.instance, outcome)
     return EXIT_OK
 
 
@@ -187,10 +193,8 @@ def cmd_verify(args, out) -> int:
     if args.format == "json":
         _write_json([_report_json(s, o, r) for s, o, r in results], out)
     elif args.format == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["scenario", "verdict", "assignment_equivalent"])
-        for s, _, r in results:
-            w.writerow([s.slug, r.verdict, r.assignment_equivalent])
+        rows = [(s.slug, r.verdict, r.assignment_equivalent) for s, _, r in results]
+        _write_table(out, "csv", ("scenario", "verdict", "assignment_equivalent"), rows)
     else:
         for s, o, r in results:
             _report_text(s, o, r, out)
@@ -328,17 +332,22 @@ def _deviation_json(instance, report, reported_matrix) -> dict:
     }
 
 
-def _deviation_text(instance, report, out):
-    out.write("honest outcome:\n")
-    _print_outcome_text(instance, report.honest_outcome, out)
-    out.write("manipulated outcome:\n")
-    _print_outcome_text(instance, report.manipulated_outcome, out)
-    out.write(f"{'agent':<6} {'pay delta':>10} {'true-util delta':>16}\n")
-    for a in instance.agent_ids:
-        out.write(
-            f"{a:<6} {render_money(report.payment_delta[a]):>10} "
-            f"{render_money(report.true_utility_delta[a]):>16}\n"
-        )
+def _write_deviation(out, fmt, instance, report) -> None:
+    """The deviation report as text, or its delta table alone as csv."""
+    deltas = [
+        (a, render_money(report.payment_delta[a]), render_money(report.true_utility_delta[a]))
+        for a in instance.agent_ids
+    ]
+    if fmt == "csv":
+        _write_table(out, fmt, ("agent", "payment_delta", "true_utility_delta"), deltas)
+        return
+    for side, outcome in (
+        ("honest", report.honest_outcome),
+        ("manipulated", report.manipulated_outcome),
+    ):
+        out.write(f"{side} outcome:\n")
+        _write_outcome(out, fmt, instance, outcome)
+    _write_table(out, fmt, ("agent", "pay delta", "true-util delta"), deltas, (-6, 10, 16))
     if report.envy_under_truth:
         pairs = ", ".join(f"{a} envies {b}" for a, b in report.envy_under_truth)
         out.write(f"envy under truth: {pairs}\n")
@@ -435,19 +444,8 @@ def cmd_manipulate(args, out) -> int:
 
     if args.format == "json":
         _write_json(_deviation_json(instance, report, reported), out)
-    elif args.format == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["agent", "payment_delta", "true_utility_delta"])
-        for a in instance.agent_ids:
-            w.writerow(
-                [
-                    a,
-                    render_money(report.payment_delta[a]),
-                    render_money(report.true_utility_delta[a]),
-                ]
-            )
     else:
-        _deviation_text(instance, report, out)
+        _write_deviation(out, args.format, instance, report)
     if not converged:
         # After the answer is rendered, so a refusal never follows it.
         _err(
@@ -458,11 +456,7 @@ def cmd_manipulate(args, out) -> int:
 
 
 def cmd_table(args, out) -> int:
-    blocks = []
-    for s in scenarios.builtin_scenarios():
-        outcome, report = scenarios.run_scenario(s)
-        blocks.append((s, outcome, report))
-
+    blocks = [(s, *scenarios.run_scenario(s)) for s in scenarios.builtin_scenarios()]
     if args.format == "json":
         _write_json(
             [
@@ -481,34 +475,24 @@ def cmd_table(args, out) -> int:
             out,
         )
         return EXIT_OK
-    if args.format == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["scenario", "room", "agent", "computed_price", "expected_price", "verdict"])
-        for s, o, r in blocks:
-            for room in s.instance.room_ids:
-                w.writerow(
-                    [
-                        s.slug,
-                        room,
-                        o.assignment.agent_of(room),
-                        render_money(o.prices.price_of(room)),
-                        render_money(s.expected.prices.price_of(room)),
-                        r.verdict,
-                    ]
-                )
-        return EXIT_OK
 
-    for s, o, r in blocks:
+    # Per scenario, one row per room: room, agent, computed price, expected price.
+    tables = [
+        [
+            (room, o.assignment.agent_of(room), render_money(o.prices.price_of(room)),
+             render_money(s.expected.prices.price_of(room)))
+            for room in s.instance.room_ids
+        ]
+        for s, o, _ in blocks
+    ]
+    if args.format == "csv":
+        header = ("scenario", "room", "agent", "computed_price", "expected_price", "verdict")
+        rows = [(s.slug, *row, r.verdict) for (s, _, r), t in zip(blocks, tables) for row in t]
+        _write_table(out, "csv", header, rows)
+        return EXIT_OK
+    for (s, _, r), table in zip(blocks, tables):
         out.write(f"== {s.name}\n")
-        out.write(
-            f"{'room':<6} {'agent':<6} {'computed':>9} {'expected':>9}\n"
-        )
-        for room in s.instance.room_ids:
-            expected = render_money(s.expected.prices.price_of(room))
-            out.write(
-                f"{room:<6} {o.assignment.agent_of(room):<6} "
-                f"{render_money(o.prices.price_of(room)):>9} {expected:>9}\n"
-            )
+        _write_table(out, "text", ("room", "agent", "computed", "expected"), table, (-6, -6, 9, 9))
         out.write(f"verdict: {r.verdict}\n\n")
     return EXIT_OK
 

@@ -62,6 +62,14 @@ def subprocess_env() -> dict:
 
 
 @pytest.fixture
+def numpy():
+    """numpy, which the enumeration oracles in ``rentdiv.oracles`` need.  A
+    test that uses this fixture skips where numpy is not installed; the
+    package itself runs without it."""
+    return pytest.importorskip("numpy")
+
+
+@pytest.fixture
 def baseline():
     sc = builtin_scenario("baseline")
     return sc.instance, sc.reported_matrix

@@ -292,8 +292,26 @@ class TestNumpyImport:
                 EXIT_OK,
                 ["rentdiv.manipulation"],
             ),
+            # One search per other objective kind, a grid of step 3 (which
+            # A's true row is not on), the finest grid the budget allows, and
+            # a refusal from the objective and from the budget.
+            *(
+                (["manipulate", "{baseline}", "--coalition", coalition, "--objective",
+                  objective, "--search", *flags], code, ["rentdiv.manipulation"])
+                for coalition, objective, flags, code in [
+                    ("A", "exclude:D@R1", [], EXIT_OK),
+                    ("D", "subsidize:E@R1<=7", [], EXIT_OK),
+                    ("A", "max-util:A", [], EXIT_OK),
+                    ("A", "min-pay:A", ["--step", "3"], EXIT_OK),
+                    ("A", "min-pay:A", ["--step", "1/100", "--format", "json"], EXIT_OK),
+                    ("D", "min-pay:D,D", [], EXIT_INVALID),
+                    ("A", "min-pay:A", ["--step", "1e-1100", "--format", "json"], EXIT_BUDGET),
+                ]
+            ),
         ],
-        ids=["solve", "verify", "table", "template", "search"],
+        ids=["solve", "verify", "table", "template", "search", "search exclude",
+             "search subsidize", "search max-util", "search step 3",
+             "search step one hundredth", "search label twice", "search over budget"],
     )
     def test_command_loads_only_its_modules(self, baseline_file, argv, code, extra):
         argv = [a.format(baseline=baseline_file) for a in argv]

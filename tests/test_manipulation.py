@@ -49,6 +49,8 @@ from rentdiv.pricing import envy_closure, envy_matrix, integer_form, maximin_pri
 from rentdiv.scenarios import builtin_scenario, builtin_scenarios
 
 F = Fraction
+# For tests that enumerate a search grid with numpy: they skip without it.
+needs_numpy = pytest.mark.usefixtures("numpy")
 
 
 def _fast(inst, mat, agent):
@@ -333,6 +335,7 @@ def _fill_defensive_rest_by_units(row, rest, true_values, remainder):
 
 
 class TestFastMechanism:
+    @needs_numpy
     def test_agrees_with_exact_route(self):
         # One block per instance: the true row and two random rows of one
         # agent, each pinned against the exact matching and simplex routes.
@@ -360,6 +363,7 @@ class TestFastMechanism:
     # Instances per size n; rows sum to a small rent, so welfare ties abound.
     ORACLE_SIZES = {2: 30, 3: 30, 4: 20, 5: 10, 6: 4, 7: 1}
 
+    @needs_numpy
     def test_winners_match_enumeration_oracles(self):
         # The winner for room r must be the canonical optimum among the
         # assignments giving the agent r.  A row of R on r alone makes every
@@ -403,6 +407,7 @@ class TestFastMechanism:
     # Instances per size n for the chain parity test.
     PARITY_SIZES = {2: 40, 3: 40, 4: 30, 5: 20, 6: 10, 7: 6}
 
+    @needs_numpy
     def test_chains_match_full_closure(self):
         # The kernel derives each candidate's chains from the per-room
         # closures of the others; here every candidate's whole envy matrix
@@ -454,6 +459,7 @@ class TestFastMechanism:
         )
         assert (reported, value, converged) == (mat, F(0), True)
 
+    @needs_numpy
     def test_compositions_lexicographic(self):
         def rows(total, parts):
             return [tuple(r) for b in _composition_blocks(total, parts) for r in b.tolist()]
@@ -547,6 +553,7 @@ def _grid_scores(inst, truth, agent, objective, step):
 
 
 class TestSearchKernel:
+    @needs_numpy
     @pytest.mark.parametrize(
         "agent,objective,digest",
         BASELINE_DIGESTS,
@@ -559,6 +566,7 @@ class TestSearchKernel:
         text = ",".join(str(int(s)) for _, s in scores)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @needs_numpy
     def test_int64_bound_falls_back_to_exact_integers(self):
         # Scaled intermediates of this instance pass 2**63; int64 arrays
         # wrapped here and returned payments such as -6446744073709551616/3.
@@ -571,6 +579,7 @@ class TestSearchKernel:
             exact = solve(inst, truth.replace_row(0, [u * F(r, 4) for u in units]))
             assert _value(objective, score, nscale) == objective.value(inst, truth, exact)
 
+    @needs_numpy
     def test_seven_agents_across_blocks(self):
         rng = random.Random(7)
         inst, truth = make_instance(random_rows(rng, 7, total=9), total=9)
@@ -608,6 +617,7 @@ class TestSearchKernel:
         reported, value, _ = coalition_search(inst, truth, ("D", "E"), objective)
         assert value == objective.value(inst, truth, solve(inst, reported))
 
+    @needs_numpy
     def test_fractional_grid_and_cap(self):
         # scale 2 and a cap that is no multiple of 1/(n*scale).
         inst, truth = make_instance(
@@ -696,6 +706,7 @@ class TestLayoutTerms:
                         assert q + delta[s] == cap, (rows, a, r, s, q, unit)
 
 
+@needs_numpy
 class TestClosedForm:
     """The closed-form best response against the enumeration oracle."""
 
@@ -1053,6 +1064,7 @@ class TestSearchOutcome:
             self.search(inst, truth, ("A",), objective, F(1, 2))
             self.search(inst, truth, ("A", "C"), objective, F(1, 2))
 
+    @needs_numpy
     def test_mixed_denominators(self):
         # Rent 73/2 and values in eighths: one scale makes the truth, the
         # grid and the rent integral.  Step 1/4 leaves it at 8; step 73/6
