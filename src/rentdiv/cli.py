@@ -57,17 +57,16 @@ EXIT_BUDGET = 3
 
 
 def _write_json(doc, out) -> None:
-    """Write ``doc`` as indented JSON, or refuse it whole: the exact
-    numerators and denominators of an answer can pass the digits that Python
-    converts to text, where the text formats still round to cents."""
+    """Write ``doc`` as indented JSON.  Exact amounts can pass the digits that
+    Python converts an int to text with, so that limit is lifted for this
+    call only; a Python without the limit has none to lift."""
+    lift = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift(0)
     try:
         text = json.dumps(doc, indent=2)
-    except ValueError:
-        raise RentDivisionError(
-            "--format json cannot print this answer: an exact amount in it has "
-            "more digits than Python converts to text; --format text and csv "
-            "round it to cents"
-        ) from None
+    finally:
+        lift(limit)
     out.write(text + "\n")
 
 

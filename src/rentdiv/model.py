@@ -277,6 +277,16 @@ def validate_instance(instance: Instance, matrix: ValuationMatrix) -> None:
             raise RowSumMismatch(instance.agent_ids[i], s, instance.total_rent)
 
 
+def _foreign_labels(what, *checks) -> ValidationError:
+    """Refuse ``what``, naming for each (kind, given labels, the instance's
+    labels) in ``checks`` the labels it misses and those the instance lacks."""
+    problems = []
+    for kind, given, known in checks:
+        problems += [f"misses {kind} {x!r}" for x in known if x not in given]
+        problems += [f"has unknown {kind} {x!r}" for x in given if x not in known]
+    return ValidationError(f"{what} {' and '.join(problems)}")
+
+
 class Assignment:
     """A bijection agent -> room."""
 
@@ -292,10 +302,17 @@ class Assignment:
         )
 
     def to_indices(self, instance: Instance) -> tuple[int, ...]:
-        """Room index per agent, in agent roster order."""
-        return tuple(
-            instance.room_index(self.mapping[a]) for a in instance.agent_ids
-        )
+        """Room index per agent, in roster order; ValidationError unless the
+        assignment maps exactly the instance's agents onto its rooms."""
+        index = {r: j for j, r in enumerate(instance.room_ids)}
+        sigma = tuple(index.get(self.mapping.get(a)) for a in instance.agent_ids)
+        if None in sigma or len(self.mapping) != instance.n:
+            raise _foreign_labels(
+                "the assignment",
+                ("agent", self.mapping, instance.agent_ids),
+                ("room", self.mapping.values(), instance.room_ids),
+            )
+        return sigma
 
     def room_of(self, agent_id: str) -> str:
         return self.mapping[agent_id]
@@ -331,7 +348,12 @@ class PriceVector:
         return self.prices[room_id]
 
     def as_list(self, instance: Instance) -> tuple[Fraction, ...]:
-        return tuple(self.prices[r] for r in instance.room_ids)
+        """Prices in room order; ValidationError unless the vector prices
+        exactly the instance's rooms."""
+        prices = tuple(self.prices.get(r) for r in instance.room_ids)
+        if None in prices or len(self.prices) != instance.n:
+            raise _foreign_labels("the price vector", ("room", self.prices, instance.room_ids))
+        return prices
 
     def total(self) -> Fraction:
         return sum(self.prices.values(), Fraction(0))
@@ -367,12 +389,10 @@ def compute_utilities(
     prices: PriceVector,
 ) -> dict:
     """Quasilinear utilities u_i = v_i(assigned room) - price(assigned room)."""
-    out = {}
-    for i, agent in enumerate(instance.agent_ids):
-        room = assignment.room_of(agent)
-        j = instance.room_index(room)
-        out[agent] = matrix.value(i, j) - prices.price_of(room)
-    return out
+    sigma, price = assignment.to_indices(instance), prices.as_list(instance)
+    return {
+        a: matrix.value(i, j) - price[j] for i, (a, j) in enumerate(zip(instance.agent_ids, sigma))
+    }
 
 
 def build_outcome(
@@ -382,10 +402,7 @@ def build_outcome(
     prices: PriceVector,
 ) -> Outcome:
     utilities = compute_utilities(instance, matrix, assignment, prices)
-    welfare = sum(
-        matrix.value(i, instance.room_index(assignment.room_of(a)))
-        for i, a in enumerate(instance.agent_ids)
-    )
+    welfare = sum(matrix.value(i, j) for i, j in enumerate(assignment.to_indices(instance)))
     return Outcome(
         assignment=assignment,
         prices=prices,

@@ -20,20 +20,20 @@ maximin optimality with it.  The misreport search (``manipulation``) runs the
 same closure once per room of the searching agent, and prices with the same
 formula (``payment_numerators``).
 
-``maximin_prices`` checks the assignment with the closure, takes one of two
-routes to the utilities on the integer form, and prices both the same way,
-through ``payment_numerators``, into the mechanism's ``Outcome``:
+``maximin_prices`` checks the assignment with its one closure, takes one of
+two routes to the utilities on the integer form, and prices both the same
+way, through ``payment_numerators``, into the mechanism's ``Outcome``:
 
 - the closed form u_i = t* + m_i, when every m_i is 0 (the equal split of the
   surplus) and prices may be negative;
 - otherwise the leximin LP (``_leximin_utilities``): two-phase simplex with
   Bland's rule, phase 1 started from the slack basis, maximizing the minimum
-  utility and freezing forced agents.  Its envy rows are only the tight ones,
-  where the edge i -> k is itself a heaviest chain; every other envy row is
-  implied by a chain of tight ones, so the optima are those of all n*(n-1).
-  The tableau has one column per variable: the free prices and level t
-  enter rising or, negated in place, falling.  The price floor
-  (``nonnegative_prices``) is the prices' sign, not n more rows.
+  utility and freezing forced agents.  Its envy rows are only the tight ones
+  of the same closure, where the edge i -> k is itself a heaviest chain;
+  every other envy row is implied by a chain of tight ones, so the optima
+  are those of all n*(n-1).  The tableau has one column per variable: the
+  free prices and level t enter rising or, negated in place, falling.  The
+  price floor (``nonnegative_prices``) is the prices' sign, not n more rows.
 
 ``solve`` is ``maximin_prices`` on the canonical welfare-maximizing
 assignment (``matching.max_welfare_assignment``).
@@ -325,13 +325,13 @@ def maximin_level(
     attains it.  Raises NotWelfareMaximizing when no envy-free prices exist.
     """
     validate_instance(instance, matrix)
-    (scale, _, _), _, level, _ = _maximin_level(instance, matrix, assignment)
+    (scale, _, _), _, _, level, _ = _maximin_level(instance, matrix, assignment)
     return Fraction(level, instance.n * scale)
 
 
 def _maximin_level(instance, matrix, assignment):
-    """(form, sigma, n*t*, chains m_i) on validated reports, all on their
-    ``integer_form``; raises NotWelfareMaximizing on a positive envy cycle,
+    """(form, sigma, closure, n*t*, chains m_i) on validated reports, all on
+    their ``integer_form``; raises NotWelfareMaximizing on a positive envy cycle,
     since rotating rooms along it would raise welfare by its weight, naming
     the optimum from one Hungarian value of the integer rows."""
     form = scale, rows, rent = integer_form(matrix.values, instance.total_rent)
@@ -345,7 +345,7 @@ def _maximin_level(instance, matrix, assignment):
             f"optimum {abbreviate(Fraction(best, scale))}"
         )
     chains = [max(row) for row in closed]
-    return form, sigma, welfare - rent - sum(chains), chains
+    return form, sigma, closed, welfare - rent - sum(chains), chains
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +428,9 @@ def maximin_prices(
     """
     if not _validated:
         validate_instance(instance, matrix)
-    (scale, rows, rent), sigma, _, chains = _maximin_level(instance, matrix, assignment)
+    (scale, rows, rent), sigma, closed, _, chains = _maximin_level(instance, matrix, assignment)
     if nonnegative_prices or any(chains):
-        utilities = _leximin_utilities(rows, rent, sigma, nonnegative_prices)
+        utilities = _leximin_utilities(rows, rent, sigma, closed, nonnegative_prices)
     else:
         utilities = chains  # u = t* + m, needed only up to the shift t*
     d = [row[j] - u for row, j, u in zip(rows, sigma, utilities)]
@@ -447,34 +447,33 @@ def priced_outcome(instance, matrix, assignment, pay, denominator):
     return build_outcome(instance, matrix, assignment, PriceVector.from_list(instance, prices))
 
 
-def _tight_envy(rows, sigma):
+def _tight_envy(rows, sigma, closed):
     """(i, sigma[k]) for every i != k whose envy edge d[i][k] equals the
-    closure C[i][k], in agent and then room order.
+    closure C[i][k] (``closed``), in agent and then room order.
 
     Without a positive envy cycle, every edge on a heaviest i -> k walk is
     tight (a slack one could be replaced by a heavier walk), so the tight
     rows imply u_i - u_k >= C[i][k] >= d[i][k]: the rows dropped here cut
     nothing from the envy-free polytope.
     """
-    d = envy_matrix(rows, sigma)
-    closed = envy_closure(d)
     holder = {j: k for k, j in enumerate(sigma)}
     return [
         (i, j)
-        for i, (edges, chains) in enumerate(zip(d, closed))
+        for i, (row, chains) in enumerate(zip(rows, closed))
         for j in range(len(sigma))
-        if (k := holder[j]) != i and edges[k] == chains[k]
+        if (k := holder[j]) != i and row[j] - rows[k][j] == chains[k]
     ]
 
 
-def _leximin_utilities(rows, rent, sigma, nonnegative_prices):
+def _leximin_utilities(rows, rent, sigma, closed, nonnegative_prices):
     """Leximin utilities on the integer form ``rows``, ``rent`` (times its
     scale): iteratively maximize the minimum utility, freezing forced agents.
 
     Precondition: sigma has no positive envy cycle, which ``_maximin_level``
-    has checked.  Every LP then carries only the tight envy rows
-    (``_tight_envy``); the feasible set of each round and probe, and so every
-    optimal value and the result, are those of all n*(n-1) rows.
+    has checked on its envy closure ``closed``.  Every LP then carries only
+    the tight envy rows (``_tight_envy``); the feasible set of each round and
+    probe, and so every optimal value and the result, are those of all n*(n-1)
+    rows.
 
     An agent whose utility sits strictly above the current optimum in the
     returned solution is witnessed as unforced; agents at the optimum are
@@ -483,7 +482,7 @@ def _leximin_utilities(rows, rent, sigma, nonnegative_prices):
     vertex the simplex happens to reach only saves probes.
     """
     n = len(rows)
-    envy = _tight_envy(rows, sigma)
+    envy = _tight_envy(rows, sigma, closed)
     floors = [None] * n
     while any(f is None for f in floors):
         res = simplex_solve(_maximin_lp(rows, rent, sigma, envy, floors, nonnegative_prices))

@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -88,6 +90,30 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_text('{"name": "x"}')
         assert main(["solve", str(bad)]) == EXIT_INVALID
+
+
+class TestJsonWriter:
+    """``_write_json`` lifts Python's digit limit for its own call only."""
+
+    BIG = {"num": 10**5000 + 1}
+
+    def test_lifts_the_limit_for_its_call_only(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not 0 < limit < 5000:
+            pytest.skip("this Python converts a 5,001-digit int to text")
+        out = io.StringIO()
+        cli._write_json(self.BIG, out)
+        assert out.getvalue().endswith("1\n}\n") and len(out.getvalue()) > 5000
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ValueError):
+            str(self.BIG["num"])
+
+    def test_a_python_without_the_limit(self, monkeypatch):
+        # Python 3.10 before 3.10.7 has neither function, and nothing to lift.
+        monkeypatch.setattr(cli, "sys", types.SimpleNamespace())
+        out = io.StringIO()
+        cli._write_json({"num": 7}, out)
+        assert out.getvalue() == '{\n  "num": 7\n}\n'
 
 
 class TestVerify:

@@ -8,8 +8,10 @@ import copy
 import io
 import json
 import math
+import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import rentdiv
 from rentdiv.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
-from rentdiv.scenarios import builtin_scenario, scenario_to_dict
+from rentdiv.pricing import solve
+from rentdiv.scenarios import builtin_scenario, load_scenario, scenario_to_dict
 
 
 class Raw(str):
@@ -187,19 +190,32 @@ REPROS = {"a": REPRO_A, "b": REPRO_B, "c": REPRO_C, "d": REPRO_D}
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("repro", sorted(REPROS))
 def test_arithmetic_past_the_digit_limit_is_refused_fast(tmp_path, repro, fmt):
-    # (c) is a valid house: text and csv round its prices to cents, and
-    # json, which prints them exactly, refuses it whole.
+    # (a), (b) and (d) are refused.  (c) is a valid house, answered in every
+    # format: text and csv round its prices to cents, and json prints them
+    # exactly, past the digits that Python converts to text by default.
     path = tmp_path / "scenario.json"
     path.write_text(REPROS[repro], encoding="utf-8")
     code, out, err, seconds = _run(["solve", str(path), "--format", fmt])
     assert seconds < 1
-    if repro == "c" and fmt != "json":
-        assert code == EXIT_OK and out and not err
+    if repro != "c":
+        assert code == EXIT_INVALID and out == ""
+        _assert_one_line_refusal(err)
         return
-    assert code == EXIT_INVALID and out == ""
-    _assert_one_line_refusal(err)
-    if repro == "c":
-        assert err.startswith("rentdiv: --format json cannot print this answer")
+    assert code == EXIT_OK and out and not err
+    if fmt == "json":
+        # Read back with the digit limit lifted, as the writer lifts it.
+        lift = getattr(sys, "set_int_max_str_digits", lambda _: None)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        lift(0)
+        try:
+            prices = json.loads(out)["prices"]
+        finally:
+            lift(limit)
+        sc = load_scenario(path)
+        exact = solve(sc.instance, sc.reported_matrix).prices
+        assert {r: Fraction(p["num"], p["den"]) for r, p in prices.items()} == exact.prices
+        assert sum(exact.prices.values()) == 3
+        assert max(p["den"] for p in prices.values()) > 10**4300
 
 
 BASELINE_PATH = str(Path(rentdiv.__file__).parent / "fixtures" / "baseline.json")

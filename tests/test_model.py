@@ -28,6 +28,7 @@ from rentdiv.model import (
     validate_instance,
 )
 from rentdiv.manipulation import _prepare_search
+from rentdiv.pricing import is_envy_free, maximin_level, maximin_prices
 
 
 def small_instance():
@@ -322,6 +323,53 @@ class TestOutcome:
         p = PriceVector.from_list(inst, [Fraction(3, 2), Fraction(1, 2)])
         u = compute_utilities(inst, mat, a, p)
         assert u == {"A": Fraction(-1, 2), "B": Fraction(-3, 2)}
+
+
+# The API functions that turn an assignment's or a price vector's labels
+# into indices, each called as (instance, matrix, assignment, prices).
+LABEL_READERS = {
+    "maximin_prices": lambda inst, mat, a, p: maximin_prices(inst, mat, a),
+    "maximin_level": lambda inst, mat, a, p: maximin_level(inst, mat, a),
+    "is_envy_free": is_envy_free,
+    "compute_utilities": compute_utilities,
+    "build_outcome": build_outcome,
+}
+READS_PRICES = ["is_envy_free", "compute_utilities", "build_outcome"]
+FOREIGN_ASSIGNMENTS = [
+    ({"A": "R1"}, "the assignment misses agent 'B'"),
+    ({"A": "R1", "Z": "R2"}, "has unknown agent 'Z'"),
+    ({"A": "R1", "B": "R9"}, "has unknown room 'R9'"),
+]
+FOREIGN_PRICES = [
+    ({"R1": 2}, "the price vector misses room 'R2'"),
+    ({"R1": 1, "R2": 1, "R9": 0}, "the price vector has unknown room 'R9'"),
+]
+
+
+class TestForeignLabels:
+    """An assignment or a price vector that does not cover the instance's
+    agents and rooms is refused by name, wherever its labels become
+    indices (``Assignment.to_indices``, ``PriceVector.as_list``)."""
+
+    @pytest.mark.parametrize("reader", sorted(LABEL_READERS))
+    @pytest.mark.parametrize(
+        "mapping, named", FOREIGN_ASSIGNMENTS, ids=["missing-agent", "unknown-agent", "unknown-room"]
+    )
+    def test_assignment(self, reader, mapping, named):
+        inst, mat = small_instance()
+        prices = PriceVector({"R1": 1, "R2": 1})
+        with pytest.raises(ValidationError) as refused:
+            LABEL_READERS[reader](inst, mat, Assignment(mapping), prices)
+        assert named in str(refused.value)
+
+    @pytest.mark.parametrize("reader", READS_PRICES)
+    @pytest.mark.parametrize("prices, named", FOREIGN_PRICES, ids=["missing-room", "unknown-room"])
+    def test_price_vector(self, reader, prices, named):
+        inst, mat = small_instance()
+        assignment = Assignment({"A": "R1", "B": "R2"})
+        with pytest.raises(ValidationError) as refused:
+            LABEL_READERS[reader](inst, mat, assignment, PriceVector(prices))
+        assert str(refused.value) == named
 
 
 class TestSearchSpaceTooLarge:

@@ -151,7 +151,7 @@ def pivots(monkeypatch):
 
 def _level_and_chains(inst, mat, assignment):
     """(t*, [m_i]) as Fractions, from the integer form of ``_maximin_level``."""
-    (scale, _, _), _, level, chains = _maximin_level(inst, mat, assignment)
+    (scale, _, _), _, _, level, chains = _maximin_level(inst, mat, assignment)
     return F(level, inst.n * scale), [F(m, scale) for m in chains]
 
 
@@ -278,9 +278,9 @@ class TestSimplex:
         rng = random.Random(2031)
         lps = [_random_boxed_lp(rng, free_share) for free_share in (0, 0.5, 1) for _ in range(60)]
         inst, mat = make_instance(TestNonnegativePrices.ROWS, total=36)
-        sigma = max_welfare_assignment(inst, mat).assignment.to_indices(inst)
-        _, rows, rent = integer_form(mat.values, inst.total_rent)
-        envy = _tight_envy(rows, sigma)
+        assignment = max_welfare_assignment(inst, mat).assignment
+        (_, rows, rent), sigma, closed, _, _ = _maximin_level(inst, mat, assignment)
+        envy = _tight_envy(rows, sigma, closed)
         for nonnegative_prices in (False, True):
             for agent in (None, 0, 1, 2):
                 floors = [None] * 3 if agent is None else [F(17, 3)] * 3
@@ -494,8 +494,8 @@ class TestMaximin:
         assert _level_and_chains(inst, mat, sigma)[1] == [0] * inst.n
         shortcut = _equal_split_prices(inst, mat, sigma)
         assert is_envy_free(inst, mat, sigma, shortcut) == []
-        scale, rows, rent = integer_form(mat.values, inst.total_rent)
-        by_lp = _leximin_utilities(rows, rent, sigma.to_indices(inst), nonnegative_prices=False)
+        (scale, rows, rent), perm, closed, _, _ = _maximin_level(inst, mat, sigma)
+        by_lp = _leximin_utilities(rows, rent, perm, closed, nonnegative_prices=False)
         assert {u / scale for u in by_lp} == {F(4, 5)}
         assert shortcut.as_list(inst) == maximin_prices(inst, mat, sigma).prices.as_list(
             inst
@@ -543,10 +543,8 @@ class TestMaximin:
             if not any(chains):
                 continue
             positive += 1
-            scale, rows, rent = integer_form(mat.values, inst.total_rent)
-            by_lp = _leximin_utilities(
-                rows, rent, sigma.to_indices(inst), nonnegative_prices=False
-            )
+            (scale, rows, rent), perm, closed, _, _ = _maximin_level(inst, mat, sigma)
+            by_lp = _leximin_utilities(rows, rent, perm, closed, nonnegative_prices=False)
             assert [u / scale for u in by_lp] == [level + m for m in chains]
         assert positive > 15
 
@@ -587,9 +585,9 @@ class TestTightEnvyRows:
         for inst, mat in self.houses():
             n = inst.n
             assignment = max_welfare_assignment(inst, mat).assignment
-            (_, rows, rent), sigma, level, _ = _maximin_level(inst, mat, assignment)
+            (_, rows, rent), sigma, closed, level, _ = _maximin_level(inst, mat, assignment)
             every = [(i, j) for i in range(n) for j in range(n) if j != sigma[i]]
-            kept = _tight_envy(rows, sigma)
+            kept = _tight_envy(rows, sigma, closed)
             assert set(kept) <= set(every)
             rest = [pair for pair in every if pair not in kept]
             dropped += len(rest)
@@ -614,11 +612,29 @@ class TestTightEnvyRows:
                         assert x[sigma[i]] - x[j] <= rows[i][sigma[i]] - rows[i][j]
         assert dropped > 100 and probed > 100
 
-    def test_leximin_lps_carry_the_tight_closure_edges(self, monkeypatch):
+    @staticmethod
+    def lp_house():
         from rentdiv.scenarios import builtin_scenario
 
         sc = builtin_scenario("exclusionary-collusion")
-        inst, mat = sc.instance, sc.reported_matrix
+        return sc.instance, sc.reported_matrix
+
+    @pytest.mark.parametrize("nonnegative_prices", [False, True])
+    def test_one_closure_per_priced_assignment(self, monkeypatch, nonnegative_prices):
+        # The LP route picks its tight rows from the closure that checked
+        # the assignment and gave the chains.
+        inst, mat = self.lp_house()
+        assignment = max_welfare_assignment(inst, mat).assignment
+        assert any(_level_and_chains(inst, mat, assignment)[1])  # the LP route
+        closures = []
+        real = pricing.envy_closure
+        monkeypatch.setattr(pricing, "envy_closure", lambda d: closures.append(d) or real(d))
+        solve(inst, mat, nonnegative_prices)
+        assert len(closures) == 1
+
+    @pytest.mark.parametrize("nonnegative_prices", [False, True])
+    def test_leximin_lps_carry_the_tight_closure_edges(self, monkeypatch, nonnegative_prices):
+        inst, mat = self.lp_house()
         n = inst.n
         sigma = max_welfare_assignment(inst, mat).assignment.to_indices(inst)
         _, rows, _ = integer_form(mat.values, inst.total_rent)
@@ -639,7 +655,7 @@ class TestTightEnvyRows:
             return real(lp)
 
         monkeypatch.setattr(pricing, "simplex_solve", recording)
-        solve(inst, mat)
+        solve(inst, mat, nonnegative_prices)
         assert seen
         for lp in seen:
             envy = {
@@ -658,9 +674,9 @@ class TestPriceFloorAsSign:
     def test_prices_are_not_free_under_the_floor(self):
         inst, mat = make_instance(TestNonnegativePrices.ROWS, total=36)
         n = inst.n
-        sigma = max_welfare_assignment(inst, mat).assignment.to_indices(inst)
-        _, rows, rent = integer_form(mat.values, inst.total_rent)
-        envy = _tight_envy(rows, sigma)
+        assignment = max_welfare_assignment(inst, mat).assignment
+        (_, rows, rent), sigma, closed, _, _ = _maximin_level(inst, mat, assignment)
+        envy = _tight_envy(rows, sigma, closed)
         levels = {}
         for nonnegative_prices in (False, True):
             for floors, agent in (([None] * n, None), ([F(0)] * n, 0)):
@@ -682,8 +698,8 @@ class TestPriceFloorAsSign:
         for inst, mat in TestTightEnvyRows.houses():
             n = inst.n
             assignment = max_welfare_assignment(inst, mat).assignment
-            (_, rows, rent), sigma, level, _ = _maximin_level(inst, mat, assignment)
-            envy = _tight_envy(rows, sigma)
+            (_, rows, rent), sigma, closed, level, _ = _maximin_level(inst, mat, assignment)
+            envy = _tight_envy(rows, sigma, closed)
             floors = [
                 None if rng.random() < 0.4 else F(level + rng.randint(-3, 3), n) for _ in range(n)
             ]
