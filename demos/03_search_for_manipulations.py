@@ -11,7 +11,7 @@ Usage: python3 demos/03_search_for_manipulations.py
 
 from fractions import Fraction
 
-from rentdiv import render_money, solve
+from rentdiv import render_money
 from rentdiv.manipulation import MinimizeCoalitionPayments, coalition_search
 from rentdiv.scenarios import builtin_scenario
 
@@ -19,30 +19,31 @@ from rentdiv.scenarios import builtin_scenario
 def main():
     sc = builtin_scenario("baseline")
     inst, truth = sc.instance, sc.reported_matrix
-    honest = solve(inst, truth)
 
     print("Single-agent best responses (step 1):")
     print(f"{'agent':<6} {'honest rent':>12} {'best rent':>10}  best report row")
     for agent in inst.agent_ids:
-        reported, value, _ = coalition_search(
+        report = coalition_search(
             inst, truth, (agent,), MinimizeCoalitionPayments((agent,)), step=Fraction(1)
         )
-        cells = " ".join(f"{int(v):>2}" for v in reported.row(inst.agent_index(agent)))
+        row = report.reported_matrix.row(inst.agent_index(agent))
+        cells = " ".join(f"{int(v):>2}" for v in row)
         print(
-            f"{agent:<6} {render_money(honest.payment_of(agent)):>12} "
-            f"{render_money(value):>10}  [{cells}]"
+            f"{agent:<6} {render_money(report.honest_outcome.payment_of(agent)):>12} "
+            f"{render_money(report.objective_value):>10}  [{cells}]"
         )
 
     print()
     print("Coalition {D, E} minimizing joint rent (coordinate ascent, step 1):")
-    reported, total, converged = coalition_search(
+    report = coalition_search(
         inst, truth, ("D", "E"), MinimizeCoalitionPayments(("D", "E")), step=Fraction(1)
     )
-    honest_total = honest.payment_of("D") + honest.payment_of("E")
-    print(f"  honest total {render_money(honest_total)} -> {render_money(total)}")
-    print(f"  converged: {converged}")
+    honest_total = sum(report.honest_outcome.payment_of(a) for a in ("D", "E"))
+    print(f"  honest total {render_money(honest_total)} -> {render_money(report.objective_value)}")
+    print(f"  converged: {report.converged}")
     for agent in ("D", "E"):
-        cells = " ".join(f"{int(v):>2}" for v in reported.row(inst.agent_index(agent)))
+        row = report.reported_matrix.row(inst.agent_index(agent))
+        cells = " ".join(f"{int(v):>2}" for v in row)
         print(f"  {agent} reports [{cells}]")
 
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 # `manipulation` is imported inside the two functions that use it, so
 # `solve`, `verify` and `table` never compile it.
-from . import pricing, scenarios
+from . import matching, pricing, scenarios
 from .model import (
     Outcome,
     RentDivisionError,
@@ -275,8 +275,7 @@ def _parse_member_rooms(flag, spec, grammar, instance, coalition, width) -> dict
     out = {}
     for part in spec.split(","):
         agent, colon, rooms = part.partition(":")
-        agent = agent.strip()
-        rooms = tuple(r.strip() for r in rooms.split("+"))
+        rooms = tuple(rooms.split("+"))
         if not colon:
             raise bad(f"missing ':' after the agent in {part!r}")
         if agent not in coalition:
@@ -307,10 +306,10 @@ def _parse_step(spec: str) -> Fraction:
     return step
 
 
-def _deviation_json(instance, report, reported_matrix) -> dict:
+def _deviation_json(instance, report) -> dict:
     return {
         "reported_values": {
-            a: [format_exact(v) for v in reported_matrix.row(i)]
+            a: [format_exact(v) for v in report.reported_matrix.row(i)]
             for i, a in enumerate(instance.agent_ids)
         },
         "objective_satisfied": report.objective_satisfied,
@@ -385,11 +384,9 @@ def cmd_manipulate(args, out) -> int:
     ):
         if value is not None and mode != reader:
             raise ParseError(f"{flag} is read only with {reader}, not with {mode}")
-    converged = True  # a template builds its reports in one pass
     if args.template:
         if not coalition:
             raise ParseError("--template needs --coalition")
-        honest = None  # solved once, before the template if flatten needs it
         if args.template == "exclusionary":
             if not isinstance(objective, manipulation.ExcludeFromRooms):
                 raise ParseError("the exclusionary template needs an exclude:... objective")
@@ -414,8 +411,8 @@ def cmd_manipulate(args, out) -> int:
                 )
                 own = {a: rooms[0] for a, rooms in own.items()}
             else:
-                honest = pricing.solve(instance, true_matrix)
-                own = {a: honest.assignment.room_of(a) for a in coalition}
+                honest = matching.max_welfare_assignment(instance, true_matrix).assignment
+                own = {a: honest.room_of(a) for a in coalition}
             reported = manipulation.template_flatten(
                 instance, true_matrix, coalition, own
             )
@@ -428,24 +425,15 @@ def cmd_manipulate(args, out) -> int:
             reported = manipulation.template_defensive(
                 instance, true_matrix, coalition, contested
             )
-        if honest is None:
-            honest = pricing.solve(instance, true_matrix)
-        manipulated = pricing.solve(instance, reported)
+        report = manipulation.evaluate_deviation(instance, true_matrix, reported, objective)
     else:
-        # The search solves the mechanism on the truth and on the reports it
-        # returns, both on its own integer form.
-        reported, converged, honest, manipulated = manipulation._coalition_search(
-            instance, true_matrix, coalition, objective, step
-        )
-    report = manipulation._deviation_report(
-        instance, true_matrix, honest, manipulated, objective
-    )
+        report = manipulation.coalition_search(instance, true_matrix, coalition, objective, step)
 
     if args.format == "json":
-        _write_json(_deviation_json(instance, report, reported), out)
+        _write_json(_deviation_json(instance, report), out)
     else:
         _write_deviation(out, args.format, instance, report)
-    if not converged:
+    if not report.converged:
         # After the answer is rendered, so a refusal never follows it.
         _err(
             f"the search stopped at its round limit (MAX_ROUNDS = {manipulation.MAX_ROUNDS}) "

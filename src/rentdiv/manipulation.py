@@ -24,10 +24,12 @@ come once per best response from ``matching.canonical_optimum`` and
 ``pricing.payment_numerators``, as in ``pricing.maximin_prices``.  All of it
 is exact integer arithmetic on one integer form per search (``_Grid``).
 
-A search also yields the mechanism's ``Outcome`` on the reports it returns,
-built from the best row's assignment and integer payments, and the honest
-``Outcome``, priced on the canonical optimum of the same integer form, so
-``rentdiv manipulate --search`` runs no ``Fraction`` Hungarian.
+Both entry points answer with one ``DeviationReport``: ``evaluate_deviation``
+on given reports, ``coalition_search`` on the reports it finds.  A search
+builds the mechanism's ``Outcome`` on those reports from the best row's
+assignment and integer payments, and the honest ``Outcome`` by pricing the
+canonical optimum of the same integer form, so it runs no ``Fraction``
+Hungarian.
 
 The module runs in pure Python.  The tests hold the search to the numpy
 enumeration oracle in ``rentdiv.oracles``, which scores every report row of
@@ -190,6 +192,8 @@ class DeviationReport:
     envy_under_truth: tuple  # (agent, agent) pairs
     objective_satisfied: bool  # predicate holds, or strictly beats honesty
     objective_value: object  # Fraction or bool
+    reported_matrix: ValuationMatrix  # the reports that were scored
+    converged: bool  # False only when a search stopped at MAX_ROUNDS
 
 
 def evaluate_deviation(
@@ -203,20 +207,19 @@ def evaluate_deviation(
     honest = pricing.solve(instance, true_matrix)
     manipulated = pricing.solve(instance, reported_matrix)
     _check_objective(instance, objective)
-    return _deviation_report(instance, true_matrix, honest, manipulated, objective)
+    return _deviation_report(
+        instance, true_matrix, reported_matrix, honest, manipulated, objective, converged=True
+    )
 
 
 def _deviation_report(
-    instance: Instance,
-    true_matrix: ValuationMatrix,
-    honest: Outcome,
-    manipulated: Outcome,
-    objective,
+    instance, true_matrix, reported_matrix, honest, manipulated, objective, converged
 ) -> DeviationReport:
     """Compare two solved outcomes under the true values.  ``honest`` is the
-    mechanism's outcome on ``true_matrix``, so its utilities are the true
-    ones already.  The objective is evaluated once per side, on the honest
-    one only for a numeric objective."""
+    mechanism's outcome on ``true_matrix`` and ``manipulated`` its outcome on
+    ``reported_matrix``, so the honest utilities are the true ones already.
+    The objective is evaluated once per side, on the honest one only for a
+    numeric objective."""
     payment_delta = {
         a: manipulated.payment_of(a) - honest.payment_of(a)
         for a in instance.agent_ids
@@ -250,6 +253,8 @@ def _deviation_report(
         envy_under_truth=tuple(envy),
         objective_satisfied=satisfied,
         objective_value=value,
+        reported_matrix=reported_matrix,
+        converged=converged,
     )
 
 
@@ -816,56 +821,31 @@ def coalition_search(
     coalition: Iterable[str],
     objective,
     step=Fraction(1),
-):
-    """Coordinate-ascent over coalition members' rows.
+) -> DeviationReport:
+    """Coordinate-ascent over coalition members' rows, scored against honesty.
 
     Cycles through members in roster order, replacing each row with its best
     response holding the others fixed.  A best response reads only the other
     rows, so a member's row stays one until another member's row changes.
     The search stops, converged, as soon as every member's row is a best
     response to the current rows of the others, or unconverged after
-    MAX_ROUNDS rounds.  Returns (reported_matrix, achieved_value, converged),
-    the value measured against the true values on the outcome ``_search``
-    builds.  A member's ties go to its lexicographically smallest row.  The
-    true rows are candidates only when ``step`` divides every member's true
-    values; only then can the value never be worse than honesty's.
-    """
-    _, reported, converged, outcome = _search(instance, true_matrix, coalition, objective, step)
-    return reported, objective.value(instance, true_matrix, outcome), converged
+    MAX_ROUNDS rounds.  A member's ties go to its lexicographically smallest
+    row.  The true rows are candidates only when ``step`` divides every
+    member's true values; only then can the value never be worse than
+    honesty's.
 
-
-def _coalition_search(instance, true_matrix, coalition, objective, step):
-    """(reported_matrix, converged, honest, manipulated): the search of
-    ``coalition_search`` and the mechanism's ``Outcome``s on the truth and
-    on the returned reports, on which the caller evaluates the objective.
-
-    Both come from the search's integer form, with no ``Fraction`` Hungarian.
-    The honest assignment is the canonical optimum of the scaled truth
-    ``grid.truth``: scaling by a positive integer keeps every comparison and
-    every tie, so it is ``pricing.solve``'s; ``pricing.maximin_prices``
-    prices it.
-    """
-    grid, reported, converged, manipulated = _search(
-        instance, true_matrix, coalition, objective, step
-    )
-    perm, _ = matching.canonical_optimum(grid.truth)
-    honest = pricing.maximin_prices(
-        instance, true_matrix, Assignment.from_indices(instance, perm), _validated=True
-    )
-    return reported, converged, honest, manipulated
-
-
-def _search(instance, true_matrix, coalition, objective, step):
-    """(grid, reported_matrix, converged, manipulated): the coordinate ascent
-    of ``coalition_search`` on its ``_Grid``, and the mechanism's
-    ``Outcome`` on the returned reports, unscored.  The reports live as the
-    grid's integer rows; the returned matrix is built from them once.
-
-    The last best response was scored with every other row at its value in
-    the returned matrix, so its winning candidate's assignment and payments
-    are those of ``pricing.solve`` on that matrix, converged or not; the
-    outcome is built from them without solving again.  Only
-    ``_coalition_search`` prices the truth: its leximin LP can cost more.
+    Returns the ``DeviationReport`` of the returned reports, as
+    ``evaluate_deviation`` gives it, with ``converged`` set.  The reports live
+    as the grid's integer rows and the matrix is built from them once.  The
+    last best response was scored with every other row at its value in that
+    matrix, so its winning candidate's assignment and payments are those of
+    ``pricing.solve`` there, converged or not, and the manipulated outcome is
+    built from them without solving again.  The honest assignment is the
+    canonical optimum of the scaled truth ``grid.truth``: scaling by a
+    positive integer keeps every comparison and every tie, so it is
+    ``pricing.solve``'s, and ``pricing.maximin_prices`` prices it.  That is
+    the closed form when every envy chain is 0, and one leximin LP otherwise,
+    which on a larger house can cost more than the search itself.
     """
     _check_objective(instance, objective)
     coalition = set(coalition)
@@ -892,6 +872,14 @@ def _search(instance, true_matrix, coalition, objective, step):
     reported = ValuationMatrix.from_rows(
         [Fraction(v, grid.scale) for v in row] for row in rows
     )
-    assignment = Assignment.from_indices(instance, perm)
-    outcome = pricing.priced_outcome(instance, reported, assignment, pay, instance.n * grid.scale)
-    return grid, reported, settled == len(members), outcome
+    manipulated = pricing.priced_outcome(
+        instance, reported, Assignment.from_indices(instance, perm), pay, instance.n * grid.scale
+    )
+    honest_perm, _ = matching.canonical_optimum(grid.truth)
+    honest = pricing.maximin_prices(
+        instance, true_matrix, Assignment.from_indices(instance, honest_perm), _validated=True
+    )
+    return _deviation_report(
+        instance, true_matrix, reported, honest, manipulated, objective,
+        converged=settled == len(members),
+    )

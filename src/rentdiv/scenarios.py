@@ -185,22 +185,18 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         if not isinstance(exp, dict) or "assignment" not in exp or "prices" not in exp:
             raise ParseError("expected block needs assignment and prices", ctx)
         mapping = exp["assignment"]
-        if (
-            not isinstance(mapping, dict)
-            or set(mapping) != set(agent_ids)
-            or not all(isinstance(r, str) for r in mapping.values())
-            or set(mapping.values()) != set(rooms)
-        ):
+        if not isinstance(mapping, dict) or not all(isinstance(r, str) for r in mapping.values()):
             raise ParseError("expected assignment must be a bijection over the roster", ctx)
         if not isinstance(exp["prices"], dict):
             raise ParseError("expected prices must map rooms to decimal strings", ctx)
-        prices = {r: _money(p, ctx) for r, p in exp["prices"].items()}
-        if set(prices) != set(rooms):
-            raise ParseError("expected prices must cover every room", ctx)
-        vec = PriceVector(prices)
+        vec = PriceVector({r: _money(p, ctx) for r, p in exp["prices"].items()})
+        # Both refuse an agent or room label the instance lacks or that they leave out.
+        try:
+            expected = build_outcome(instance, reported, Assignment(mapping), vec)
+        except ValidationError as exc:
+            raise ParseError(str(exc), ctx) from None
         if vec.total() != instance.total_rent:
             raise ParseError("expected prices do not sum to the total rent", ctx)
-        expected = build_outcome(instance, reported, Assignment(mapping), vec)
 
     return Scenario(
         name=name,

@@ -183,20 +183,19 @@ def test_8_search_soundness():
     def body():
         sc = builtin_scenario("baseline")
         inst, truth = sc.instance, sc.reported_matrix
-        honest = solve(inst, truth)
         for agent in inst.agent_ids:
-            _, value, _ = coalition_search(
+            rep = coalition_search(
                 inst, truth, (agent,), MinimizeCoalitionPayments((agent,)), step=F(1)
             )
-            assert value <= honest.payment_of(agent)
-        _, total, _ = coalition_search(
+            assert rep.objective_value <= rep.honest_outcome.payment_of(agent)
+        rep = coalition_search(
             inst,
             truth,
             ("D", "E"),
             MinimizeCoalitionPayments(("D", "E")),
             step=F(1),
         )
-        assert total <= F(14)
+        assert rep.objective_value <= F(14)
 
     _check(8, "exhaustive search never loses to honesty; coalition beats 14.00", 600.0, body)
 

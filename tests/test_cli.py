@@ -28,7 +28,13 @@ from rentdiv.cli import (
 )
 from rentdiv.manipulation import MinimizeCoalitionPayments
 from rentdiv.model import parse_money
-from rentdiv.scenarios import BUILTIN_SLUGS, builtin_scenario, load_scenario, save_scenario
+from rentdiv.scenarios import (
+    BUILTIN_SLUGS,
+    builtin_scenario,
+    load_scenario,
+    save_scenario,
+    scenario_to_dict,
+)
 
 
 @pytest.fixture
@@ -252,8 +258,8 @@ class TestHotPath:
         "target", [[], ["--target-rooms", "D:R4,E:R5"]], ids=["honest-rooms", "target-rooms"]
     )
     def test_template_solves_truth_once(self, baseline_file, monkeypatch, target):
-        # One solve of the truth, which also gives flatten its honest rooms,
-        # and one of the reports.
+        # One solve of the truth and one of the reports.  Flatten takes its
+        # honest rooms from max_welfare_assignment, which prices nothing.
         calls = []
 
         def counted(*args, _real=pricing.solve, **kwargs):
@@ -670,6 +676,27 @@ class TestManipulate:
         code = main(["manipulate", baseline_file, "--objective", objective] + args)
         assert code == EXIT_INVALID
         assert capsys.readouterr().err == f"rentdiv: {message}\n"
+
+    def test_room_labels_are_read_verbatim(self, tmp_path, capsys):
+        # The baseline with room R1 labelled " R1": every flag names a room
+        # by its exact label, as --objective does, so " R1" is that room and
+        # " R4" is no room at all.
+        doc = json.dumps(scenario_to_dict(builtin_scenario("baseline")))
+        doc = doc.replace('"R1"', '" R1"')
+        path = tmp_path / "padded.json"
+        path.write_text(doc)
+        argv = ["manipulate", str(path), "--coalition", "D", "--objective", "min-pay:D"]
+        for flags in (
+            ["--template", "defensive", "--contested", "D: R1+R2"],
+            ["--template", "flatten", "--target-rooms", "D: R1"],
+        ):
+            assert main(argv + flags) == EXIT_OK
+            assert capsys.readouterr().err == ""
+        assert main(argv + ["--template", "flatten", "--target-rooms", "D: R4"]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"rentdiv: --target-rooms 'D: R4': unknown room ' R4'; "
+            f"expected {TARGET_ROOMS_GRAMMAR}\n"
+        )
 
     def test_defensive_requires_contested(self, baseline_file):
         code = main(

@@ -1,6 +1,7 @@
 """Misreport templates, deviation scoring and the closed-form best-response search."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -75,12 +76,9 @@ class TestObjectives:
 
     def test_predicate_vs_optimization_semantics(self, baseline):
         inst, truth = baseline
-        honest = solve(inst, truth)
 
         def satisfied(objective):
-            return manipulation._deviation_report(
-                inst, truth, honest, honest, objective
-            ).objective_satisfied
+            return evaluate_deviation(inst, truth, truth, objective).objective_satisfied
 
         # Honesty never *strictly improves* on itself.
         assert not satisfied(MinimizeCoalitionPayments(("D",)))
@@ -103,6 +101,9 @@ class TestEvaluateDeviation:
         sc = builtin_scenario("exclusionary-collusion")
         objective = ExcludeFromRooms(("D", "E"), ("R1", "R2", "R3"))
         rep = evaluate_deviation(sc.instance, sc.truth(), sc.reported_matrix, objective)
+        # The reports scored, and no search to converge.
+        assert rep.reported_matrix is sc.reported_matrix
+        assert rep.converged is True
         assert rep.objective_satisfied is True
         assert rep.objective_value is True
         assert rep.payment_delta == {
@@ -161,7 +162,7 @@ class TestEvaluateDeviation:
             return real(self, *args)
 
         monkeypatch.setattr(kind, "value", counted)
-        rep = manipulation._deviation_report(inst, truth, honest, honest, objective)
+        rep = evaluate_deviation(inst, truth, truth, objective)
         assert len(seen) == calls
         assert rep.objective_value == real(objective, inst, truth, honest)
 
@@ -445,19 +446,19 @@ class TestFastMechanism:
         # 92,378 candidates; the n! table the kernel once used stopped at 9.
         rng = random.Random(10)
         inst, mat = make_instance(random_rows(rng, 10, total=10))
-        reported, value, _ = coalition_search(inst, mat, ("C",), MinimizeCoalitionPayments(("C",)))
-        assert value == solve(inst, reported).payment_of("C")
-        assert value < solve(inst, mat).payment_of("C")
+        rep = coalition_search(inst, mat, ("C",), MinimizeCoalitionPayments(("C",)))
+        assert rep.objective_value == solve(inst, rep.reported_matrix).payment_of("C")
+        assert rep.objective_value < solve(inst, mat).payment_of("C")
 
     def test_single_agent_search(self):
         # The others' problem is empty; the one candidate is the true row.
         inst, mat = make_instance([(7,)])
-        objective = MinimizeCoalitionPayments(("A",))
-        assert coalition_search(inst, mat, ("A",), objective) == (mat, F(7), True)
-        reported, value, converged = coalition_search(
-            inst, mat, ["A"], MaximizeTrueUtility("A")
-        )
-        assert (reported, value, converged) == (mat, F(0), True)
+        for objective, value in [
+            (MinimizeCoalitionPayments(("A",)), F(7)),
+            (MaximizeTrueUtility("A"), F(0)),
+        ]:
+            rep = coalition_search(inst, mat, ["A"], objective)
+            assert (rep.reported_matrix, rep.objective_value, rep.converged) == (mat, value, True)
 
     @needs_numpy
     def test_compositions_lexicographic(self):
@@ -593,8 +594,8 @@ class TestSearchKernel:
             units, score = scores[k]
             exact = solve(inst, truth.replace_row(2, units))
             assert _value(objective, score, nscale) == exact.payment_of("C")
-        reported, value, _ = coalition_search(inst, truth, ("C",), objective)
-        assert value == solve(inst, reported).payment_of("C")
+        rep = coalition_search(inst, truth, ("C",), objective)
+        assert rep.objective_value == solve(inst, rep.reported_matrix).payment_of("C")
 
     @pytest.mark.parametrize(
         "agent,objective",
@@ -608,14 +609,16 @@ class TestSearchKernel:
     )
     def test_value_matches_exact_route(self, baseline, agent, objective):
         inst, truth = baseline
-        reported, value, _ = coalition_search(inst, truth, (agent,), objective)
-        assert value == objective.value(inst, truth, solve(inst, reported))
+        rep = coalition_search(inst, truth, (agent,), objective)
+        exact = solve(inst, rep.reported_matrix)
+        assert rep.objective_value == objective.value(inst, truth, exact)
 
     def test_coalition_value_matches_exact_route(self, baseline):
         inst, truth = baseline
         objective = MinimizeCoalitionPayments(("D", "E"))
-        reported, value, _ = coalition_search(inst, truth, ("D", "E"), objective)
-        assert value == objective.value(inst, truth, solve(inst, reported))
+        rep = coalition_search(inst, truth, ("D", "E"), objective)
+        exact = solve(inst, rep.reported_matrix)
+        assert rep.objective_value == objective.value(inst, truth, exact)
 
     @needs_numpy
     def test_fractional_grid_and_cap(self):
@@ -904,19 +907,17 @@ class TestSearch:
         # the work, n**3 * 36 = 18,432, is far under this one.
         rng = random.Random(8)
         inst, truth = make_instance(random_rows(rng, 8, total=36))
-        reported, value, _ = coalition_search(
-            inst, truth, ("D",), MinimizeCoalitionPayments(("D",))
-        )
-        assert value == solve(inst, reported).payment_of("D")
-        assert value <= solve(inst, truth).payment_of("D")
+        rep = coalition_search(inst, truth, ("D",), MinimizeCoalitionPayments(("D",)))
+        assert rep.objective_value == solve(inst, rep.reported_matrix).payment_of("D")
+        assert rep.objective_value <= solve(inst, truth).payment_of("D")
 
     def test_baseline_at_step_one_hundredth(self, baseline):
         # 7.0 * 10**12 rows at step 1/100, n**3 * 3600 = 450,000 steps of work.
         inst, truth = baseline
         objective = MinimizeCoalitionPayments(("A",))
-        reported, value, _ = coalition_search(inst, truth, ("A",), objective, step=F(1, 100))
-        assert reported.row(0) == (F(701, 100), 10, F(899, 100), 6, 4)
-        assert value == F(17, 5)
+        rep = coalition_search(inst, truth, ("A",), objective, step=F(1, 100))
+        assert rep.reported_matrix.row(0) == (F(701, 100), 10, F(899, 100), 6, 4)
+        assert rep.objective_value == F(17, 5)
 
     def test_step_must_divide_rent(self, baseline):
         inst, truth = baseline
@@ -929,22 +930,20 @@ class TestSearch:
         inst, truth = make_instance([(4, 1, 1), (1, 4, 1), (1, 1, 4)], total=6)
         honest = solve(inst, truth)
         for agent in inst.agent_ids:
-            reported, value, _ = coalition_search(
+            rep = coalition_search(
                 inst, truth, (agent,), MinimizeCoalitionPayments((agent,)), step=F(1)
             )
-            assert sum(reported.row(inst.agent_index(agent))) == inst.total_rent
-            assert value <= honest.payment_of(agent)
+            assert sum(rep.reported_matrix.row(inst.agent_index(agent))) == inst.total_rent
+            assert rep.objective_value <= honest.payment_of(agent)
 
     def test_single_agent_can_cut_own_payment(self, baseline):
         inst, truth = baseline
         honest = solve(inst, truth)
-        _, value, _ = coalition_search(
-            inst, truth, ("A",), MinimizeCoalitionPayments(("A",)), step=F(1)
-        )
+        rep = coalition_search(inst, truth, ("A",), MinimizeCoalitionPayments(("A",)), step=F(1))
         # The true row lies on the unit grid, so honesty is a candidate and
         # the optimum can only improve on it; here it strictly does.
-        assert value < honest.payment_of("A")
-        assert value == F(17, 5)
+        assert rep.objective_value < honest.payment_of("A")
+        assert rep.objective_value == F(17, 5)
 
     def test_honesty_is_a_candidate_only_on_a_dividing_step(self, baseline):
         # A's true row (10, 8, 8, 5, 5) lies on the grid of step 1/2, so the
@@ -953,11 +952,11 @@ class TestSearch:
         inst, truth = baseline
         assert solve(inst, truth).payment_of("A") == F(21, 5)
         objective = MinimizeCoalitionPayments(("A",))
-        _, value, _ = coalition_search(inst, truth, ("A",), objective, step=F(1, 2))
-        assert value == F(17, 5)
-        reported, value, _ = coalition_search(inst, truth, ("A",), objective, step=F(3))
-        assert reported.row(0) == (0, 0, 0, 18, 18)
-        assert value == 5
+        rep = coalition_search(inst, truth, ("A",), objective, step=F(1, 2))
+        assert rep.objective_value == F(17, 5)
+        rep = coalition_search(inst, truth, ("A",), objective, step=F(3))
+        assert rep.reported_matrix.row(0) == (0, 0, 0, 18, 18)
+        assert rep.objective_value == 5
 
     def test_stops_once_every_member_is_settled(self, baseline, monkeypatch):
         # A best response reads only the other rows, so the search stops as
@@ -971,33 +970,32 @@ class TestSearch:
             return real(*args)
 
         monkeypatch.setattr(manipulation, "_best_response", counted)
-        _, _, converged = coalition_search(inst, truth, ("C",), MinimizeCoalitionPayments(("C",)))
-        assert converged
+        rep = coalition_search(inst, truth, ("C",), MinimizeCoalitionPayments(("C",)))
+        assert rep.converged is True
         assert calls == ["C"]
         calls.clear()
         objective = MinimizeCoalitionPayments(("D", "E"))
-        reported, value, converged = coalition_search(inst, truth, ("D", "E"), objective)
+        rep = coalition_search(inst, truth, ("D", "E"), objective)
         assert calls == ["D", "E", "D"]
+        reported = rep.reported_matrix
         assert reported.row(3) == (0, 12, 10, 7, 7)
         assert reported.row(4) == (0, 0, 15, 10, 11)
         assert reported.values[:3] == truth.values[:3]
-        assert (value, converged) == (F(62, 5), True)
+        assert (rep.objective_value, rep.converged) == (F(62, 5), True)
 
     def test_coalition_search_converges_on_small_instance(self):
         inst, truth = make_instance([(4, 1, 1), (1, 4, 1), (1, 1, 4)], total=6)
         honest = solve(inst, truth)
         objective = MinimizeCoalitionPayments(("A", "B"))
-        reported, value, converged = coalition_search(
-            inst, truth, ("A", "B"), objective, step=F(1)
-        )
-        assert converged
+        rep = coalition_search(inst, truth, ("A", "B"), objective, step=F(1))
+        assert rep.converged
         honest_total = honest.payment_of("A") + honest.payment_of("B")
-        assert value <= honest_total
+        assert rep.objective_value <= honest_total
         # Non-members are never touched.
-        assert reported.row(2) == truth.row(2)
+        assert rep.reported_matrix.row(2) == truth.row(2)
         # Any iterable names the members, a one-shot generator too.
         members = (a for a in ("A", "B"))
-        assert coalition_search(inst, truth, members, objective) == (reported, value, converged)
+        assert coalition_search(inst, truth, members, objective) == rep
 
 
 def _one_of_each_kind(inst, agent, other):
@@ -1013,24 +1011,19 @@ def _one_of_each_kind(inst, agent, other):
 
 
 class TestSearchOutcome:
-    """The outcome the search builds from its winning candidate is the
-    mechanism's outcome on the reports it returns, and its honest outcome,
-    priced on its own integer form, is the mechanism's outcome on the truth:
-    equal as Outcomes, so in assignment, prices, utilities, welfare and
-    min_utility."""
+    """The report a search returns is ``evaluate_deviation``'s on the reports
+    it found: the outcome built from its winning candidate is the mechanism's
+    outcome on those reports, and its honest outcome, priced on its own
+    integer form, is the mechanism's outcome on the truth, equal as Outcomes,
+    so in assignment, prices, utilities, welfare and min_utility.  Only
+    ``converged`` can differ."""
 
     @staticmethod
     def search(inst, truth, coalition, objective, step=F(1)):
-        reported, converged, honest, outcome = manipulation._coalition_search(
-            inst, truth, coalition, objective, step
-        )
-        assert honest == solve(inst, truth)
-        assert outcome == solve(inst, reported)
-        value = objective.value(inst, truth, outcome)
-        assert coalition_search(inst, truth, coalition, objective, step) == (
-            reported, value, converged
-        )
-        return converged
+        rep = coalition_search(inst, truth, coalition, objective, step)
+        scored = evaluate_deviation(inst, truth, rep.reported_matrix, objective)
+        assert dataclasses.replace(rep, converged=True) == scored
+        return rep.converged
 
     def test_random_tie_heavy_instances(self):
         rng = random.Random(9)
@@ -1124,6 +1117,5 @@ class TestSearchOutcome:
         objective = MinimizeCoalitionPayments(("D", "E"))
         assert not self.search(inst, truth, ("D", "E"), objective)
         # The budget bounds one best response; a k-member search runs at
-        # most MAX_ROUNDS * k of them.  ``search`` runs it twice, through
-        # ``_coalition_search`` and through ``coalition_search``.
-        assert calls == [3, 4] * 2
+        # most MAX_ROUNDS * k of them.
+        assert calls == [3, 4]

@@ -134,8 +134,7 @@ def test_a_best_response_never_loses_to_honesty(house, data):
     rows, rent = house
     inst, mat = make_instance(rows, total=rent)
     agent = data.draw(st.sampled_from(inst.agent_ids))
-    honest = solve(inst, mat)
-    _, paid, _ = coalition_search(inst, mat, (agent,), MinimizeCoalitionPayments((agent,)))
-    assert paid <= honest.payment_of(agent)
-    _, utility, _ = coalition_search(inst, mat, (agent,), MaximizeTrueUtility(agent))
-    assert utility >= honest.utilities[agent]
+    rep = coalition_search(inst, mat, (agent,), MinimizeCoalitionPayments((agent,)))
+    assert rep.objective_value <= rep.honest_outcome.payment_of(agent)
+    rep = coalition_search(inst, mat, (agent,), MaximizeTrueUtility(agent))
+    assert rep.objective_value >= rep.honest_outcome.utilities[agent]

@@ -103,6 +103,26 @@ class TestParsing:
         with pytest.raises(ParseError):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "assignment,prices,message",
+        [
+            ({"A": "R1"}, {"R1": "1", "R2": "1"},
+             "the assignment misses agent 'B' and misses room 'R2'"),
+            ({"A": "R1", "B": "R9"}, {"R1": "1", "R2": "1"},
+             "the assignment misses room 'R2' and has unknown room 'R9'"),
+            ({"A": "R1", "B": "R1"}, {"R1": "1", "R2": "1"}, "assignment is not a bijection"),
+            ({"A": "R1", "B": "R2"}, {"R1": "1", "R9": "1"},
+             "the price vector misses room 'R2' and has unknown room 'R9'"),
+        ],
+        ids=["missing-agent", "unknown-room", "shared-room", "unknown-priced-room"],
+    )
+    def test_expected_labels_are_named(self, assignment, prices, message):
+        doc = minimal_doc()
+        doc["expected"] = {"assignment": assignment, "prices": prices}
+        with pytest.raises(ParseError) as exc:
+            scenario_from_dict(doc)
+        assert str(exc.value) == f"scenario.expected: {message}"
+
     def test_row_sum_enforced(self):
         doc = minimal_doc()
         doc["agents"][0]["reported_values"] = ["2", "1"]
