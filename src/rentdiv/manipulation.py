@@ -872,9 +872,7 @@ def coalition_search(
     reported = ValuationMatrix.from_rows(
         [Fraction(v, grid.scale) for v in row] for row in rows
     )
-    manipulated = pricing.priced_outcome(
-        instance, reported, Assignment.from_indices(instance, perm), pay, instance.n * grid.scale
-    )
+    manipulated = pricing.priced_outcome(instance, reported, perm, pay, instance.n * grid.scale)
     honest_perm, _ = matching.canonical_optimum(grid.truth)
     honest = pricing.maximin_prices(
         instance, true_matrix, Assignment.from_indices(instance, honest_perm), _validated=True

@@ -254,21 +254,26 @@ class ValuationMatrix:
         return ValuationMatrix(tuple(rows))
 
 
+def _check_shape(instance: Instance, matrix: ValuationMatrix) -> None:
+    """DimensionMismatch unless the matrix has one row of n values per agent."""
+    if matrix.n != instance.n:
+        raise DimensionMismatch(
+            f"matrix has {matrix.n} rows for {instance.n} agents"
+        )
+    for agent, row in zip(instance.agent_ids, matrix.values):
+        if len(row) != instance.n:
+            raise DimensionMismatch(
+                f"agent {agent} row has {len(row)} entries, expected {instance.n}"
+            )
+
+
 def validate_instance(instance: Instance, matrix: ValuationMatrix) -> None:
     """Enforce the input contract: square, nonnegative, rows sum to the rent.
 
     The row-sum check is exact; there is no tolerance.
     """
-    if matrix.n != instance.n:
-        raise DimensionMismatch(
-            f"matrix has {matrix.n} rows for {instance.n} agents"
-        )
+    _check_shape(instance, matrix)
     for i, row in enumerate(matrix.values):
-        if len(row) != instance.n:
-            raise DimensionMismatch(
-                f"agent {instance.agent_ids[i]} row has {len(row)} entries, "
-                f"expected {instance.n}"
-            )
         for j, v in enumerate(row):
             if v < 0:
                 raise NegativeValue(instance.agent_ids[i], instance.room_ids[j])
@@ -388,7 +393,10 @@ def compute_utilities(
     assignment: Assignment,
     prices: PriceVector,
 ) -> dict:
-    """Quasilinear utilities u_i = v_i(assigned room) - price(assigned room)."""
+    """Quasilinear utilities u_i = v_i(assigned room) - price(assigned room);
+    DimensionMismatch, as in ``validate_instance``, unless the matrix is
+    n by n."""
+    _check_shape(instance, matrix)
     sigma, price = assignment.to_indices(instance), prices.as_list(instance)
     return {
         a: matrix.value(i, j) - price[j] for i, (a, j) in enumerate(zip(instance.agent_ids, sigma))
@@ -402,11 +410,11 @@ def build_outcome(
     prices: PriceVector,
 ) -> Outcome:
     utilities = compute_utilities(instance, matrix, assignment, prices)
-    welfare = sum(matrix.value(i, j) for i, j in enumerate(assignment.to_indices(instance)))
     return Outcome(
         assignment=assignment,
         prices=prices,
         utilities=utilities,
-        welfare=welfare,
+        # sum(u) = sum(v_i(sigma_i)) - sum(p), since sigma covers every room.
+        welfare=sum(utilities.values()) + prices.total(),
         min_utility=min(utilities.values()),
     )

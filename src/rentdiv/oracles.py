@@ -2,9 +2,11 @@
 
 No command imports this module.  It holds three groups of code:
 
-- the Fourier-Motzkin feasibility oracle (``min_utility_feasible``), which
-  certifies a minimum utility by exact variable elimination and shares no
-  code with the simplex or the envy-chain closure of ``pricing``;
+- the Fourier-Motzkin feasibility oracle, which certifies a minimum utility
+  by exact variable elimination and shares no code with the simplex or the
+  envy-chain closure of ``pricing``: ``min_utility_feasible`` writes the
+  envy, budget and floor rows on the prices of one assignment, and
+  ``fm_feasible`` eliminates them;
 - the n! enumerators (``all_optimal_assignments``, ``brute_force_assignment``
   and their ``tie_break_key``), which check the Hungarian matching and its
   canonical tie-break in ``matching``;
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .manipulation import (
@@ -53,65 +54,6 @@ class TooManyVariables(RentDivisionError):
         super().__init__(
             f"{n} variables exceeds the Fourier-Motzkin limit of {FM_VARIABLE_LIMIT}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Envy-free constraint systems
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EFConstraintSystem:
-    """Envy-freeness constraints in price space p_0..p_{n-1}.
-
-    Holds exactly n*(n-1) envy inequalities (coeffs, '<=', rhs) plus the
-    budget equality sum(p) = R.
-    """
-
-    n: int
-    constraints: tuple  # tuple of (coeffs: tuple, relation, rhs)
-
-
-def ef_constraint_system(
-    instance: Instance,
-    matrix: ValuationMatrix,
-    assignment: Assignment,
-) -> EFConstraintSystem:
-    n = instance.n
-    sigma = assignment.to_indices(instance)
-    cons = []
-    zero = Fraction(0)
-    for i in range(n):
-        si = sigma[i]
-        for j in range(n):
-            if j == si:
-                continue
-            coeffs = [zero] * n
-            coeffs[si] += 1
-            coeffs[j] -= 1
-            cons.append(
-                (tuple(coeffs), LE, matrix.value(i, si) - matrix.value(i, j))
-            )
-    cons.append((tuple([Fraction(1)] * n), EQ, instance.total_rent))
-    return EFConstraintSystem(n=n, constraints=tuple(cons))
-
-
-def with_min_utility(
-    system: EFConstraintSystem,
-    instance: Instance,
-    matrix: ValuationMatrix,
-    assignment: Assignment,
-    floor: Fraction,
-) -> EFConstraintSystem:
-    """Add u_i >= floor for every agent, expressed on the price variables."""
-    sigma = assignment.to_indices(instance)
-    extra = []
-    zero = Fraction(0)
-    for i in range(system.n):
-        coeffs = [zero] * system.n
-        coeffs[sigma[i]] = Fraction(1)
-        extra.append((tuple(coeffs), LE, matrix.value(i, sigma[i]) - to_rational(floor)))
-    return EFConstraintSystem(n=system.n, constraints=system.constraints + tuple(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +147,29 @@ def min_utility_feasible(
     assignment: Assignment,
     floor: Fraction,
 ) -> bool:
-    """Fourier-Motzkin probe: is there an EF price vector with all u_i >= floor?"""
-    system = ef_constraint_system(instance, matrix, assignment)
-    system = with_min_utility(system, instance, matrix, assignment, floor)
-    return fm_feasible(system.constraints, instance.n)
+    """Fourier-Motzkin probe: is there an EF price vector with all u_i >= floor?
+
+    The rows, over the prices p_0..p_{n-1} with sigma the assignment's room
+    indices: p_sigma(i) - p_j <= v_i(sigma(i)) - v_i(j) for every agent i, in
+    roster order, and every other room j (i does not envy j); the budget
+    sum(p) = R; and p_sigma(i) <= v_i(sigma(i)) - floor for every i (u_i >=
+    floor).
+    """
+    n, floor = instance.n, to_rational(floor)
+    sigma = assignment.to_indices(instance)
+    rows = []
+    for i, si in enumerate(sigma):
+        for j in range(n):
+            if j != si:
+                coeffs = [0] * n
+                coeffs[si], coeffs[j] = 1, -1
+                rows.append((coeffs, LE, matrix.value(i, si) - matrix.value(i, j)))
+    rows.append(([1] * n, EQ, instance.total_rent))
+    for i, si in enumerate(sigma):
+        coeffs = [0] * n
+        coeffs[si] = 1
+        rows.append((coeffs, LE, matrix.value(i, si) - floor))
+    return fm_feasible(rows, n)
 
 
 # ---------------------------------------------------------------------------

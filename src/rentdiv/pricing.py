@@ -435,16 +435,20 @@ def maximin_prices(
         utilities = chains  # u = t* + m, needed only up to the shift t*
     d = [row[j] - u for row, j, u in zip(rows, sigma, utilities)]
     pay = payment_numerators(d, rent)
-    return priced_outcome(instance, matrix, assignment, pay, instance.n * scale)
+    return priced_outcome(instance, matrix, sigma, pay, instance.n * scale)
 
 
-def priced_outcome(instance, matrix, assignment, pay, denominator):
-    """The ``Outcome`` of ``assignment`` when agent i pays pay[i]/denominator:
-    where exact payments on the integer form become ``Fraction``s."""
+def priced_outcome(instance, matrix, sigma, pay, denominator):
+    """The ``Outcome`` when agent i takes room sigma[i] and pays
+    pay[i]/denominator: where exact payments on the integer form become
+    ``Fraction``s."""
     prices = [Fraction(0)] * instance.n
-    for j, p in zip(assignment.to_indices(instance), pay):
+    for j, p in zip(sigma, pay):
         prices[j] = Fraction(p, denominator)
-    return build_outcome(instance, matrix, assignment, PriceVector.from_list(instance, prices))
+    return build_outcome(
+        instance, matrix, Assignment.from_indices(instance, sigma),
+        PriceVector.from_list(instance, prices),
+    )
 
 
 def _tight_envy(rows, sigma, closed):

@@ -1,8 +1,11 @@
-"""Acceptance gate: nine end-to-end checks with exact tolerances.
+"""Acceptance gate: nine end-to-end checks in exact rational arithmetic.
 
 Each check prints a single pass/fail line (echoed in the terminal summary)
-and enforces its runtime budget.  Tolerances are zero everywhere: all
-comparisons are exact rational equality.
+and enforces its runtime budget.  Every comparison is exact rational
+equality, with one tolerance: checks 5 and 6 certify a maximin level by
+finding the Fourier-Motzkin oracle feasible at the level and infeasible at
+the level + ``CERTIFICATE_EPSILON`` (1/1000), so a better level less than
+1/1000 higher would pass them.
 """
 
 import random

@@ -38,7 +38,6 @@ MOVED = {
     ),
     pricing: (
         "FM_VARIABLE_LIMIT", "CERTIFICATE_EPSILON", "TooManyVariables",
-        "EFConstraintSystem", "ef_constraint_system", "with_min_utility",
         "fm_feasible", "min_utility_feasible",
     ),
     rentdiv: (

@@ -316,6 +316,13 @@ class TestOutcome:
         assert out.min_utility == Fraction(1)
         assert out.payment_of("A") == Fraction(1)
         assert p.total() == inst.total_rent
+        # Welfare is the sum of the assigned values at any prices, even
+        # ones that do not sum to the rent.
+        off = PriceVector.from_list(inst, [Fraction(3), Fraction(1, 2)])
+        out = build_outcome(inst, mat, a, off)
+        assert out.utilities == {"A": Fraction(-1), "B": Fraction(3, 2)}
+        assert out.welfare == Fraction(4)
+        assert out.min_utility == Fraction(-1)
 
     def test_compute_utilities_quasilinear(self):
         inst, mat = small_instance()
@@ -370,6 +377,33 @@ class TestForeignLabels:
         with pytest.raises(ValidationError) as refused:
             LABEL_READERS[reader](inst, mat, assignment, PriceVector(prices))
         assert str(refused.value) == named
+
+
+MISSHAPEN_MATRICES = {
+    "missing-row": ([(2, 0)], "matrix has 1 rows for 2 agents"),
+    "short-row": ([(2, 0), (2,)], "agent B row has 1 entries, expected 2"),
+    "extra-row": ([(2, 0), (0, 2), (1, 1)], "matrix has 3 rows for 2 agents"),
+    "extra-column": ([(2, 0, 0), (0, 2, 0)], "agent A row has 3 entries, expected 2"),
+}
+
+
+class TestMisshapenMatrix:
+    """A valuation matrix that is not n by n is refused with
+    ``validate_instance``'s error by every reader of an assignment's labels,
+    not read past its end or cut short."""
+
+    @pytest.mark.parametrize("reader", sorted(LABEL_READERS))
+    @pytest.mark.parametrize("shape", sorted(MISSHAPEN_MATRICES))
+    def test_refused_as_validate_instance_refuses(self, reader, shape):
+        inst, _ = small_instance()
+        rows, message = MISSHAPEN_MATRICES[shape]
+        mat = ValuationMatrix.from_rows(rows)
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            validate_instance(inst, mat)
+        assignment = Assignment({"A": "R1", "B": "R2"})
+        prices = PriceVector({"R1": 1, "R2": 1})
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            LABEL_READERS[reader](inst, mat, assignment, prices)
 
 
 class TestSearchSpaceTooLarge:

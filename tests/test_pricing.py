@@ -28,10 +28,8 @@ from rentdiv.oracles import (
     TooManyVariables,
     all_optimal_assignments,
     brute_force_assignment,
-    ef_constraint_system,
     fm_feasible,
     min_utility_feasible,
-    with_min_utility,
 )
 from rentdiv.pricing import (
     EQ,
@@ -402,16 +400,6 @@ class TestEnvyFreeness:
         sigma = max_welfare_assignment(inst, mat).assignment
         sol = maximin_prices(inst, mat, sigma)
         assert is_envy_free(inst, mat, sigma, sol.prices) == []
-
-    def test_constraint_system_shape(self, baseline):
-        inst, mat = baseline
-        sigma = max_welfare_assignment(inst, mat).assignment
-        sys_ = ef_constraint_system(inst, mat, sigma)
-        assert sys_.n == 5
-        assert len(sys_.constraints) == 5 * 4 + 1
-        assert sum(1 for _, rel, _ in sys_.constraints if rel == EQ) == 1
-        floored = with_min_utility(sys_, inst, mat, sigma, F(0))
-        assert len(floored.constraints) == len(sys_.constraints) + 5
 
 
 def _equal_split_prices(inst, mat, assignment):
