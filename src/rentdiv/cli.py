@@ -21,10 +21,10 @@ Every text and csv table, from any command, goes through one writer,
 ``_write_table``: a header and rows of cells, as csv or as padded text
 columns.  json documents go through ``_write_json``.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 search
-budget exceeded (n**3 * rent/step over ``manipulation.SEARCH_BUDGET``).  The
-budget bounds one best response; a k-member search runs at most
-``manipulation.MAX_ROUNDS`` * k of them.
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input, a usage
+error included (``_Parser``), 3 search budget exceeded (n**3 * rent/step over
+``manipulation.SEARCH_BUDGET``).  The budget bounds one best response; a
+k-member search runs at most ``manipulation.MAX_ROUNDS`` * k of them.
 """
 
 from __future__ import annotations
@@ -490,8 +490,13 @@ def _err(msg: str) -> None:
     print(f"rentdiv: {msg}", file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # refused as any bad input, naming the subcommand
+        raise ParseError(message, self.prog.removeprefix("rentdiv").strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rentdiv",
         description="Exact maximin envy-free rent division and manipulation lab",
     )
@@ -539,11 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # The whole output is rendered first, so a refusal writes none of it.
     out = io.StringIO()
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args, out)
     except SearchSpaceTooLarge as exc:
         _err(str(exc))

@@ -50,6 +50,7 @@ from .model import (
     Outcome,
     RentDivisionError,
     SearchSpaceTooLarge,
+    ValidationError,
     ValuationMatrix,
     abbreviate,
     compute_utilities,
@@ -68,12 +69,12 @@ class InfeasibleTemplate(RentDivisionError):
 
 
 # An objective kind states its own rules: ``labels()``, the (agents, rooms) it
-# names; ``value(instance, true_matrix, outcome)``, measured against the true
-# values; ``sense``, 0 for a predicate, -1 if minimised, +1 if maximised; and
-# ``margin(instance, grid, perm)``, margin(r, pay) on a search's _Grid where
-# the searcher wins room r, under assignment perm[r] and payment numerators
-# pay over n*scale.  A predicate holds where the margin is nonnegative; a
-# numeric objective's margin is sense * value * n*scale, as in oracles._scores.
+# names; ``sense``, 0 for a predicate, -1 if minimised, +1 if maximised; and
+# ``margin(instance, truth, scale, perm)``, the score margin(r, pay) of each
+# agent i taking room perm[r][i] and paying pay[i] over n*scale, against the
+# true rows ``truth`` of an ``integer_form`` of that scale.  The search and the
+# deviation report both score with it.  A predicate holds where the score is
+# >= 0; a numeric score is sense * value * n*scale, as in oracles._scores.
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,7 @@ class ExcludeFromRooms:
     def labels(self):
         return self.targets, self.rooms
 
-    def value(self, instance, true_matrix, outcome) -> bool:
-        return all(outcome.assignment.room_of(a) not in self.rooms for a in self.targets)
-
-    def margin(self, instance, grid, perm):
+    def margin(self, instance, truth, scale, perm):
         targets = [instance.agent_index(a) for a in self.targets]
         rooms = {instance.room_index(r) for r in self.rooms}
         ok = [all(p[t] not in rooms for t in targets) for p in perm]
@@ -110,10 +108,7 @@ class MinimizeCoalitionPayments:
     def labels(self):
         return self.coalition, ()
 
-    def value(self, instance, true_matrix, outcome) -> Fraction:
-        return sum(outcome.payment_of(a) for a in sorted(self.coalition))
-
-    def margin(self, instance, grid, perm):
+    def margin(self, instance, truth, scale, perm):
         members = [instance.agent_index(a) for a in self.coalition]
         return lambda r, pay: -sum(pay[i] for i in members)
 
@@ -131,16 +126,10 @@ class SubsidizeAgent:
     def labels(self):
         return (self.beneficiary,), (self.room,)
 
-    def value(self, instance, true_matrix, outcome) -> bool:
-        return (
-            outcome.assignment.room_of(self.beneficiary) == self.room
-            and outcome.payment_of(self.beneficiary) <= self.max_price
-        )
-
-    def margin(self, instance, grid, perm):
+    def margin(self, instance, truth, scale, perm):
         ben = instance.agent_index(self.beneficiary)
         room = instance.room_index(self.room)
-        cap = math.floor(self.max_price * instance.n * grid.scale)
+        cap = math.floor(self.max_price * instance.n * scale)
         return lambda r, pay: cap - pay[ben] if perm[r][ben] == room else -1
 
 
@@ -152,24 +141,20 @@ class MaximizeTrueUtility:
     def labels(self):
         return (self.agent,), ()
 
-    def value(self, instance, true_matrix, outcome) -> Fraction:
-        utilities = compute_utilities(instance, true_matrix, outcome.assignment, outcome.prices)
-        return utilities[self.agent]
-
-    def margin(self, instance, grid, perm):
+    def margin(self, instance, truth, scale, perm):
         who = instance.agent_index(self.agent)
-        truth = grid.truth[who]
-        return lambda r, pay: instance.n * truth[perm[r][who]] - pay[who]
+        row = truth[who]
+        return lambda r, pay: instance.n * row[perm[r][who]] - pay[who]
 
 
 _OBJECTIVES = (ExcludeFromRooms, MinimizeCoalitionPayments, SubsidizeAgent, MaximizeTrueUtility)
 
 
 def _check_labels(instance: Instance, what: str, agents, rooms=()) -> None:
-    """Raise ValueError naming every agent or room label the instance lacks."""
+    """Raise ValidationError naming every agent or room label the instance lacks."""
     bad = (set(agents) - set(instance.agent_ids)) | (set(rooms) - set(instance.room_ids))
     if bad:
-        raise ValueError(f"{what} references unknown labels: {sorted(bad)}")
+        raise ValidationError(f"{what} references unknown labels: {sorted(bad)}")
 
 
 def _check_objective(instance: Instance, objective) -> None:
@@ -218,12 +203,23 @@ def _deviation_report(
     """Compare two solved outcomes under the true values.  ``honest`` is the
     mechanism's outcome on ``true_matrix`` and ``manipulated`` its outcome on
     ``reported_matrix``, so the honest utilities are the true ones already.
-    The objective is evaluated once per side, on the honest one only for a
-    numeric objective."""
-    payment_delta = {
-        a: manipulated.payment_of(a) - honest.payment_of(a)
-        for a in instance.agent_ids
-    }
+    The objective's ``margin`` scores each side on the truth's integer form
+    whose scale makes n times every payment an integer, the honest side only
+    for a numeric objective."""
+    n, sides = instance.n, (manipulated, honest)
+    paid = [[side.payment_of(a) for a in instance.agent_ids] for side in sides]
+    payment_delta = {a: m - h for a, m, h in zip(instance.agent_ids, *paid)}
+    step = Fraction(1, math.lcm(*((n * p).denominator for row in paid for p in row)))
+    scale, truth, _ = pricing.integer_form(true_matrix.values, instance.total_rent, step)
+    perm = [side.assignment.to_indices(instance) for side in sides]
+    margin = objective.margin(instance, truth, scale, perm)
+    pay = [[p.numerator * (n * scale // p.denominator) for p in row] for row in paid]
+    score = margin(0, pay[0])
+    if objective.sense:
+        value = Fraction(objective.sense * score, n * scale)
+        satisfied = score > margin(1, pay[1])
+    else:
+        value = satisfied = score >= 0
     true_manip = compute_utilities(
         instance, true_matrix, manipulated.assignment, manipulated.prices
     )
@@ -240,11 +236,6 @@ def _deviation_report(
         ),
         key=lambda pair: (rank(pair[0]), rank(pair[1])),
     )
-    value = objective.value(instance, true_matrix, manipulated)
-    if objective.sense:
-        satisfied = objective.sense * (value - objective.value(instance, true_matrix, honest)) > 0
-    else:
-        satisfied = bool(value)
     return DeviationReport(
         honest_outcome=honest,
         manipulated_outcome=manipulated,
@@ -285,9 +276,9 @@ def template_exclusionary(
     victim_rooms = list(dict.fromkeys(victim_rooms))
     _check_labels(instance, "template", coalition, [*claimed_rooms, *victim_rooms])
     if len(coalition) != len(claimed_rooms):
-        raise ValueError("coalition and claimed_rooms must pair up")
+        raise ValidationError("coalition and claimed_rooms must pair up")
     if set(claimed_rooms) & set(victim_rooms):
-        raise ValueError("claimed and victim rooms overlap")
+        raise ValidationError("claimed and victim rooms overlap")
 
     room_of_member = dict(zip(coalition, claimed_rooms))
     matrix = true_matrix
@@ -337,7 +328,7 @@ def template_flatten(
     _check_labels(instance, "template", coalition, own_room.values())
     for agent in coalition:
         if agent not in own_room:
-            raise ValueError(f"own_room missing for {agent}")
+            raise ValidationError(f"own_room missing for {agent}")
     n = instance.n
     base = Fraction(math.floor(instance.total_rent / n))
     leftover = instance.total_rent - n * base
@@ -378,10 +369,10 @@ def template_defensive(
         )
     for agent in defenders:
         if agent not in contested:
-            raise ValueError(f"contested rooms missing for {agent}")
+            raise ValidationError(f"contested rooms missing for {agent}")
         pair = contested[agent]
         if len(set(pair)) != 2:
-            raise ValueError(f"{agent} must contest two distinct rooms")
+            raise ValidationError(f"{agent} must contest two distinct rooms")
         i = instance.agent_index(agent)
         row = [Fraction(0)] * instance.n
         for r in pair:
@@ -688,7 +679,7 @@ def _best_response(instance, objective, grid, rows, agent_index):
     n, a = instance.n, agent_index
     unit, total = grid.unit, grid.steps
     perm, assigned, chain, reach, keys, welfare = _room_tables(rows, a)
-    margin = objective.margin(instance, grid, perm)
+    margin = objective.margin(instance, grid.truth, grid.scale, perm)
 
     def payments(r, y):
         # d_i = v_i(sigma_r(i)) - max(m'_i, reach_r[i] + y), inlined: this
@@ -804,12 +795,12 @@ def _prepare_search(instance, true_matrix, step):
     validate_instance(instance, true_matrix)
     step = to_rational(step)
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise ValidationError("step must be positive")
     scale, truth, rent = pricing.integer_form(true_matrix.values, instance.total_rent, step)
     unit = int(step * scale)
     steps, left = divmod(rent, unit)
     if left:
-        raise ValueError("step must divide the total rent")
+        raise ValidationError("step must divide the total rent")
     if instance.n**3 * steps > SEARCH_BUDGET:
         raise SearchSpaceTooLarge(instance.n, SEARCH_BUDGET)
     return _Grid(scale, truth, rent, unit, steps)
@@ -853,7 +844,7 @@ def coalition_search(
     grid = _prepare_search(instance, true_matrix, step)
     members = [i for i, a in enumerate(instance.agent_ids) if a in coalition]
     if not members:
-        raise ValueError("coalition is empty")
+        raise ValidationError("coalition is empty")
 
     rows = list(grid.truth)
     settled = 0  # members, up to this one, whose rows are best responses

@@ -16,8 +16,8 @@ class RentDivisionError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ValidationError(RentDivisionError):
-    """An instance/valuation pair violates the input contract."""
+class ValidationError(RentDivisionError, ValueError):
+    """An input violates the input contract."""
 
 
 class DimensionMismatch(ValidationError):

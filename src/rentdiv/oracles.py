@@ -38,7 +38,9 @@ from .model import (
     Assignment,
     Instance,
     RentDivisionError,
+    ValidationError,
     ValuationMatrix,
+    _check_shape,
     to_rational,
     validate_instance,
 )
@@ -98,7 +100,7 @@ def fm_feasible(constraints, num_vars: int) -> bool:
         if rel == EQ:
             rows.append((tuple(-c for c in coeffs), -rhs))
         elif rel != LE:
-            raise ValueError(f"unknown relation {rel!r}")
+            raise ValidationError(f"unknown relation {rel!r}")
 
     remaining = list(range(num_vars))
     while remaining:
@@ -153,8 +155,9 @@ def min_utility_feasible(
     indices: p_sigma(i) - p_j <= v_i(sigma(i)) - v_i(j) for every agent i, in
     roster order, and every other room j (i does not envy j); the budget
     sum(p) = R; and p_sigma(i) <= v_i(sigma(i)) - floor for every i (u_i >=
-    floor).
+    floor).  DimensionMismatch, as in ``validate_instance``, unless n by n.
     """
+    _check_shape(instance, matrix)
     n, floor = instance.n, to_rational(floor)
     sigma = assignment.to_indices(instance)
     rows = []

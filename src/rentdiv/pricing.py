@@ -56,6 +56,7 @@ from .model import (
     Outcome,
     PriceVector,
     RentDivisionError,
+    ValidationError,
     ValuationMatrix,
     abbreviate,
     build_outcome,
@@ -88,12 +89,12 @@ class LinearProgram:
     def __post_init__(self):
         nv = len(self.objective)
         if len(self.free) != nv:
-            raise ValueError("free flags must match variable count")
+            raise ValidationError("free flags must match variable count")
         for coeffs, rel, _ in self.rows:
             if len(coeffs) != nv:
-                raise ValueError("row width does not match variable count")
+                raise ValidationError("row width does not match variable count")
             if rel not in (LE, EQ):
-                raise ValueError(f"unknown relation {rel!r}")
+                raise ValidationError(f"unknown relation {rel!r}")
 
 
 @dataclass

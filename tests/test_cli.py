@@ -98,6 +98,30 @@ class TestSolve:
         assert main(["solve", str(bad)]) == EXIT_INVALID
 
 
+class TestUsageErrors:
+    # argparse would print a usage block and raise SystemExit, which ends an
+    # in-process caller too; each is refused as any other bad input instead.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["solve"], "solve: the following arguments are required: scenario"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "),
+            (["solve", "{file}", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+            (["verify", "--builtin", "baseline", "--format", "xml"],
+             "verify: argument --format: invalid choice: 'xml' (choose from "),
+        ],
+        ids=["missing-file", "unknown-command", "unknown-flag", "unknown-format"],
+    )
+    def test_refused_in_one_line(self, baseline_file, capsys, argv, message):
+        # argparse words the list of choices differently across Pythons.
+        argv = [baseline_file if a == "{file}" else a for a in argv]
+        assert main(argv) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"rentdiv: {message}") and err.count("\n") == 1
+        assert err.endswith("\n")
+
+
 class TestJsonWriter:
     """``_write_json`` lifts Python's digit limit for its own call only."""
 
@@ -535,16 +559,23 @@ class TestManipulate:
     def test_search_evaluates_the_objective_once_per_side(
         self, baseline_file, capsys, monkeypatch
     ):
-        # Once on the manipulated outcome and once on the honest one, both
-        # in the deviation report; the search itself scores on its grid.
-        seen = []
-        real = MinimizeCoalitionPayments.value
+        # The search scores its grid through the objective's margin, and the
+        # deviation report scores through it last: once on the manipulated
+        # outcome and once on the honest one.  D's payment per score.
+        scores = []
+        real = MinimizeCoalitionPayments.margin
 
-        def counted(self, *args):
-            seen.append(args[-1])
-            return real(self, *args)
+        def counted(self, instance, truth, scale, perm):
+            score, seen = real(self, instance, truth, scale, perm), []
+            scores.append(seen)
 
-        monkeypatch.setattr(MinimizeCoalitionPayments, "value", counted)
+            def scored(side, pay):
+                seen.append(Fraction(pay[instance.agent_index("D")], instance.n * scale))
+                return score(side, pay)
+
+            return scored
+
+        monkeypatch.setattr(MinimizeCoalitionPayments, "margin", counted)
         argv = ["manipulate", baseline_file, "--coalition", "D", "--objective",
                 "min-pay:D", "--search", "--format", "json"]
         assert main(argv) == EXIT_OK
@@ -554,7 +585,8 @@ class TestManipulate:
             price = doc[side]["prices"][doc[side]["assignment"]["D"]]
             return Fraction(price["num"], price["den"])
 
-        assert [o.payment_of("D") for o in seen] == [paid("manipulated"), paid("honest")]
+        assert len(scores) > 1
+        assert scores[-1] == [paid("manipulated"), paid("honest")]
         assert paid("manipulated") < paid("honest")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -16,7 +16,7 @@ from rentdiv import manipulation, matching, model, oracles, pricing
 # ``MinimizeCoalitionPayments`` of that member), the test-only oracles (they
 # resolve only from `rentdiv.oracles`), the alias of ``Fraction``, the
 # one-member wrapper of ``coalition_search`` and the predicate that
-# ``ExcludeFromRooms.value`` now holds.
+# ``ExcludeFromRooms`` now states.
 EXPORTED = (
     "Assignment", "Instance", "Outcome", "PriceVector",
     "RentDivisionError", "ValidationError", "ValuationMatrix", "build_outcome",
@@ -157,4 +157,16 @@ def test_no_float_in_the_package():
             )
             if literal or call:
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_value_error_raised_in_the_package():
+    # A refusal of this package is a RentDivisionError: where the input is
+    # bad, a ValidationError, which is also a ValueError.
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(rentdiv.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "raise ValueError(" in line
+    ]
     assert found == []

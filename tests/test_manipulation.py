@@ -70,9 +70,12 @@ class TestObjectives:
     def test_exclusion_check(self):
         sc = builtin_scenario("exclusionary-collusion")
         inst, mat = sc.instance, sc.reported_matrix
-        out = solve(inst, mat)
-        assert ExcludeFromRooms(("D", "E"), ("R1", "R2", "R3")).value(inst, mat, out)
-        assert not ExcludeFromRooms(("A",), ("R1",)).value(inst, mat, out)
+
+        def holds(objective):
+            return evaluate_deviation(inst, mat, mat, objective).objective_value
+
+        assert holds(ExcludeFromRooms(("D", "E"), ("R1", "R2", "R3")))
+        assert not holds(ExcludeFromRooms(("A",), ("R1",)))
 
     def test_predicate_vs_optimization_semantics(self, baseline):
         inst, truth = baseline
@@ -90,10 +93,11 @@ class TestObjectives:
 
     def test_objective_value_uses_true_preferences(self):
         sc = builtin_scenario("exclusionary-collusion")
-        out = solve(sc.instance, sc.reported_matrix)
+        objective = MaximizeTrueUtility("B")
+        rep = evaluate_deviation(sc.instance, sc.truth(), sc.reported_matrix, objective)
         # B sits in R2 at 9.20; B's TRUE value for R2 is 9, not the reported 15.
-        v = MaximizeTrueUtility("B").value(sc.instance, sc.truth(), out)
-        assert v == F(-1, 5)
+        assert rep.manipulated_outcome.payment_of("B") == F(46, 5)
+        assert rep.objective_value == F(-1, 5)
 
 
 class TestEvaluateDeviation:
@@ -155,16 +159,26 @@ class TestEvaluateDeviation:
         honest = solve(inst, truth)
         kind = type(objective)
         seen = []
-        real = kind.value
+        real = kind.margin
 
         def counted(self, *args):
-            seen.append(args[-1])
-            return real(self, *args)
+            score = real(self, *args)
 
-        monkeypatch.setattr(kind, "value", counted)
+            def scored(side, pay):
+                seen.append(side)
+                return score(side, pay)
+
+            return scored
+
+        monkeypatch.setattr(kind, "margin", counted)
         rep = evaluate_deviation(inst, truth, truth, objective)
-        assert len(seen) == calls
-        assert rep.objective_value == real(objective, inst, truth, honest)
+        # The manipulated side (0) first, then the honest one (1).
+        assert seen == [0, 1][:calls]
+        # On truthful reports both sides are the honest outcome.
+        if objective.sense:
+            assert rep.objective_value == honest.payment_of("D")
+        else:
+            assert rep.objective_value is (honest.assignment.room_of("D") != "R1")
 
 
 class TestTemplates:
@@ -577,8 +591,9 @@ class TestSearchKernel:
         scores, nscale = _grid_scores(inst, truth, "A", objective, F(r, 4))
         assert len(scores) == 15
         for units, score in scores:
-            exact = solve(inst, truth.replace_row(0, [u * F(r, 4) for u in units]))
-            assert _value(objective, score, nscale) == objective.value(inst, truth, exact)
+            reports = truth.replace_row(0, [u * F(r, 4) for u in units])
+            exact = evaluate_deviation(inst, truth, reports, objective)
+            assert _value(objective, score, nscale) == exact.objective_value
 
     @needs_numpy
     def test_seven_agents_across_blocks(self):
@@ -610,15 +625,15 @@ class TestSearchKernel:
     def test_value_matches_exact_route(self, baseline, agent, objective):
         inst, truth = baseline
         rep = coalition_search(inst, truth, (agent,), objective)
-        exact = solve(inst, rep.reported_matrix)
-        assert rep.objective_value == objective.value(inst, truth, exact)
+        exact = evaluate_deviation(inst, truth, rep.reported_matrix, objective)
+        assert rep.objective_value == exact.objective_value
 
     def test_coalition_value_matches_exact_route(self, baseline):
         inst, truth = baseline
         objective = MinimizeCoalitionPayments(("D", "E"))
         rep = coalition_search(inst, truth, ("D", "E"), objective)
-        exact = solve(inst, rep.reported_matrix)
-        assert rep.objective_value == objective.value(inst, truth, exact)
+        exact = evaluate_deviation(inst, truth, rep.reported_matrix, objective)
+        assert rep.objective_value == exact.objective_value
 
     @needs_numpy
     def test_fractional_grid_and_cap(self):
@@ -636,8 +651,9 @@ class TestSearchKernel:
             scores, nscale = _grid_scores(inst, truth, agent, objective, F(1, 2))
             for units, score in scores:
                 row = [u * F(1, 2) for u in units]
-                exact = solve(inst, truth.replace_row(inst.agent_index(agent), row))
-                assert _value(objective, score, nscale) == objective.value(inst, truth, exact)
+                reports = truth.replace_row(inst.agent_index(agent), row)
+                exact = evaluate_deviation(inst, truth, reports, objective)
+                assert _value(objective, score, nscale) == exact.objective_value
 
 
 def _oracle_best_response(inst, objective, grid, rows, agent_index):

@@ -28,6 +28,7 @@ from rentdiv.model import (
     validate_instance,
 )
 from rentdiv.manipulation import _prepare_search
+from rentdiv.oracles import min_utility_feasible
 from rentdiv.pricing import is_envy_free, maximin_level, maximin_prices
 
 
@@ -332,14 +333,16 @@ class TestOutcome:
         assert u == {"A": Fraction(-1, 2), "B": Fraction(-3, 2)}
 
 
-# The API functions that turn an assignment's or a price vector's labels
-# into indices, each called as (instance, matrix, assignment, prices).
+# The API functions, and the Fourier-Motzkin oracle at floor 0, that turn an
+# assignment's or a price vector's labels into indices, each called as
+# (instance, matrix, assignment, prices).
 LABEL_READERS = {
     "maximin_prices": lambda inst, mat, a, p: maximin_prices(inst, mat, a),
     "maximin_level": lambda inst, mat, a, p: maximin_level(inst, mat, a),
     "is_envy_free": is_envy_free,
     "compute_utilities": compute_utilities,
     "build_outcome": build_outcome,
+    "min_utility_feasible": lambda inst, mat, a, p: min_utility_feasible(inst, mat, a, 0),
 }
 READS_PRICES = ["is_envy_free", "compute_utilities", "build_outcome"]
 FOREIGN_ASSIGNMENTS = [
